@@ -13,6 +13,7 @@ share across workers.  All operations in this module are pure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -188,16 +189,52 @@ class Instance:
     def from_json_dict(cls, data: dict) -> "Instance":
         """Build from the JSON schema; edge order is irrelevant and the
         loaded adjacency is normalized (deduplicated, sorted)."""
+        if not isinstance(data, dict):
+            raise ValueError("not an instance: expected a JSON object")
         missing = {"agents", "tasks", "edges"} - set(data)
         if missing:
             raise ValueError(
                 f"not an instance: missing {sorted(missing)} "
                 "(expected agents/tasks/edges)"
             )
-        capacities = [int(entry["capacity"]) for entry in data["agents"]]
-        values = [float(entry["value"]) for entry in data["tasks"]]
-        edges = sorted({(int(a), int(t)) for a, t in data["edges"]})
+        for key in ("agents", "tasks", "edges"):
+            if not isinstance(data[key], list):
+                raise ValueError(f"not an instance: {key!r} must be a list")
+        try:
+            capacities = [
+                _parse_integral(entry["capacity"], f"capacity of agent {i}")
+                for i, entry in enumerate(data["agents"])
+            ]
+            values = [
+                _parse_finite(entry["value"], f"value of task {j}")
+                for j, entry in enumerate(data["tasks"])
+            ]
+            edges = sorted(
+                {
+                    (_parse_integral(a, "edge agent"), _parse_integral(t, "edge task"))
+                    for a, t in data["edges"]
+                }
+            )
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"malformed instance: {exc!r}") from None
         return cls.from_parts(capacities, values, edges)
+
+
+def _parse_integral(raw, what: str) -> int:
+    """``raw`` as an int; integral floats are accepted, fractions are not."""
+    if isinstance(raw, int):
+        return raw
+    number = float(raw)
+    if not number.is_integer():
+        raise ValueError(f"non-integral {what}: {raw!r}")
+    return int(number)
+
+
+def _parse_finite(raw, what: str) -> float:
+    number = float(raw)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite {what}: {raw!r}")
+    return number
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Agent, Instance, Matching, Task, require_valid
+from .core import Agent, Instance, Matching, Task, _parse_integral, require_valid
 from .seeds import derive_rng
 from .solver import (
     Traversal,
@@ -312,8 +312,13 @@ def sample_agent_order(
     (no reported edges) are appended after all positive-weight agents,
     in id order.
     """
-    weights = lottery_weights(inst, reports)
-    remaining = [a for a in range(inst.n) if weights[a] > 0.0]
+    return _draw_order(lottery_weights(inst, reports), rng)
+
+
+def _draw_order(weights: Sequence[float], rng: np.random.Generator) -> tuple[int, ...]:
+    """The draw of ``sample_agent_order`` over precomputed weights."""
+    n = len(weights)
+    remaining = [a for a in range(n) if weights[a] > 0.0]
     order: list[int] = []
     while remaining:
         total = 0.0
@@ -329,7 +334,7 @@ def sample_agent_order(
                 break
         order.append(chosen)
         remaining.remove(chosen)
-    order.extend(a for a in range(inst.n) if weights[a] <= 0.0)
+    order.extend(a for a in range(n) if weights[a] <= 0.0)
     return tuple(order)
 
 
@@ -348,10 +353,10 @@ def randomized_utility_samples(
     require_valid(effective)
     values = effective.values
     n = effective.n
+    weights = lottery_weights(effective, None)
     samples = np.zeros((trials, n), dtype=np.float64)
     for k in range(trials):
-        rng = derive_rng(seed, k)
-        order = sample_agent_order(effective, None, rng)
+        order = _draw_order(weights, derive_rng(seed, k))
         owner = _solve_owner_array(effective, order, Traversal.BREADTH_FIRST)
         row = samples[k]
         for t, a in enumerate(owner):
@@ -392,16 +397,23 @@ def profile_from_json_dict(data: dict, base: Instance) -> Profile:
         if entry is None:
             reports.append(None)
         elif side == AGENTS:
+            capacity = entry.get("capacity")
+            if capacity is not None:
+                capacity = _parse_integral(capacity, "reported capacity")
             reports.append(
                 AgentReport(
-                    edges=tuple(int(t) for t in entry["edges"]),
-                    capacity=entry.get("capacity"),
+                    edges=tuple(
+                        _parse_integral(t, "reported task id") for t in entry["edges"]
+                    ),
+                    capacity=capacity,
                 )
             )
         else:
             reports.append(
                 TaskReport(
-                    edges=tuple(int(a) for a in entry["edges"]),
+                    edges=tuple(
+                        _parse_integral(a, "reported agent id") for a in entry["edges"]
+                    ),
                     value=entry.get("value"),
                 )
             )

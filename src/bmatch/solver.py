@@ -12,6 +12,18 @@ matching; they differ in which agent ends up with which task:
   and dives through a saturated agent's matched tasks (in increasing
   task-process order) before trying the next agent at the same level.
 
+Both traversals retire the agents of a failed search.  When no
+augmenting path starts at task ``t``, every agent the search reached is
+saturated, and every task matched to one of them has only reached agents
+as neighbours.  No later path can end in that closed set, so no later
+flip touches it and it stays closed (a failed alternating tree stays
+failed: Hopcroft & Karp 1973; Spencer & Mayr, ICALP 1984).  Later
+searches skip these dead agents.  This keeps both tie-breaks: a dead
+agent is never a terminal, and the tasks behind it lead only to other
+dead agents, so the frontier order, parent pointers, lowest-priority
+terminal and dive order for live agents are the ones an unpruned search
+would produce.
+
 The approximate solver considers only length-1 paths: each task goes to
 the lowest-index unsaturated adjacent agent, and assignments never move.
 Its weight is at least half the optimum.
@@ -77,6 +89,11 @@ class AugmentingPath:
         return self.edges[0][1]
 
 
+# ``visit_a`` stamp of a dead agent: above every epoch, so the visited
+# test ``visit_a[a] >= epoch`` skips it at no extra cost.
+_DEAD = 1 << 62
+
+
 class _State:
     """Mutable solve state over one instance and one agent ordering."""
 
@@ -104,7 +121,7 @@ class _State:
                 pos[agent] = position
         self.pos = pos
         if order is None:
-            self.task_agents = [list(adj) for adj in inst.task_adj]
+            self.task_agents = inst.task_adj
         else:
             self.task_agents = [
                 sorted(adj, key=pos.__getitem__) for adj in inst.task_adj
@@ -145,7 +162,7 @@ class _State:
             next_agents: list[int] = []
             for t in frontier:
                 for a in self.task_agents[t]:
-                    if visit_a[a] == epoch:
+                    if visit_a[a] >= epoch:
                         continue
                     visit_a[a] = epoch
                     self.from_task[a] = t
@@ -163,6 +180,7 @@ class _State:
                         continue
                     visit_t[t2] = epoch
                     frontier.append(t2)
+        self.retire_reached()
         return -1
 
     def search_dfs(self, start: int) -> int:
@@ -182,7 +200,7 @@ class _State:
                 while i < len(seq):
                     a = seq[i]
                     i += 1
-                    if visit_a[a] == epoch:
+                    if visit_a[a] >= epoch:
                         continue
                     visit_a[a] = epoch
                     self.from_task[a] = node
@@ -207,7 +225,16 @@ class _State:
                     break
             if not moved:
                 frames.pop()
+        self.retire_reached()
         return -1
+
+    def retire_reached(self) -> None:
+        """Mark every agent reached by the failed search of this epoch
+        dead; see the module docstring for why it stays unreachable."""
+        visit_a, epoch = self.visit_a, self.epoch
+        for a, stamp in enumerate(visit_a):
+            if stamp == epoch:
+                visit_a[a] = _DEAD
 
     def path_pairs(self, terminal: int) -> tuple[tuple[int, int], ...]:
         """Edges of the found path in path order, from the start task."""

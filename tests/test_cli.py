@@ -119,3 +119,39 @@ def test_usage_errors(capsys, instance_path):
     assert main(["no-such-command"]) == 2
     assert main(["solve", "/does/not/exist.json"]) == 2
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"agents": 5, "tasks": [], "edges": []}, "'agents' must be a list"),
+        ({"agents": [{"capacity": 1}], "tasks": [{"value": "inf"}],
+          "edges": [[0, 0]]}, "non-finite value of task 0"),
+        ({"agents": [{"capacity": 2.7}], "tasks": [{"value": 1.0}],
+          "edges": [[0, 0]]}, "non-integral capacity of agent 0"),
+    ],
+)
+def test_solve_rejects_malformed_instances(tmp_path, capsys, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "reports, message",
+    [
+        ([{"edges": [0], "capacity": 1.5}, None], "non-integral reported capacity"),
+        ([{"edges": [1.5]}, None], "non-integral reported task id"),
+    ],
+)
+def test_solve_rejects_non_integral_agent_reports(tmp_path, instance_path,
+                                                  capsys, reports, message):
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(json.dumps({"side": "agents", "reports": reports}))
+    assert main(["solve", instance_path, "--profile", str(profile_path)]) == 2
+    assert message in capsys.readouterr().err

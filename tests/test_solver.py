@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmatch.core import Instance, Matching, matching_weight
 from bmatch.fixtures import (
@@ -7,10 +9,13 @@ from bmatch.fixtures import (
     equal_value_collusion_instance,
     two_class_instance,
 )
+from bmatch.gen import GenConfig, generate_instance
 from bmatch.oracle import brute_force_mvbm
 from bmatch.solver import (
+    _DEAD,
     AugmentingPath,
     Traversal,
+    _State,
     find_augmenting_path,
     solve_ap,
     solve_mvbm,
@@ -134,3 +139,214 @@ def test_greedy_output_is_maximal_for_single_edge_paths(small_batch):
                 continue
             for a in inst.task_adj[t]:
                 assert load[a] >= inst.agents[a].capacity
+
+
+class _UnprunedState(_State):
+    """The searches without dead-agent pruning: every search walks the
+    whole alternating tree again.  Reference for the differential tests."""
+
+    __slots__ = ()
+
+    def search_bfs(self, start: int) -> int:
+        self.epoch += 1
+        epoch = self.epoch
+        visit_a, visit_t = self.visit_a, self.visit_t
+        caps, load, pos = self.caps, self.load, self.pos
+        visit_t[start] = epoch
+        frontier = [start]
+        while frontier:
+            best = -1
+            next_agents: list[int] = []
+            for t in frontier:
+                for a in self.task_agents[t]:
+                    if visit_a[a] == epoch:
+                        continue
+                    visit_a[a] = epoch
+                    self.from_task[a] = t
+                    if load[a] < caps[a]:
+                        if best == -1 or pos[a] < pos[best]:
+                            best = a
+                    else:
+                        next_agents.append(a)
+            if best != -1:
+                return best
+            frontier = []
+            for a in next_agents:
+                for t2 in self.matched_tasks_in_process_order(a):
+                    if visit_t[t2] == epoch:
+                        continue
+                    visit_t[t2] = epoch
+                    frontier.append(t2)
+        return -1
+
+    def search_dfs(self, start: int) -> int:
+        self.epoch += 1
+        epoch = self.epoch
+        visit_a, visit_t = self.visit_a, self.visit_t
+        caps, load = self.caps, self.load
+        visit_t[start] = epoch
+        frames: list[list] = [[True, start, self.task_agents[start], 0]]
+        while frames:
+            frame = frames[-1]
+            is_task, node, seq, i = frame
+            moved = False
+            if is_task:
+                while i < len(seq):
+                    a = seq[i]
+                    i += 1
+                    if visit_a[a] == epoch:
+                        continue
+                    visit_a[a] = epoch
+                    self.from_task[a] = node
+                    if load[a] < caps[a]:
+                        return a
+                    frame[3] = i
+                    frames.append(
+                        [False, a, self.matched_tasks_in_process_order(a), 0]
+                    )
+                    moved = True
+                    break
+            else:
+                while i < len(seq):
+                    t2 = seq[i]
+                    i += 1
+                    if visit_t[t2] == epoch:
+                        continue
+                    visit_t[t2] = epoch
+                    frame[3] = i
+                    frames.append([True, t2, self.task_agents[t2], 0])
+                    moved = True
+                    break
+            if not moved:
+                frames.pop()
+        return -1
+
+
+def _owners(inst, order, traversal, state_cls=_State):
+    state = state_cls(inst, order)
+    state.run(traversal)
+    return state.owner
+
+
+def _assert_pruning_keeps_owners(inst, order):
+    for traversal in Traversal:
+        assert _owners(inst, order, traversal) == _owners(
+            inst, order, traversal, _UnprunedState
+        ), (inst, order, traversal)
+
+
+@pytest.mark.parametrize(
+    "n, m, p, count",
+    [
+        (40, 30, 0.8, 6),  # dense
+        (20, 200, 0.1, 6),  # sparse
+        (20, 25, 0.2, 20),  # the randomized-order experiment's shape
+    ],
+)
+def test_pruning_keeps_owner_arrays(n, m, p, count):
+    cfg = GenConfig(n, m, p, 1, 3, seed=97)
+    rng = np.random.default_rng(98)
+    for i in range(count):
+        inst = generate_instance(cfg, i)
+        _assert_pruning_keeps_owners(inst, None)
+        _assert_pruning_keeps_owners(inst, rng.permutation(n).tolist())
+
+
+def test_pruning_keeps_owner_arrays_on_small_markets():
+    rng = np.random.default_rng(99)
+    for i in range(200):
+        n = (i % 3) + 1
+        m = (i % 4) + 1
+        p = (0.3, 0.6, 1.0)[i % 3]
+        inst = generate_instance(GenConfig(n, m, p, 1, 2, seed=100), i)
+        _assert_pruning_keeps_owners(inst, None)
+        _assert_pruning_keeps_owners(inst, rng.permutation(n).tolist())
+
+
+@st.composite
+def _markets(draw, values=st.sampled_from([0.0, 1.0, 2.0, 2.5])):
+    """Small random markets; the default values repeat often, so
+    processing-order ties are common."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 8))
+    capacities = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    task_values = draw(st.lists(values, min_size=m, max_size=m))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))))
+    return Instance.from_parts(capacities, task_values, sorted(edges))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pruning_keeps_owner_arrays_property(data):
+    inst = data.draw(_markets())
+    order = data.draw(st.permutations(range(inst.n)))
+    _assert_pruning_keeps_owners(inst, None)
+    _assert_pruning_keeps_owners(inst, list(order))
+
+
+def test_later_search_routes_around_the_dead_set():
+    # tasks in process order: t0 -> a0 and t1 -> a1 directly; t2 only
+    # reaches the saturated a0, whose task t0 leads back to a0 only, so
+    # the search fails and retires a0.  t3 must then skip a0 and still
+    # find the free a2 through a1: t3 - a1 - t1 - a2.
+    inst = Instance.from_parts(
+        [1, 1, 1],
+        [5.0, 4.0, 3.0, 2.0],
+        [(0, 0), (1, 1), (2, 1), (0, 2), (0, 3), (1, 3)],
+    )
+    for traversal in Traversal:
+        state = _State(inst, None)
+        search = (
+            state.search_bfs
+            if traversal is Traversal.BREADTH_FIRST
+            else state.search_dfs
+        )
+        for t in (0, 1):
+            state.flip(search(t))
+        assert search(2) == -1
+        assert [stamp == _DEAD for stamp in state.visit_a] == [True, False, False]
+        terminal = search(3)
+        assert terminal == 2
+        assert state.path_pairs(terminal) == ((1, 3), (1, 1), (2, 1))
+        state.flip(terminal)
+        assert state.owner == [0, 2, -1, 1]
+        assert state.owner == _owners(inst, None, traversal, _UnprunedState)
+
+
+def _assignment_optimum(inst: Instance) -> float:
+    """Maximum matching weight with no size cap: each agent becomes
+    ``capacity`` slots and the task-to-slot assignment problem is solved
+    exactly (non-adjacent pairs weigh 0, so they add nothing)."""
+    from scipy.optimize import linear_sum_assignment
+
+    slots = [a for a in range(inst.n) for _ in range(inst.agents[a].capacity)]
+    weights = np.zeros((inst.m, len(slots)))
+    for col, a in enumerate(slots):
+        for t in inst.agent_adj[a]:
+            weights[t, col] = inst.values[t]
+    rows, cols = linear_sum_assignment(weights, maximize=True)
+    return float(weights[rows, cols].sum())
+
+
+def _assert_optimal_and_greedy_half(inst: Instance) -> None:
+    optimum = _assignment_optimum(inst)
+    # relative tolerance: sums of hundreds of values outgrow WEIGHT_TOL
+    for traversal in Traversal:
+        weight = matching_weight(inst, solve_mvbm(inst, traversal))
+        assert weight == pytest.approx(optimum, rel=1e-12, abs=1e-12), traversal
+    greedy = matching_weight(inst, solve_ap(inst))
+    assert greedy >= 0.5 * optimum * (1 - 1e-12)
+
+
+def test_exact_solvers_reach_the_assignment_optimum_at_scale():
+    pytest.importorskip("scipy")
+    cfg = GenConfig(30, 200, 0.2, 3, 7, seed=101)
+    for i in range(8):
+        _assert_optimal_and_greedy_half(generate_instance(cfg, i))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(inst=_markets(values=st.floats(0.0, 10.0)))
+def test_exact_solvers_reach_the_assignment_optimum_property(inst):
+    pytest.importorskip("scipy")
+    _assert_optimal_and_greedy_half(inst)
