@@ -40,6 +40,7 @@ table = run_experiment(config)
 for row in table.rows:
     print(f"{row.metric}: {row.value:.2f}")
 
-out = Path(tempfile.mkdtemp()) / "randomized.csv"
-export_results(table, "csv", str(out))
-print("table written to", out)
+with tempfile.TemporaryDirectory() as directory:
+    out = Path(directory) / "randomized.csv"
+    export_results(table, "csv", str(out))
+    print("table written to", out, f"({len(out.read_text().splitlines())} lines)")

@@ -169,38 +169,26 @@ def _cmd_audit(args) -> int:
     if args.side == "tasks" and args.setting == "ecms":
         print("error: ecms is an agent-side setting", file=sys.stderr)
         return USAGE_ERROR
+    if args.side == "agents":
+        audit, entity, bound = audit_agent_truthfulness, "agent", "capacity"
+    else:
+        audit, entity, bound = audit_task_truthfulness, "task", "value"
     report = []
     violations = 0
     for path in args.instances:
-        inst = load_instance(path)
-        if args.side == "agents":
-            found = audit_agent_truthfulness(inst, kind, args.setting)
-            entries = [
-                {
-                    "agent": d.entity,
-                    "report": {
-                        "edges": list(d.report.edges),
-                        "capacity": d.report.capacity,
-                    },
-                    "truthful_utility": d.baseline_utility,
-                    "deviant_utility": d.deviant_utility,
-                }
-                for d in found
-            ]
-        else:
-            found = audit_task_truthfulness(inst, kind, args.setting)
-            entries = [
-                {
-                    "task": d.entity,
-                    "report": {
-                        "edges": list(d.report.edges),
-                        "value": d.report.value,
-                    },
-                    "truthful_utility": d.baseline_utility,
-                    "deviant_utility": d.deviant_utility,
-                }
-                for d in found
-            ]
+        found = audit(load_instance(path), kind, args.setting)
+        entries = [
+            {
+                entity: d.entity,
+                "report": {
+                    "edges": list(d.report.edges),
+                    bound: getattr(d.report, bound),
+                },
+                "truthful_utility": d.baseline_utility,
+                "deviant_utility": d.deviant_utility,
+            }
+            for d in found
+        ]
         violations += len(entries)
         report.append({"instance": path, "violations": entries})
     payload = {"side": args.side, "mechanism": args.mech, "setting": args.setting,

@@ -220,18 +220,25 @@ class Instance:
         return cls.from_parts(capacities, values, edges)
 
 
+def _parse_number(raw, what: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"non-numeric {what}: {raw!r}") from None
+
+
 def _parse_integral(raw, what: str) -> int:
     """``raw`` as an int; integral floats are accepted, fractions are not."""
     if isinstance(raw, int):
         return raw
-    number = float(raw)
+    number = _parse_number(raw, what)
     if not number.is_integer():
         raise ValueError(f"non-integral {what}: {raw!r}")
     return int(number)
 
 
 def _parse_finite(raw, what: str) -> float:
-    number = float(raw)
+    number = _parse_number(raw, what)
     if not math.isfinite(number):
         raise ValueError(f"non-finite {what}: {raw!r}")
     return number

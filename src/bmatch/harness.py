@@ -30,18 +30,20 @@ from itertools import product
 
 import numpy as np
 
-from .core import WEIGHT_TOL, agent_utility
+from .core import WEIGHT_TOL
 from .gen import GenConfig, generate_instance
-from .mechanisms import (
-    AgentReport,
-    MechanismKind,
-    first_agent_best_report,
-    randomized_utility_samples,
-    run_mechanism,
-    truthful_profile,
-)
+from .mechanisms import MechanismKind, randomized_utility_samples, truthful_profile
 from .seeds import derive_seed
-from .strategies import KOrder, TLevel, apply_manipulation, mpug, pma
+from .strategies import (
+    KOrder,
+    TLevel,
+    TopB,
+    _family_deviations,
+    _family_reports,
+    mpug,
+    pma,
+    utility_gain_ratio,
+)
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -230,15 +232,10 @@ def _first_agent_ratio(inst, kind: MechanismKind) -> float:
     1 when the agent cannot manipulate (including the 0/0 case)."""
     if not inst.agent_adj[0]:
         return 1.0
-    truthful = truthful_profile(inst)
-    u_truth = agent_utility(inst, run_mechanism(kind, truthful), 0)
-    report = AgentReport(edges=first_agent_best_report(inst))
-    u_best = agent_utility(
-        inst, run_mechanism(kind, truthful.with_report(0, report)), 0
-    )
-    if u_best <= WEIGHT_TOL:
+    gain = utility_gain_ratio(inst, kind, 0, TopB())
+    if gain.manipulated_utility <= WEIGHT_TOL:
         return 1.0
-    return u_truth / u_best
+    return gain.truthful_utility / gain.manipulated_utility
 
 
 def _compare_first_agent_cell(cfg, cell_index, cell) -> list[ResultRow]:
@@ -291,26 +288,6 @@ def _pma_pmi_cell(cfg, cell_index, cell) -> list[ResultRow]:
     ]
 
 
-def _deterministically_manipulable(inst, kind, specs) -> bool:
-    truthful = truthful_profile(inst)
-    mu = run_mechanism(kind, truthful)
-    for a in range(inst.n):
-        adj = inst.agent_adj[a]
-        if not adj:
-            continue
-        before = agent_utility(inst, mu, a)
-        seen: set[tuple[int, ...]] = {adj}
-        for spec in specs:
-            report = apply_manipulation(inst, a, spec)
-            if report.edges in seen:
-                continue
-            seen.add(report.edges)
-            mu_dev = run_mechanism(kind, truthful.with_report(a, report))
-            if agent_utility(inst, mu_dev, a) - before > WEIGHT_TOL:
-                return True
-    return False
-
-
 def _randomized_cell(cfg, cell_index, cell) -> list[ResultRow]:
     gen_cfg = _cell_gen_config(cfg, cell_index, cell)
     specs = [KOrder(k) for k in cfg.orders]
@@ -318,22 +295,18 @@ def _randomized_cell(cfg, cell_index, cell) -> list[ResultRow]:
     rand_flags: list[float] = []
     for i in range(cfg.iterations):
         inst = generate_instance(gen_cfg, i)
-        det_flags.append(
-            1.0
-            if _deterministically_manipulable(inst, MechanismKind.MBFS, specs)
-            else 0.0
+        manipulable = any(
+            after - before > WEIGHT_TOL
+            for _, _, before, after in _family_deviations(
+                inst, MechanismKind.MBFS, specs
+            )
         )
+        det_flags.append(1.0 if manipulable else 0.0)
         rand_flags.append(1.0 if _lottery_manipulable(cfg, cell_index, i, inst, specs) else 0.0)
     return [
         _mean_row(cell, cfg.iterations, "bfs_manipulable_fraction", det_flags),
         _mean_row(cell, cfg.iterations, "rbfs_manipulable_fraction", rand_flags),
     ]
-
-
-def _sem(column: np.ndarray) -> float:
-    if column.size < 2:
-        return 0.0
-    return float(column.std(ddof=1) / math.sqrt(column.size))
 
 
 def _lottery_manipulable(cfg, cell_index, instance_index, inst, specs) -> bool:
@@ -346,17 +319,11 @@ def _lottery_manipulable(cfg, cell_index, instance_index, inst, specs) -> bool:
     )
     probe = 0
     for a in range(inst.n):
-        adj = inst.agent_adj[a]
-        if not adj:
+        if not inst.agent_adj[a]:
             continue
         mean_truth = float(truth[:, a].mean())
-        se_truth = _sem(truth[:, a])
-        seen: set[tuple[int, ...]] = {adj}
-        for spec in specs:
-            report = apply_manipulation(inst, a, spec)
-            if report.edges in seen:
-                continue
-            seen.add(report.edges)
+        se_truth = _stderr(truth[:, a]) or 0.0
+        for report in _family_reports(inst, a, specs):
             probe += 1
             deviant = randomized_utility_samples(
                 truthful.with_report(a, report),
@@ -364,7 +331,7 @@ def _lottery_manipulable(cfg, cell_index, instance_index, inst, specs) -> bool:
                 derive_seed(cfg.seed, cell_index, 1, instance_index, probe),
             )
             mean_dev = float(deviant[:, a].mean())
-            se_dev = _sem(deviant[:, a])
+            se_dev = _stderr(deviant[:, a]) or 0.0
             gain = mean_dev - mean_truth
             guard = 2.0 * math.sqrt(se_truth**2 + se_dev**2)
             if gain > guard and gain > WEIGHT_TOL:

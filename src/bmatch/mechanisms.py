@@ -25,15 +25,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Agent, Instance, Matching, Task, _parse_integral, require_valid
-from .seeds import derive_rng
-from .solver import (
-    Traversal,
-    _solve_owner_array,
-    solve_ap,
-    solve_mvbm,
-    solve_with_priority,
+from .core import (
+    Agent,
+    Instance,
+    Matching,
+    Task,
+    _parse_finite,
+    _parse_integral,
+    require_valid,
 )
+from .seeds import derive_rng
+from .solver import Traversal, _as_matching, _solve_owner_array
 
 __all__ = [
     "AGENTS",
@@ -69,6 +71,14 @@ class MechanismKind(enum.Enum):
 
 
 DETERMINISTIC_KINDS = (MechanismKind.MBFS, MechanismKind.MDFS, MechanismKind.MAP)
+
+# The traversal each mechanism solves with; ``None`` is the greedy solver.
+_TRAVERSALS = {
+    MechanismKind.MBFS: Traversal.BREADTH_FIRST,
+    MechanismKind.MDFS: Traversal.DEPTH_FIRST,
+    MechanismKind.MAP: None,
+    MechanismKind.MRBFS: Traversal.BREADTH_FIRST,
+}
 
 
 @dataclass(frozen=True)
@@ -140,56 +150,37 @@ def build_effective_instance(profile: Profile) -> Instance:
     (extra edges, capacity outside [1, true], value outside (0, true]).
     """
     base = profile.base
-    if profile.side == AGENTS:
-        capacities = list(base.capacities)
-        edges: list[tuple[int, int]] = []
-        for a, report in enumerate(profile.reports):
-            if report is None:
-                edges.extend((a, t) for t in base.agent_adj[a])
-                continue
-            if not isinstance(report, AgentReport):
-                raise ValueError(f"agent {a} carries a non-agent report")
-            true_adj = set(base.agent_adj[a])
-            extra = set(report.edges) - true_adj
-            if extra:
-                raise ValueError(
-                    f"agent {a} reports non-existing edges to tasks {sorted(extra)}"
-                )
-            if report.capacity is not None:
-                if not 1 <= report.capacity <= base.agents[a].capacity:
-                    raise ValueError(
-                        f"agent {a} reports capacity {report.capacity} "
-                        f"outside [1, {base.agents[a].capacity}]"
-                    )
-                capacities[a] = report.capacity
-            edges.extend((a, t) for t in report.edges)
-        agents = [Agent(i, c) for i, c in enumerate(capacities)]
-        return Instance(agents, base.tasks, edges)
-
-    values = list(base.values)
-    edges = []
-    for j, report in enumerate(profile.reports):
+    agents = profile.side == AGENTS
+    if agents:
+        noun, peers, report_type, key = "agent", "tasks", AgentReport, "capacity"
+        true_adj, bounds, low = base.agent_adj, list(base.capacities), "[1"
+    else:
+        noun, peers, report_type, key = "task", "agents", TaskReport, "value"
+        true_adj, bounds, low = base.task_adj, list(base.values), "(0"
+    reported = list(true_adj)
+    for e, report in enumerate(profile.reports):
         if report is None:
-            edges.extend((a, j) for a in base.task_adj[j])
             continue
-        if not isinstance(report, TaskReport):
-            raise ValueError(f"task {j} carries a non-task report")
-        true_adj = set(base.task_adj[j])
-        extra = set(report.edges) - true_adj
+        if not isinstance(report, report_type):
+            raise ValueError(f"{noun} {e} carries a non-{noun} report")
+        extra = set(report.edges) - set(true_adj[e])
         if extra:
             raise ValueError(
-                f"task {j} reports non-existing edges to agents {sorted(extra)}"
+                f"{noun} {e} reports non-existing edges to {peers} {sorted(extra)}"
             )
-        if report.value is not None:
-            if not 0 < report.value <= base.tasks[j].value:
+        bound = getattr(report, key)
+        if bound is not None:
+            if not (bound >= 1 if agents else bound > 0) or bound > bounds[e]:
                 raise ValueError(
-                    f"task {j} reports value {report.value} outside "
-                    f"(0, {base.tasks[j].value}]"
+                    f"{noun} {e} reports {key} {bound} outside {low}, {bounds[e]}]"
                 )
-            values[j] = report.value
-        edges.extend((a, j) for a in report.edges)
-    tasks = [Task(j, v) for j, v in enumerate(values)]
-    return Instance(base.agents, tasks, edges)
+            bounds[e] = bound
+        reported[e] = report.edges
+    if agents:
+        edges = [(a, t) for a, adj in enumerate(reported) for t in adj]
+        return Instance([Agent(a, c) for a, c in enumerate(bounds)], base.tasks, edges)
+    edges = [(a, j) for j, adj in enumerate(reported) for a in adj]
+    return Instance(base.agents, [Task(j, v) for j, v in enumerate(bounds)], edges)
 
 
 def run_mechanism(
@@ -201,18 +192,15 @@ def run_mechanism(
     always expressed in the original agent ids.
     """
     effective = build_effective_instance(profile)
-    if kind is MechanismKind.MBFS:
-        return solve_mvbm(effective, Traversal.BREADTH_FIRST)
-    if kind is MechanismKind.MDFS:
-        return solve_mvbm(effective, Traversal.DEPTH_FIRST)
-    if kind is MechanismKind.MAP:
-        return solve_ap(effective)
-    if rng_seed is None:
+    randomized = kind is MechanismKind.MRBFS
+    if randomized and rng_seed is None:
         raise ValueError("the randomized mechanism requires rng_seed")
-    # one run equals trial 0 of the Monte Carlo sampler for the same seed
-    rng = derive_rng(rng_seed, 0)
-    order = sample_agent_order(effective, None, rng)
-    return solve_with_priority(effective, order, Traversal.BREADTH_FIRST)
+    require_valid(effective)
+    order = None
+    if randomized:
+        # one run equals trial 0 of the Monte Carlo sampler for the same seed
+        order = sample_agent_order(effective, None, derive_rng(rng_seed, 0))
+    return _as_matching(_solve_owner_array(effective, order, _TRAVERSALS[kind]))
 
 
 @dataclass(frozen=True)
@@ -375,46 +363,34 @@ def run_randomized_bfs(profile: Profile, trials: int, seed: int) -> np.ndarray:
 def profile_to_json_dict(profile: Profile) -> dict:
     reports = []
     for report in profile.reports:
-        if report is None:
-            reports.append(None)
-        elif isinstance(report, AgentReport):
-            entry: dict = {"edges": list(report.edges)}
-            if report.capacity is not None:
-                entry["capacity"] = report.capacity
-            reports.append(entry)
-        else:
+        entry = None
+        if report is not None:
+            key = "capacity" if isinstance(report, AgentReport) else "value"
             entry = {"edges": list(report.edges)}
-            if report.value is not None:
-                entry["value"] = report.value
-            reports.append(entry)
+            if getattr(report, key) is not None:
+                entry[key] = getattr(report, key)
+        reports.append(entry)
     return {"side": profile.side, "reports": reports}
 
 
 def profile_from_json_dict(data: dict, base: Instance) -> Profile:
-    side = data["side"]
+    if not isinstance(data, dict) or not isinstance(data.get("reports"), list):
+        raise ValueError("not a profile: expected an object with a 'reports' list")
+    side = data.get("side")
+    if side == AGENTS:
+        report_type, key, parse, peer = AgentReport, "capacity", _parse_integral, "task"
+    else:
+        report_type, key, parse, peer = TaskReport, "value", _parse_finite, "agent"
     reports: list[AgentReport | TaskReport | None] = []
-    for entry in data["reports"]:
+    for i, entry in enumerate(data["reports"]):
         if entry is None:
             reports.append(None)
-        elif side == AGENTS:
-            capacity = entry.get("capacity")
-            if capacity is not None:
-                capacity = _parse_integral(capacity, "reported capacity")
-            reports.append(
-                AgentReport(
-                    edges=tuple(
-                        _parse_integral(t, "reported task id") for t in entry["edges"]
-                    ),
-                    capacity=capacity,
-                )
-            )
-        else:
-            reports.append(
-                TaskReport(
-                    edges=tuple(
-                        _parse_integral(a, "reported agent id") for a in entry["edges"]
-                    ),
-                    value=entry.get("value"),
-                )
-            )
+            continue
+        if not isinstance(entry, dict) or not isinstance(entry.get("edges"), list):
+            raise ValueError(f"report {i} is not an object with an 'edges' list")
+        bound = entry.get(key)
+        if bound is not None:
+            bound = parse(bound, f"reported {key}")
+        edges = [_parse_integral(e, f"reported {peer} id") for e in entry["edges"]]
+        reports.append(report_type(tuple(edges), bound))
     return Profile(side, base, tuple(reports))

@@ -1,15 +1,18 @@
-"""Independent brute-force ground truth.
+"""Brute-force ground truth.
 
-Everything here checks the fast paths from the outside: the optimum is
-found by enumerating assignments task by task, truthfulness is audited
-by enumerating every bounded report, and equilibria are enumerated over
-full pure-strategy profiles.  None of it shares code with the
-augmenting-path solvers.
+The optimum is found by enumerating assignments task by task, without
+the augmenting-path solvers: ``brute_force_mvbm`` is the one independent
+check of their optimality.  The other checks enumerate strategies and
+run the mechanisms under test on each: truthfulness audits try every
+bounded unilateral report, coalition searches every joint report of a
+small group, and equilibria are enumerated over full pure-strategy
+profiles.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from math import inf
 
@@ -21,21 +24,22 @@ from .core import (
     agent_utility,
     matching_weight,
     require_valid,
-    task_utility,
 )
 from .mechanisms import (
+    AGENTS,
     MechanismKind,
     Profile,
     TASKS,
-    TaskReport,
     run_mechanism,
     truthful_profile,
     worst_ne_profile,
 )
+from .solver import Traversal, solve_mvbm
 from .strategies import (
-    ENUMERATION_DEGREE_CAP,
     ProfitableDeviation,
     _report_candidates,
+    _side_view,
+    unilateral_deviations,
 )
 
 __all__ = [
@@ -118,58 +122,27 @@ def brute_force_mvbm(inst: Instance) -> OptimumCertificate:
     return OptimumCertificate(max(best_weight, 0.0), matching, leaves)
 
 
+def _profitable(deviations) -> list[ProfitableDeviation]:
+    return [
+        ProfitableDeviation(entity, report, baseline, deviant)
+        for entity, report, baseline, deviant in deviations
+        if deviant > baseline + WEIGHT_TOL
+    ]
+
+
 def audit_agent_truthfulness(
     inst: Instance, kind: MechanismKind, setting: str = "ems"
 ) -> list[ProfitableDeviation]:
     """Every profitable unilateral agent deviation against truthful
     others; an empty list certifies truthfulness on this instance."""
     require_valid(inst)
-    truthful = truthful_profile(inst)
-    mu = run_mechanism(kind, truthful)
-    found: list[ProfitableDeviation] = []
-    for a in range(inst.n):
-        if not inst.agent_adj[a]:
-            continue
-        baseline = agent_utility(inst, mu, a)
-        full = inst.agent_adj[a]
-        capacity = inst.agents[a].capacity
-        for report in _report_candidates(inst, a, setting):
-            if report.edges == full and report.capacity in (None, capacity):
-                continue
-            mu_dev = run_mechanism(kind, truthful.with_report(a, report))
-            utility = agent_utility(inst, mu_dev, a)
-            if utility > baseline + WEIGHT_TOL:
-                found.append(ProfitableDeviation(a, report, baseline, utility))
-    return found
-
-
-def _task_report_candidates(
-    inst: Instance, task_id: int, setting: str, value_grid: tuple[float, ...]
-) -> list[TaskReport]:
-    adj = inst.task_adj[task_id]
-    degree = len(adj)
-    if degree > ENUMERATION_DEGREE_CAP:
-        raise SizeCapExceededError(
-            f"task degree {degree} exceeds the enumeration cap "
-            f"{ENUMERATION_DEGREE_CAP}"
+    return _profitable(
+        unilateral_deviations(
+            kind,
+            truthful_profile(inst),
+            lambda a, _: _report_candidates(inst, AGENTS, a, setting),
         )
-    subsets = [
-        combo
-        for size in range(1, degree + 1)
-        for combo in itertools.combinations(adj, size)
-    ]
-    if setting == "ems":
-        return [TaskReport(edges=combo) for combo in subsets]
-    if setting == "evms":
-        value = inst.tasks[task_id].value
-        reported = sorted({value * f for f in value_grid if 0 < f <= 1}, reverse=True)
-        return [
-            TaskReport(edges=combo, value=v)
-            for combo in subsets
-            for v in reported
-            if v > 0
-        ]
-    raise ValueError(f"unknown setting {setting!r}")
+    )
 
 
 def audit_task_truthfulness(
@@ -186,17 +159,15 @@ def audit_task_truthfulness(
     fractions ``f``.
     """
     require_valid(inst)
-    truthful = truthful_profile(inst, TASKS)
-    mu = run_mechanism(kind, truthful)
-    found: list[ProfitableDeviation] = []
-    for j in range(inst.m):
-        if not inst.task_adj[j] or task_utility(mu, j) == 1:
-            continue
-        for report in _task_report_candidates(inst, j, setting, value_grid):
-            mu_dev = run_mechanism(kind, truthful.with_report(j, report))
-            if task_utility(mu_dev, j) == 1:
-                found.append(ProfitableDeviation(j, report, 0.0, 1.0))
-    return found
+    return _profitable(
+        unilateral_deviations(
+            kind,
+            truthful_profile(inst, TASKS),
+            lambda j, matched: ()
+            if matched
+            else _report_candidates(inst, TASKS, j, setting, value_grid),
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -210,6 +181,40 @@ class CoalitionDeviation:
     deviant_utilities: tuple[float, ...]
 
 
+def _find_coalition(
+    inst: Instance, kind: MechanismKind, side: str, max_size: int, joint_cap: int
+) -> CoalitionDeviation | None:
+    """The first coalition of ``side`` entities up to ``max_size``, by
+    size and then lexicographically, with a joint edge-hiding report
+    under which no member loses and one strictly gains."""
+    require_valid(inst)
+    adjacency, utility = _side_view(inst, side)
+    truthful = truthful_profile(inst, side)
+    mu = run_mechanism(kind, truthful)
+    baseline = [utility(mu, e) for e in range(len(adjacency))]
+    eligible = [e for e, adj in enumerate(adjacency) if adj]
+    for size in range(1, max_size + 1):
+        for coalition in itertools.combinations(eligible, size):
+            option_sets = [_report_candidates(inst, side, e, "ems") for e in coalition]
+            joint_count = math.prod(len(options) for options in option_sets)
+            if joint_count > joint_cap:
+                raise SizeCapExceededError(
+                    f"coalition {coalition} has {joint_count} joint reports"
+                )
+            old = tuple(baseline[e] for e in coalition)
+            for joint in itertools.product(*option_sets):
+                profile = truthful
+                for e, report in zip(coalition, joint):
+                    profile = profile.with_report(e, report)
+                mu_dev = run_mechanism(kind, profile)
+                new = tuple(utility(mu_dev, e) for e in coalition)
+                no_loss = all(u >= o - WEIGHT_TOL for u, o in zip(new, old))
+                strict = any(u > o + WEIGHT_TOL for u, o in zip(new, old))
+                if no_loss and strict:
+                    return CoalitionDeviation(coalition, joint, old, new)
+    return None
+
+
 def find_agent_coalition(
     inst: Instance,
     kind: MechanismKind,
@@ -219,35 +224,7 @@ def find_agent_coalition(
     """Search every agent coalition up to ``max_size`` for a weakly
     improving joint report with one strict gainer; ``None`` certifies
     group strategyproofness at this coalition size."""
-    require_valid(inst)
-    truthful = truthful_profile(inst)
-    mu = run_mechanism(kind, truthful)
-    baseline = [agent_utility(inst, mu, a) for a in range(inst.n)]
-    eligible = [a for a in range(inst.n) if inst.agent_adj[a]]
-    for size in range(1, max_size + 1):
-        for coalition in itertools.combinations(eligible, size):
-            option_sets = [_report_candidates(inst, a, "ems") for a in coalition]
-            joint_count = 1
-            for options in option_sets:
-                joint_count *= len(options)
-            if joint_count > joint_cap:
-                raise SizeCapExceededError(
-                    f"coalition {coalition} has {joint_count} joint reports"
-                )
-            for joint in itertools.product(*option_sets):
-                profile = truthful
-                for a, report in zip(coalition, joint):
-                    profile = profile.with_report(a, report)
-                mu_dev = run_mechanism(kind, profile)
-                utilities = [agent_utility(inst, mu_dev, a) for a in coalition]
-                old = [baseline[a] for a in coalition]
-                no_loss = all(u >= o - WEIGHT_TOL for u, o in zip(utilities, old))
-                strict = any(u > o + WEIGHT_TOL for u, o in zip(utilities, old))
-                if no_loss and strict:
-                    return CoalitionDeviation(
-                        coalition, joint, tuple(old), tuple(utilities)
-                    )
-    return None
+    return _find_coalition(inst, kind, AGENTS, max_size, joint_cap)
 
 
 def find_task_coalition(
@@ -259,37 +236,7 @@ def find_task_coalition(
     """Search task coalitions for a joint edge-hiding report that keeps
     every truthfully matched member matched and flips at least one
     unmatched member to matched."""
-    require_valid(inst)
-    truthful = truthful_profile(inst, TASKS)
-    mu = run_mechanism(kind, truthful)
-    baseline = [float(task_utility(mu, j)) for j in range(inst.m)]
-    eligible = [j for j in range(inst.m) if inst.task_adj[j]]
-    for size in range(1, max_size + 1):
-        for coalition in itertools.combinations(eligible, size):
-            option_sets = [
-                _task_report_candidates(inst, j, "ems", (1.0,)) for j in coalition
-            ]
-            joint_count = 1
-            for options in option_sets:
-                joint_count *= len(options)
-            if joint_count > joint_cap:
-                raise SizeCapExceededError(
-                    f"coalition {coalition} has {joint_count} joint reports"
-                )
-            for joint in itertools.product(*option_sets):
-                profile = truthful
-                for j, report in zip(coalition, joint):
-                    profile = profile.with_report(j, report)
-                mu_dev = run_mechanism(kind, profile)
-                utilities = [float(task_utility(mu_dev, j)) for j in coalition]
-                old = [baseline[j] for j in coalition]
-                kept = all(u >= o for u, o in zip(utilities, old))
-                flipped = any(u > o for u, o in zip(utilities, old))
-                if kept and flipped:
-                    return CoalitionDeviation(
-                        coalition, joint, tuple(old), tuple(utilities)
-                    )
-    return None
+    return _find_coalition(inst, kind, TASKS, max_size, joint_cap)
 
 
 def enumerate_pure_nash(
@@ -302,10 +249,8 @@ def enumerate_pure_nash(
     """
     require_valid(inst)
     players = [a for a in range(inst.n) if inst.agent_adj[a]]
-    option_sets = [_report_candidates(inst, a, "ems") for a in players]
-    profile_count = 1
-    for options in option_sets:
-        profile_count *= len(options)
+    option_sets = [_report_candidates(inst, AGENTS, a, "ems") for a in players]
+    profile_count = math.prod(len(options) for options in option_sets)
     if profile_count > NASH_PROFILE_CAP:
         raise SizeCapExceededError(
             f"{profile_count} pure profiles exceed the cap {NASH_PROFILE_CAP}"
@@ -360,8 +305,6 @@ def poa_pos_on_instance(
     try:
         optimum = brute_force_mvbm(inst).weight
     except SizeCapExceededError:
-        from .solver import Traversal, solve_mvbm
-
         optimum = matching_weight(inst, solve_mvbm(inst, Traversal.BREADTH_FIRST))
     if optimum <= WEIGHT_TOL:
         return 1.0, 1.0 if exact else None

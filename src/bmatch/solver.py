@@ -278,24 +278,17 @@ class _State:
     def run(self, traversal: Traversal | None) -> None:
         """Process every task in decreasing value; ``None`` keeps only
         length-1 paths."""
+        bfs = traversal is Traversal.BREADTH_FIRST
+        search = self.search_bfs if bfs else self.search_dfs
         for t in self.task_order:
             if not self.task_agents[t]:
                 continue
             if traversal is None:
                 self.assign_direct(t)
-            elif traversal is Traversal.BREADTH_FIRST:
-                terminal = self.search_bfs(t)
-                if terminal != -1:
-                    self.flip(terminal)
             else:
-                terminal = self.search_dfs(t)
+                terminal = search(t)
                 if terminal != -1:
                     self.flip(terminal)
-
-    def to_matching(self) -> Matching:
-        return Matching.from_pairs(
-            (a, t) for t, a in enumerate(self.owner) if a != -1
-        )
 
 
 def find_augmenting_path(
@@ -314,10 +307,8 @@ def find_augmenting_path(
         raise ValueError(f"task {task_id} is already matched")
     state = _State(inst, None)
     state.seed_matching(partial)
-    if traversal is Traversal.BREADTH_FIRST:
-        terminal = state.search_bfs(task_id)
-    else:
-        terminal = state.search_dfs(task_id)
+    bfs = traversal is Traversal.BREADTH_FIRST
+    terminal = (state.search_bfs if bfs else state.search_dfs)(task_id)
     if terminal == -1:
         return None
     return AugmentingPath(state.path_pairs(terminal))
@@ -330,9 +321,7 @@ def solve_mvbm(inst: Instance, traversal: Traversal) -> Matching:
     decides how tasks are distributed among the agents.
     """
     require_valid(inst)
-    state = _State(inst, None)
-    state.run(traversal)
-    return state.to_matching()
+    return _as_matching(_solve_owner_array(inst, None, traversal))
 
 
 def solve_ap(inst: Instance) -> Matching:
@@ -343,30 +332,23 @@ def solve_ap(inst: Instance) -> Matching:
     least half of the optimum.
     """
     require_valid(inst)
-    state = _State(inst, None)
-    state.run(None)
-    return state.to_matching()
-
-
-def solve_with_priority(
-    inst: Instance, order: Sequence[int], traversal: Traversal
-) -> Matching:
-    """Exact solve with an explicit agent processing order.
-
-    ``order[k]`` is the agent that holds priority position ``k``.  The
-    returned pairs use the original agent ids.
-    """
-    require_valid(inst)
-    state = _State(inst, list(order))
-    state.run(traversal)
-    return state.to_matching()
+    return _as_matching(_solve_owner_array(inst, None, None))
 
 
 def _solve_owner_array(
     inst: Instance, order: Sequence[int] | None, traversal: Traversal | None
 ) -> list[int]:
-    """Internal fast path: returns owner-per-task without building a
-    Matching.  Skips validation; callers must pass valid instances."""
+    """The one solve behind every entry point: the owning agent of each
+    task, or -1.
+
+    ``order[k]`` is the agent that holds priority position ``k`` (``None``
+    keeps the id order); ``traversal`` ``None`` runs the greedy length-1
+    solver.  Skips validation; callers must pass valid instances.
+    """
     state = _State(inst, list(order) if order is not None else None)
     state.run(traversal)
     return state.owner
+
+
+def _as_matching(owner: Sequence[int]) -> Matching:
+    return Matching.from_pairs((a, t) for t, a in enumerate(owner) if a != -1)

@@ -22,18 +22,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import inf
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     Instance,
     SizeCapExceededError,
     WEIGHT_TOL,
     agent_utility,
+    task_utility,
 )
 from .mechanisms import (
+    AGENTS,
     AgentReport,
     DETERMINISTIC_KINDS,
     MechanismKind,
     Profile,
+    TASKS,
+    TaskReport,
     run_mechanism,
     truthful_profile,
 )
@@ -48,6 +53,7 @@ __all__ = [
     "ENUMERATION_DEGREE_CAP",
     "apply_manipulation",
     "utility_gain_ratio",
+    "unilateral_deviations",
     "mpug",
     "pma",
     "pmi",
@@ -157,46 +163,88 @@ def utility_gain_ratio(
     agent's utility; the ratio is clipped at zero and uses 0/0 = 1."""
     if kind not in DETERMINISTIC_KINDS:
         raise ValueError("gain ratios are defined for deterministic mechanisms")
-    truthful = truthful_profile(inst)
-    mu = run_mechanism(kind, truthful)
-    before = agent_utility(inst, mu, agent_id)
     report = apply_manipulation(inst, agent_id, spec)
-    mu_dev = run_mechanism(kind, truthful.with_report(agent_id, report))
-    after = agent_utility(inst, mu_dev, agent_id)
+    ((_, _, before, after),) = unilateral_deviations(
+        kind, truthful_profile(inst), lambda a, _: (report,), (agent_id,)
+    )
     return GainReport(agent_id, before, after, _gain_ratio(before, after))
 
 
-def _deviation_utilities(
-    inst: Instance,
+def _side_view(inst: Instance, side: str):
+    """The true adjacency of one side's entities and the utility of one
+    entity under a matching (task utilities as 0.0 or 1.0)."""
+    if side == AGENTS:
+        return inst.agent_adj, lambda mu, e: agent_utility(inst, mu, e)
+    return inst.task_adj, lambda mu, e: float(task_utility(mu, e))
+
+
+def _is_truthful(inst: Instance, side: str, entity: int, report) -> bool:
+    if side == AGENTS:
+        return report.edges == inst.agent_adj[entity] and report.capacity in (
+            None,
+            inst.agents[entity].capacity,
+        )
+    return report.edges == inst.task_adj[entity] and report.value in (
+        None,
+        inst.tasks[entity].value,
+    )
+
+
+def unilateral_deviations(
     kind: MechanismKind,
-    specs: list[ManipulationSpec],
-) -> list[list[tuple[float, float]]]:
-    """(before, after) per agent per spec, de-duplicating identical
-    reports; agents without edges get an empty list."""
-    truthful = truthful_profile(inst)
-    mu = run_mechanism(kind, truthful)
-    before = [agent_utility(inst, mu, a) for a in range(inst.n)]
-    out: list[list[tuple[float, float]]] = []
-    for a in range(inst.n):
-        if not inst.agent_adj[a]:
-            out.append([])
+    profile: Profile,
+    candidates: Callable[[int, float], Iterable],
+    entities: Iterable[int] | None = None,
+) -> Iterator[tuple[int, object, float, float]]:
+    """Swap one entity's report at a time into ``profile`` and re-solve.
+
+    Yields ``(entity, report, baseline, deviant)``: the entity's utility
+    under ``profile`` and under ``profile`` with ``report`` in its slot,
+    in entity order, then in the order of ``candidates(entity,
+    baseline)``.  Entities default to every one of ``profile.side`` with
+    a non-empty true adjacency; entities without one are skipped.  The
+    profile is solved once, on the first request.  A truthful report is
+    never solved again: its deviant utility is the baseline, so it never
+    reads as a gain and still competes in an argmax.
+    """
+    inst, side = profile.base, profile.side
+    adjacency, utility = _side_view(inst, side)
+    mu = run_mechanism(kind, profile)
+    if entities is None:
+        entities = range(len(adjacency))
+    for entity in entities:
+        if not adjacency[entity]:
             continue
-        seen: dict[tuple[int, ...], float] = {}
-        rows = []
-        for spec in specs:
-            report = apply_manipulation(inst, a, spec)
-            if report.edges in seen:
-                after = seen[report.edges]
-            elif report.edges == inst.agent_adj[a]:
-                after = before[a]
-                seen[report.edges] = after
+        baseline = utility(mu, entity)
+        for report in candidates(entity, baseline):
+            if _is_truthful(inst, side, entity, report):
+                deviant = baseline
             else:
-                mu_dev = run_mechanism(kind, truthful.with_report(a, report))
-                after = agent_utility(inst, mu_dev, a)
-                seen[report.edges] = after
-            rows.append((before[a], after))
-        out.append(rows)
-    return out
+                deviant = utility(
+                    run_mechanism(kind, profile.with_report(entity, report)), entity
+                )
+            yield entity, report, baseline, deviant
+
+
+def _family_reports(
+    inst: Instance, agent_id: int, specs: Iterable[ManipulationSpec]
+) -> Iterator[AgentReport]:
+    """The distinct reports the specs build for one agent, in spec order,
+    without the truthful one."""
+    seen = {inst.agent_adj[agent_id]}
+    for spec in specs:
+        report = apply_manipulation(inst, agent_id, spec)
+        if report.edges not in seen:
+            seen.add(report.edges)
+            yield report
+
+
+def _family_deviations(
+    inst: Instance, kind: MechanismKind, specs: list[ManipulationSpec]
+) -> Iterator[tuple[int, object, float, float]]:
+    return unilateral_deviations(
+        kind, truthful_profile(inst), lambda a, _: _family_reports(inst, a, specs)
+    )
 
 
 def mpug(
@@ -213,11 +261,10 @@ def mpug(
         raise ValueError("gain ratios are defined for deterministic mechanisms")
     specs: list[ManipulationSpec] = [TLevel(t) for t in thresholds]
     best = 0.0
-    for rows in _deviation_utilities(inst, kind, specs):
-        for before, after in rows:
-            if before <= WEIGHT_TOL and after <= WEIGHT_TOL:
-                continue
-            best = max(best, _gain_ratio(before, after))
+    for _, _, before, after in _family_deviations(inst, kind, specs):
+        if before <= WEIGHT_TOL and after <= WEIGHT_TOL:
+            continue
+        best = max(best, _gain_ratio(before, after))
     return best
 
 
@@ -229,11 +276,12 @@ def pma(
         raise ValueError("specs must be non-empty")
     if inst.n == 0:
         return 0.0
-    gainers = 0
-    for rows in _deviation_utilities(inst, kind, list(specs)):
-        if any(after - before > WEIGHT_TOL for before, after in rows):
-            gainers += 1
-    return gainers / inst.n
+    gainers = {
+        a
+        for a, _, before, after in _family_deviations(inst, kind, list(specs))
+        if after - before > WEIGHT_TOL
+    }
+    return len(gainers) / inst.n
 
 
 def pmi(
@@ -247,15 +295,28 @@ def pmi(
 
 
 def _report_candidates(
-    inst: Instance, agent_id: int, setting: str
-) -> list[AgentReport]:
-    adj = inst.agent_adj[agent_id]
+    inst: Instance,
+    side: str,
+    entity: int,
+    setting: str,
+    value_grid: tuple[float, ...] = (),
+) -> list[AgentReport] | list[TaskReport]:
+    """Every bounded report of one agent or task: each non-empty subset
+    of its true adjacency, by size and then lexicographically, crossed
+    with every capacity in 1..true (``ecms``, agents) or every reported
+    value ``true value * f`` for the grid fractions ``f``, highest first
+    (``evms``, tasks)."""
+    if side == AGENTS:
+        adj, noun = inst.agent_adj[entity], "agent"
+    else:
+        adj, noun = inst.task_adj[entity], "task"
     degree = len(adj)
     if degree == 0:
-        raise ValueError(f"agent {agent_id} has an empty strategy set")
+        raise ValueError(f"{noun} {entity} has an empty strategy set")
     if degree > ENUMERATION_DEGREE_CAP:
         raise SizeCapExceededError(
-            f"degree {degree} exceeds the enumeration cap {ENUMERATION_DEGREE_CAP}"
+            f"{noun} degree {degree} exceeds the enumeration cap "
+            f"{ENUMERATION_DEGREE_CAP}"
         )
     subsets = [
         combo
@@ -263,13 +324,23 @@ def _report_candidates(
         for combo in itertools.combinations(adj, size)
     ]
     if setting == "ems":
-        return [AgentReport(edges=combo) for combo in subsets]
-    if setting == "ecms":
-        cap = inst.agents[agent_id].capacity
+        report_type = AgentReport if side == AGENTS else TaskReport
+        return [report_type(edges=combo) for combo in subsets]
+    if side == AGENTS and setting == "ecms":
+        cap = inst.agents[entity].capacity
         return [
             AgentReport(edges=combo, capacity=c)
             for combo in subsets
             for c in range(1, cap + 1)
+        ]
+    if side == TASKS and setting == "evms":
+        value = inst.tasks[entity].value
+        reported = sorted({value * f for f in value_grid if 0 < f <= 1}, reverse=True)
+        return [
+            TaskReport(edges=combo, value=v)
+            for combo in subsets
+            for v in reported
+            if v > 0
         ]
     raise ValueError(f"unknown setting {setting!r}")
 
@@ -289,11 +360,12 @@ def best_response_exhaustive(
     """
     if others is None:
         others = truthful_profile(inst)
+    candidates = _report_candidates(inst, AGENTS, agent_id, setting)
     best_report: AgentReport | None = None
     best_utility = -inf
-    for report in _report_candidates(inst, agent_id, setting):
-        mu = run_mechanism(kind, others.with_report(agent_id, report))
-        utility = agent_utility(inst, mu, agent_id)
+    for _, report, _, utility in unilateral_deviations(
+        kind, others.with_report(agent_id, None), lambda a, _: candidates, (agent_id,)
+    ):
         if utility > best_utility + WEIGHT_TOL:
             best_report, best_utility = report, utility
         elif utility > best_utility - WEIGHT_TOL and best_report is not None:

@@ -155,3 +155,46 @@ def test_solve_rejects_non_integral_agent_reports(tmp_path, instance_path,
     profile_path.write_text(json.dumps({"side": "agents", "reports": reports}))
     assert main(["solve", instance_path, "--profile", str(profile_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def _task_value_profile(value):
+    return {"side": "tasks", "reports": [{"edges": [0], "value": value}, None, None]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (_task_value_profile("abc"), "non-numeric reported value: 'abc'"),
+        (_task_value_profile("inf"), "non-finite reported value: 'inf'"),
+        (_task_value_profile([0.5]), "non-numeric reported value: [0.5]"),
+        ({"side": "tasks", "reports": 5}, "not a profile"),
+        ({"side": "agents", "reports": [5, None]},
+         "report 0 is not an object with an 'edges' list"),
+        ({"side": "agents", "reports": [None, {"capacity": 1}]},
+         "report 1 is not an object with an 'edges' list"),
+    ],
+)
+def test_solve_rejects_malformed_profiles(tmp_path, instance_path, capsys,
+                                          payload, message):
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(json.dumps(payload))
+    assert main(["solve", instance_path, "--profile", str(profile_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
+def test_solve_parses_numeric_string_report_values(tmp_path, instance_path,
+                                                   capsys):
+    # a numeric string reads like the number, as task values in instance
+    # files do; task 0 (value 1.0) keeps only agent 0 and goes to it
+    outputs = []
+    for value in ("0.5", 0.5):
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps(_task_value_profile(value)))
+        assert main(["solve", instance_path, "--profile", str(profile_path)]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert [0, 0] in outputs[0]["pairs"]

@@ -107,6 +107,20 @@ def test_randomized_cell_fractions_are_probabilities():
     assert 0.0 <= metrics["rbfs_manipulable_fraction"] <= 1.0
 
 
+def test_randomized_cell_with_one_trial_is_pinned(tmp_path):
+    # one Monte Carlo trial has no standard error: the lottery test then
+    # compares plain means against a zero guard
+    table = run_experiment(
+        tiny_config("randomized-vs-deterministic", iterations=8, mc_trials=1),
+        workers=1)
+    path = tmp_path / "one-trial.csv"
+    export_results(table, "csv", str(path))
+    assert path.read_text().splitlines()[1:] == [
+        "3,4,0.6,1,2,8,bfs_manipulable_fraction,0.875000,0.125000,7",
+        "3,4,0.6,1,2,8,rbfs_manipulable_fraction,0.625000,0.182981,7",
+    ]
+
+
 def test_csv_export_shape_and_formatting(tmp_path):
     row = ResultRow(3, 4, 0.6, 1, 2, 5, "pma_mean", 0.83, None)
     table = ResultsTable("pma-pmi", 7, {}, (row,))

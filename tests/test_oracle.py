@@ -7,8 +7,15 @@ from bmatch.fixtures import (
     task_collusion_instance,
     tied_optimum_instance,
 )
-from bmatch.mechanisms import MechanismKind, run_mechanism, truthful_profile
+from bmatch.mechanisms import (
+    AgentReport,
+    MechanismKind,
+    TaskReport,
+    run_mechanism,
+    truthful_profile,
+)
 from bmatch.oracle import (
+    CoalitionDeviation,
     audit_agent_truthfulness,
     audit_task_truthfulness,
     brute_force_mvbm,
@@ -93,6 +100,15 @@ def test_task_coalition_found_on_collusion_market():
     assert coalition is not None
     assert coalition.entities == (0, 2)
     assert coalition.deviant_utilities == (1.0, 1.0)
+    # the whole first coalition in search order: task 0 keeps agent 1
+    # only, task 2 agent 0 only, and task 2 is matched without task 0
+    # losing its agent
+    assert coalition == CoalitionDeviation(
+        entities=(0, 2),
+        reports=(TaskReport(edges=(1,)), TaskReport(edges=(0,))),
+        baseline_utilities=(1.0, 0.0),
+        deviant_utilities=(1.0, 1.0),
+    )
 
 
 def test_agent_coalition_on_equal_values_under_greedy():
@@ -100,6 +116,13 @@ def test_agent_coalition_on_equal_values_under_greedy():
         equal_value_collusion_instance(), MechanismKind.MAP, max_size=2)
     assert coalition is not None
     assert 2 in coalition.entities  # the third agent is the strict gainer
+    # the whole first coalition in search order
+    assert coalition == CoalitionDeviation(
+        entities=(0, 2),
+        reports=(AgentReport(edges=(1,)), AgentReport(edges=(0,))),
+        baseline_utilities=(1.0, 0.0),
+        deviant_utilities=(1.0, 1.0),
+    )
 
 
 def test_no_greedy_agent_coalition_with_distinct_values():

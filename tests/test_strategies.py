@@ -1,14 +1,22 @@
-import pytest
+import itertools
 
-from bmatch.core import Instance, SizeCapExceededError, agent_utility
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bmatch import strategies
+from bmatch.core import Instance, SizeCapExceededError, agent_utility, task_utility
 from bmatch.fixtures import (
     complete_three_agent_instance,
     epsilon_gap_instance,
     geometric_cascade_instance,
 )
 from bmatch.mechanisms import (
+    AGENTS,
+    TASKS,
     AgentReport,
     MechanismKind,
+    TaskReport,
     first_agent_best_report,
     run_mechanism,
     truthful_profile,
@@ -24,6 +32,7 @@ from bmatch.strategies import (
     mpug,
     pma,
     pmi,
+    unilateral_deviations,
     utility_gain_ratio,
     verify_nash,
 )
@@ -215,3 +224,68 @@ def test_greedy_mechanism_resists_unilateral_agent_deviations():
                 _, best = best_response_exhaustive(
                     inst, MechanismKind.MAP, a, setting=setting)
                 assert best <= baseline + 1e-9
+
+
+def _all_reports(inst, side, entity):
+    """Every bounded report, the truthful ones included."""
+    adj = inst.agent_adj[entity] if side == AGENTS else inst.task_adj[entity]
+    subsets = [c for k in range(1, len(adj) + 1)
+               for c in itertools.combinations(adj, k)]
+    if side == AGENTS:
+        cap = inst.agents[entity].capacity
+        return [AgentReport(c, b) for c in subsets for b in (None, *range(1, cap + 1))]
+    value = inst.tasks[entity].value
+    return [TaskReport(c, v) for c in subsets for v in (None, value, value / 2)
+            if v is None or v > 0]
+
+
+def _resolved(inst, kind, side, entity, profile, report):
+    mu = run_mechanism(kind, profile.with_report(entity, report))
+    if side == AGENTS:
+        return agent_utility(inst, mu, entity)
+    return float(task_utility(mu, entity))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), side=st.sampled_from([AGENTS, TASKS]),
+       kind=st.sampled_from([MechanismKind.MBFS, MechanismKind.MDFS,
+                             MechanismKind.MAP]))
+def test_deviations_equal_a_full_resolve(seed, side, kind):
+    # every yielded deviant utility, the truthful reports' included, equals
+    # solving the swapped profile from scratch; order and coverage follow
+    # the entities with edges, then the candidates
+    inst = small_instances(seed % 9 + 1, seed=seed, n_max=3, m_max=3)[-1]
+    profile = truthful_profile(inst, side)
+    count = inst.n if side == AGENTS else inst.m
+    adjacency = inst.agent_adj if side == AGENTS else inst.task_adj
+    got = list(unilateral_deviations(
+        kind, profile, lambda e, _: _all_reports(inst, side, e)))
+    expected = [
+        (e, r, _resolved(inst, kind, side, e, profile, None),
+         _resolved(inst, kind, side, e, profile, r))
+        for e in range(count) if adjacency[e]
+        for r in _all_reports(inst, side, e)
+    ]
+    assert got == expected
+
+
+def test_deviations_are_lazy_and_skip_the_truthful_solve(monkeypatch):
+    inst = epsilon_gap_instance(0.5)
+    calls = []
+
+    def counting(kind, profile, rng_seed=None):
+        calls.append(profile)
+        return run_mechanism(kind, profile, rng_seed)
+
+    monkeypatch.setattr(strategies, "run_mechanism", counting)
+    deviations = unilateral_deviations(
+        MechanismKind.MBFS, truthful_profile(inst),
+        lambda a, _: [AgentReport(inst.agent_adj[a]), AgentReport((0,))])
+    assert calls == []
+    # the truthful report reads the baseline: one solve so far
+    agent, report, baseline, deviant = next(deviations)
+    assert (agent, report.edges, deviant) == (0, inst.agent_adj[0], baseline)
+    assert len(calls) == 1
+    # the first gain ends any() before the other agent is tried
+    assert any(after > before for _, _, before, after in deviations)
+    assert len(calls) == 2
