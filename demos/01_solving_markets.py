@@ -12,30 +12,31 @@ from bmatch import (
     Traversal,
     agent_utility,
     brute_force_mvbm,
+    matched_pairs,
     matching_weight,
     solve_ap,
     solve_mvbm,
 )
 
-market = Instance.from_parts(
+market = Instance(
     capacities=[2, 1, 1],
     values=[4.0, 3.0, 2.5, 1.0],
     edges=[(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (2, 1), (2, 3)],
 )
 
-print("jobs by value:", [market.tasks[t].value for t in market.task_order])
+print("jobs by value:", [market.values[t] for t in market.task_order])
 
 for traversal in Traversal:
     mu = solve_mvbm(market, traversal)
     print(f"\nexact solve, {traversal.name.lower().replace('_', '-')}:")
-    print("  assignment:", sorted(mu.pairs))
+    print("  assignment:", matched_pairs(mu))
     print("  total value:", matching_weight(market, mu))
     for a in range(market.n):
         print(f"  agent {a} earns {agent_utility(market, mu, a):.2f}")
 
 greedy = solve_ap(market)
 print("\ngreedy single-pass solve:")
-print("  assignment:", sorted(greedy.pairs))
+print("  assignment:", matched_pairs(greedy))
 print("  total value:", matching_weight(market, greedy))
 
 certificate = brute_force_mvbm(market)

@@ -13,6 +13,7 @@ from bmatch import (
     audit_agent_truthfulness,
     best_response_exhaustive,
     first_agent_best_report,
+    matched_pairs,
     run_mechanism,
     truthful_profile,
 )
@@ -24,7 +25,7 @@ print("adjacency per agent:", market.agent_adj)
 
 truthful = truthful_profile(market)
 mu = run_mechanism(MechanismKind.MBFS, truthful)
-print("\ntruthful breadth-first outcome:", sorted(mu.pairs))
+print("\ntruthful breadth-first outcome:", matched_pairs(mu))
 for a in range(market.n):
     print(f"  agent {a} earns {agent_utility(market, mu, a):.2f}")
 

@@ -24,7 +24,7 @@ market = geometric_cascade_instance()
 claims = fcfs_policies(market)
 print("per-agent first-come-first-served claims:", claims.policies)
 print("greedy outcome equals the claim union:",
-      solve_ap(market).pairs == claims.union_pairs())
+      solve_ap(market) == claims.owner())
 
 profile, welfare = worst_ne_profile(market)
 print(f"\nworst-equilibrium welfare: {welfare:.4f} "
@@ -32,7 +32,7 @@ print(f"\nworst-equilibrium welfare: {welfare:.4f} "
 certified, _ = verify_nash(profile, MechanismKind.MBFS)
 print("no agent has a profitable deviation:", certified)
 print("running the mechanism returns the claims unchanged:",
-      run_mechanism(MechanismKind.MBFS, profile).pairs == claims.union_pairs())
+      run_mechanism(MechanismKind.MBFS, profile) == claims.owner())
 
 tight = epsilon_gap_instance(eps=1e-3)
 equilibria = enumerate_pure_nash(tight, MechanismKind.MBFS)

@@ -2,18 +2,16 @@
 manipulation experiments."""
 
 from .core import (
-    Agent,
     InfeasibleMatchingError,
     Instance,
     InvalidInstanceError,
-    Matching,
     SizeCapExceededError,
-    Task,
     WEIGHT_TOL,
     agent_utility,
     dump_instance,
     is_feasible_matching,
     load_instance,
+    matched_pairs,
     matching_weight,
     task_utility,
     validate_instance,

@@ -22,7 +22,13 @@ import json
 import os
 import sys
 
-from .core import agent_utility, load_instance, matching_weight, dump_instance
+from .core import (
+    agent_utility,
+    dump_instance,
+    load_instance,
+    matched_pairs,
+    matching_weight,
+)
 from .fixtures import replay_all
 from .gen import GenConfig, generate_instance
 from .harness import (
@@ -115,7 +121,7 @@ def _cmd_solve(args) -> int:
     mu = run_mechanism(kind, profile, rng_seed=args.seed)
     result = {
         "mechanism": args.mech,
-        "pairs": sorted([a, t] for a, t in mu.pairs),
+        "pairs": matched_pairs(mu),
         "weight": matching_weight(inst, mu),
         "agent_utilities": [agent_utility(inst, mu, a) for a in range(inst.n)],
     }
@@ -205,7 +211,7 @@ def _cmd_audit(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if args.kind:
+    if args.kind and isinstance(data, dict):
         data["kind"] = args.kind
     cfg = ExperimentConfig.from_json_dict(data)
     if args.fast:

@@ -1,28 +1,26 @@
-"""Domain types for vertex-weighted bipartite b-matching markets.
+"""Plain-array data layer for vertex-weighted bipartite b-matching markets.
 
-A market instance has agents with integer capacities on one side, tasks
-with non-negative values on the other, and an adjacency relation between
-them.  A feasible b-matching assigns every task to at most one adjacent
-agent and every agent to at most ``capacity`` tasks; its weight is the
-total value of the matched tasks.
+A market is its agent capacities (integers), its task values
+(non-negative floats) and an adjacency relation between them; agent
+``a`` and task ``t`` are plain indices into those tuples.  A feasible
+b-matching assigns every task to at most one adjacent agent and every
+agent to at most ``capacity`` tasks, so it is fully described by an
+owner tuple: ``owner[t]`` is the agent holding task ``t``, or -1.  Its
+weight is the total value of the matched tasks.
 
-Instances and matchings are immutable after construction and safe to
-share across workers.  All operations in this module are pure.
+Instances and owner tuples are immutable and safe to share across
+workers.  All operations in this module are pure.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
     "WEIGHT_TOL",
-    "Agent",
-    "Task",
     "Instance",
-    "Matching",
     "InvalidInstanceError",
     "InfeasibleMatchingError",
     "SizeCapExceededError",
@@ -31,6 +29,7 @@ __all__ = [
     "matching_weight",
     "agent_utility",
     "task_utility",
+    "matched_pairs",
     "load_instance",
     "dump_instance",
 ]
@@ -49,31 +48,16 @@ class InvalidInstanceError(ValueError):
 
 
 class InfeasibleMatchingError(ValueError):
-    """Raised when a matching violates capacity, uniqueness, or adjacency."""
+    """Raised when an owner array violates capacity or adjacency, or does
+    not hold one entry per task."""
 
 
 class SizeCapExceededError(ValueError):
     """Raised when an exhaustive enumeration would exceed its size cap."""
 
 
-@dataclass(frozen=True)
-class Agent:
-    """An agent with a processing priority (its index) and a capacity."""
-
-    id: int
-    capacity: int
-
-
-@dataclass(frozen=True)
-class Task:
-    """A task with an index and a publicly known value."""
-
-    id: int
-    value: float
-
-
 class Instance:
-    """A bipartite market: agents, tasks, and their adjacency.
+    """A bipartite market: agent capacities, task values, and adjacency.
 
     The raw edge list is kept as given so that validation can report
     duplicates and out-of-range endpoints.  Derived views (sorted
@@ -86,8 +70,8 @@ class Instance:
     """
 
     __slots__ = (
-        "agents",
-        "tasks",
+        "capacities",
+        "values",
         "edges",
         "agent_adj",
         "task_adj",
@@ -97,16 +81,16 @@ class Instance:
 
     def __init__(
         self,
-        agents: Iterable[Agent],
-        tasks: Iterable[Task],
+        capacities: Iterable[int],
+        values: Iterable[float],
         edges: Iterable[tuple[int, int]],
     ):
-        self.agents: tuple[Agent, ...] = tuple(agents)
-        self.tasks: tuple[Task, ...] = tuple(tasks)
+        self.capacities: tuple[int, ...] = tuple(map(int, capacities))
+        self.values: tuple[float, ...] = tuple(map(float, values))
         self.edges: tuple[tuple[int, int], ...] = tuple(
             (int(a), int(t)) for a, t in edges
         )
-        n, m = len(self.agents), len(self.tasks)
+        n, m = len(self.capacities), len(self.values)
         agent_adj: list[set[int]] = [set() for _ in range(n)]
         task_adj: list[set[int]] = [set() for _ in range(m)]
         for a, t in self.edges:
@@ -119,7 +103,7 @@ class Instance:
         self.task_adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in task_adj
         )
-        values = [task.value for task in self.tasks]
+        values = self.values
         order = sorted(range(m), key=lambda j: (-values[j], j))
         self.task_order: tuple[int, ...] = tuple(order)
         rank = [0] * m
@@ -127,32 +111,13 @@ class Instance:
             rank[j] = pos
         self.task_rank: tuple[int, ...] = tuple(rank)
 
-    @classmethod
-    def from_parts(
-        cls,
-        capacities: Sequence[int],
-        values: Sequence[float],
-        edges: Iterable[tuple[int, int]],
-    ) -> "Instance":
-        agents = [Agent(i, int(c)) for i, c in enumerate(capacities)]
-        tasks = [Task(j, float(v)) for j, v in enumerate(values)]
-        return cls(agents, tasks, edges)
-
     @property
     def n(self) -> int:
-        return len(self.agents)
+        return len(self.capacities)
 
     @property
     def m(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def capacities(self) -> tuple[int, ...]:
-        return tuple(a.capacity for a in self.agents)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(t.value for t in self.tasks)
+        return len(self.values)
 
     def degree(self, agent_id: int) -> int:
         return len(self.agent_adj[agent_id])
@@ -180,8 +145,8 @@ class Instance:
 
     def to_json_dict(self) -> dict:
         return {
-            "agents": [{"capacity": a.capacity} for a in self.agents],
-            "tasks": [{"value": t.value} for t in self.tasks],
+            "agents": [{"capacity": c} for c in self.capacities],
+            "tasks": [{"value": v} for v in self.values],
             "edges": sorted([a, t] for a, t in self.edge_set()),
         }
 
@@ -217,7 +182,7 @@ class Instance:
             )
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed instance: {exc!r}") from None
-        return cls.from_parts(capacities, values, edges)
+        return cls(capacities, values, edges)
 
 
 def _parse_number(raw, what: str) -> float:
@@ -244,46 +209,6 @@ def _parse_finite(raw, what: str) -> float:
     return number
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of (agent id, task id) pairs.
-
-    Stored as a plain edge set so that symmetric differences against
-    augmenting paths are ordinary set operations.
-    """
-
-    pairs: frozenset[tuple[int, int]]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
-        return cls(frozenset((int(a), int(t)) for a, t in pairs))
-
-    @classmethod
-    def empty(cls) -> "Matching":
-        return cls(frozenset())
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
-    def tasks_of(self, agent_id: int) -> tuple[int, ...]:
-        return tuple(sorted(t for a, t in self.pairs if a == agent_id))
-
-    def owner_of(self, task_id: int) -> int | None:
-        for a, t in self.pairs:
-            if t == task_id:
-                return a
-        return None
-
-    def matched_tasks(self) -> frozenset[int]:
-        return frozenset(t for _, t in self.pairs)
-
-
 def validate_instance(inst: Instance) -> list[str]:
     """Return every invariant breach with its location; empty means valid.
 
@@ -291,16 +216,12 @@ def validate_instance(inst: Instance) -> list[str]:
     inspected, they just cannot be solved.
     """
     violations: list[str] = []
-    for i, agent in enumerate(inst.agents):
-        if agent.id != i:
-            violations.append(f"agent at position {i} has id {agent.id}")
-        if agent.capacity < 1:
-            violations.append(f"non-positive capacity {agent.capacity} on agent {i}")
-    for j, task in enumerate(inst.tasks):
-        if task.id != j:
-            violations.append(f"task at position {j} has id {task.id}")
-        if task.value < 0 or task.value != task.value:
-            violations.append(f"negative or NaN value {task.value} on task {j}")
+    for i, capacity in enumerate(inst.capacities):
+        if capacity < 1:
+            violations.append(f"non-positive capacity {capacity} on agent {i}")
+    for j, value in enumerate(inst.values):
+        if value < 0 or value != value:
+            violations.append(f"negative or NaN value {value} on task {j}")
     seen: set[tuple[int, int]] = set()
     for a, t in inst.edges:
         if not 0 <= a < inst.n:
@@ -321,51 +242,58 @@ def require_valid(inst: Instance) -> None:
         raise InvalidInstanceError(violations)
 
 
-def is_feasible_matching(inst: Instance, mu: Matching) -> bool:
-    """True iff ``mu`` respects adjacency, task uniqueness, and capacities."""
-    edge_set = inst.edge_set()
-    task_seen: set[int] = set()
-    agent_count: dict[int, int] = {}
-    for a, t in mu.pairs:
-        if (a, t) not in edge_set:
+def is_feasible_matching(inst: Instance, owner: Sequence[int]) -> bool:
+    """True iff ``owner`` has one entry per task and respects adjacency
+    and capacities."""
+    if len(owner) != inst.m:
+        return False
+    load = [0] * inst.n
+    for t, a in enumerate(owner):
+        if a == -1:
+            continue
+        if a not in inst.task_adj[t]:
             return False
-        if t in task_seen:
-            return False
-        task_seen.add(t)
-        agent_count[a] = agent_count.get(a, 0) + 1
-    for a, count in agent_count.items():
-        if count > inst.agents[a].capacity:
-            return False
-    return True
+        load[a] += 1
+    return all(count <= cap for count, cap in zip(load, inst.capacities))
 
 
-def agent_utility(inst: Instance, mu: Matching, agent_id: int) -> float:
-    """Total value of the tasks matched to ``agent_id``."""
+def agent_utility(inst: Instance, owner: Sequence[int], agent_id: int) -> float:
+    """Total value of the tasks ``agent_id`` holds, summed in increasing
+    task id."""
     if not 0 <= agent_id < inst.n:
         raise ValueError(f"unknown agent id {agent_id}")
+    values = inst.values
     total = 0.0
-    for t in mu.tasks_of(agent_id):
-        total += inst.tasks[t].value
+    for t, a in enumerate(owner):
+        if a == agent_id:
+            total += values[t]
     return total
 
 
-def matching_weight(inst: Instance, mu: Matching) -> float:
+def matching_weight(inst: Instance, owner: Sequence[int]) -> float:
     """Total value of the matched tasks.
 
-    Summed agent by agent, in the same order as ``agent_utility``, so
-    that the per-agent utilities partition the weight exactly.
+    Summed agent by agent over the ``agent_utility`` sums, so that the
+    per-agent utilities partition the weight exactly.
     """
-    if not is_feasible_matching(inst, mu):
-        raise InfeasibleMatchingError(f"matching {sorted(mu.pairs)} is infeasible")
+    if not is_feasible_matching(inst, owner):
+        raise InfeasibleMatchingError(f"owner array {list(owner)} is infeasible")
     total = 0.0
     for a in range(inst.n):
-        total += agent_utility(inst, mu, a)
+        total += agent_utility(inst, owner, a)
     return total
 
 
-def task_utility(mu: Matching, task_id: int) -> int:
+def task_utility(owner: Sequence[int], task_id: int) -> int:
     """1 iff the task is assigned to any agent."""
-    return 1 if any(t == task_id for _, t in mu.pairs) else 0
+    if not 0 <= task_id < len(owner):
+        raise ValueError(f"unknown task id {task_id}")
+    return 0 if owner[task_id] == -1 else 1
+
+
+def matched_pairs(owner: Sequence[int]) -> list[tuple[int, int]]:
+    """The (agent id, task id) pairs of an owner array, sorted."""
+    return sorted((a, t) for t, a in enumerate(owner) if a != -1)
 
 
 def load_instance(path: str) -> Instance:

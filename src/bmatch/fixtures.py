@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Matching
+from .core import Instance, matched_pairs
 from .mechanisms import (
     AgentReport,
     MechanismKind,
@@ -41,7 +41,7 @@ def tied_optimum_instance() -> Instance:
     Two different matchings reach the optimal weight 1.1, which is what
     makes every optimal mechanism manipulable here.
     """
-    return Instance.from_parts(
+    return Instance(
         capacities=[1, 1],
         values=[1.0, 0.1, 0.1],
         edges=[(0, 0), (0, 1), (1, 0), (1, 2)],
@@ -56,7 +56,7 @@ def epsilon_gap_instance(eps: float = 1e-3) -> Instance:
     optimum of 2 + eps, so the ratio approaches 2 as eps shrinks; the
     same market also pins the worst-equilibrium welfare at 1 + eps.
     """
-    return Instance.from_parts(
+    return Instance(
         capacities=[1, 1],
         values=[1.0 + eps, 1.0],
         edges=[(0, 0), (0, 1), (1, 0)],
@@ -70,7 +70,7 @@ def equal_value_collusion_instance() -> Instance:
     strategyproof: agents 0 and 2 can coordinate so that agent 2 gains
     while agent 0 keeps the same utility.
     """
-    return Instance.from_parts(
+    return Instance(
         capacities=[1, 1, 1],
         values=[1.0, 1.0],
         edges=[(0, 0), (0, 1), (1, 1), (2, 0)],
@@ -83,7 +83,7 @@ def geometric_cascade_instance() -> Instance:
     Solving truthfully hands the big agent only the two cheap tasks;
     claiming the two best up front more than quadruples its utility.
     """
-    return Instance.from_parts(
+    return Instance(
         capacities=[2, 1, 1],
         values=[0.5, 0.25, 0.125, 0.0625],
         edges=[(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (2, 1)],
@@ -97,7 +97,7 @@ def complete_three_agent_instance() -> Instance:
     reroutes it through agent 0, which is exactly what makes the
     depth-first variant manipulable by agent 0 here.
     """
-    return Instance.from_parts(
+    return Instance(
         capacities=[1, 1, 1],
         values=[1.0, 0.5],
         edges=[(a, t) for a in range(3) for t in range(2)],
@@ -115,7 +115,7 @@ def two_class_instance() -> Instance:
     the last two tasks.
     """
     third = 1.0 / 3.0
-    return Instance.from_parts(
+    return Instance(
         capacities=[2, 2, 2, 2, 2],
         values=[third, third ** 2, third ** 3],
         edges=(
@@ -133,7 +133,7 @@ def task_collusion_instance() -> Instance:
     optimum matches tasks 0 and 2, so task 2 flips from unmatched to
     matched while task 0 stays matched.
     """
-    return Instance.from_parts(
+    return Instance(
         capacities=[1, 1],
         values=[1.0, 0.9, 0.1],
         edges=[(0, 0), (0, 2), (1, 0), (1, 1)],
@@ -148,7 +148,7 @@ def two_by_two_complete_instance() -> Instance:
     hand it the expensive one, so its expected utility becomes exactly 2.
     No shuffling rule avoids this.
     """
-    return Instance.from_parts(
+    return Instance(
         capacities=[1, 1],
         values=[2.0, 1.0],
         edges=[(0, 0), (0, 1), (1, 0), (1, 1)],
@@ -163,8 +163,8 @@ class FixtureResult:
     actual: str
 
 
-def _pairs(mu: Matching) -> str:
-    return str(sorted(mu.pairs))
+def _pairs(owner: tuple[int, ...]) -> str:
+    return str(matched_pairs(owner))
 
 
 def _check(name: str, expected, actual) -> FixtureResult:

@@ -61,7 +61,7 @@ def generate_instance(cfg: GenConfig, index: int) -> Instance:
     ).tolist()
     mask = rng.random((cfg.n, cfg.m)) < cfg.p
     edges = [(int(a), int(t)) for a, t in np.argwhere(mask)]
-    return Instance.from_parts(capacities, values, edges)
+    return Instance(capacities, values, edges)
 
 
 def generate_batch(cfg: GenConfig, count: int) -> list[Instance]:

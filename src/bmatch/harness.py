@@ -30,7 +30,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import WEIGHT_TOL
+from .core import WEIGHT_TOL, _parse_finite, _parse_integral
 from .gen import GenConfig, generate_instance
 from .mechanisms import MechanismKind, randomized_utility_samples, truthful_profile
 from .seeds import derive_seed
@@ -90,6 +90,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be non-empty")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
+        if self.mc_trials < 1:
+            raise ValueError("mc_trials must be at least 1")
         if self.kind == "mpug-curve" and not self.thresholds:
             raise ValueError("thresholds must be non-empty")
 
@@ -114,22 +116,44 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError("not an experiment config: expected a JSON object")
+
+        def integers(values, what):
+            return tuple(_parse_integral(v, what) for v in values)
+
+        def finites(values, what):
+            return tuple(_parse_finite(v, what) for v in values)
+
+        def path(key):
+            # open() would take an integer as a file descriptor
+            value = data.get(key)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{key} must be a path string, got {value!r}")
+            return value
+
         return cls(
             kind=data["kind"],
-            n_values=tuple(int(v) for v in data["n"]),
-            m_values=tuple(int(v) for v in data["m"]),
-            p_values=tuple(float(v) for v in data["p"]),
+            n_values=integers(data["n"], "n"),
+            m_values=integers(data["m"], "m"),
+            p_values=finites(data["p"], "p"),
             capacity_ranges=tuple(
-                (int(lo), int(hi)) for lo, hi in data["capacities"]
+                (
+                    _parse_integral(lo, "capacity low"),
+                    _parse_integral(hi, "capacity high"),
+                )
+                for lo, hi in data["capacities"]
             ),
-            iterations=int(data.get("iterations", 250)),
-            thresholds=tuple(float(v) for v in data.get("thresholds", (1.5, 2.0, 2.5, 3.0))),
-            orders=tuple(int(v) for v in data.get("orders", (2, 3, 4))),
-            mc_trials=int(data.get("mc_trials", 250)),
-            seed=int(data.get("seed", 0)),
-            out_csv=data.get("out_csv"),
-            out_json=data.get("out_json"),
-            out_svg=data.get("out_svg"),
+            iterations=_parse_integral(data.get("iterations", 250), "iterations"),
+            thresholds=finites(
+                data.get("thresholds", (1.5, 2.0, 2.5, 3.0)), "threshold"
+            ),
+            orders=integers(data.get("orders", (2, 3, 4)), "order"),
+            mc_trials=_parse_integral(data.get("mc_trials", 250), "mc_trials"),
+            seed=_parse_integral(data.get("seed", 0), "seed"),
+            out_csv=path("out_csv"),
+            out_json=path("out_json"),
+            out_svg=path("out_svg"),
         )
 
 
@@ -357,7 +381,7 @@ def _worker_count(explicit: int | None) -> int:
         return max(1, explicit)
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        return max(1, _parse_integral(env, WORKERS_ENV_VAR))
     return os.cpu_count() or 1
 
 
@@ -376,7 +400,7 @@ def run_experiment(
         try:
             with ProcessPoolExecutor(max_workers=count) as pool:
                 per_cell = list(pool.map(_run_cell, jobs))
-        except (OSError, PermissionError):
+        except OSError:
             per_cell = [_run_cell(job) for job in jobs]
     else:
         per_cell = [_run_cell(job) for job in jobs]

@@ -25,17 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Agent,
-    Instance,
-    Matching,
-    Task,
-    _parse_finite,
-    _parse_integral,
-    require_valid,
-)
+from .core import Instance, _parse_finite, _parse_integral, require_valid
 from .seeds import derive_rng
-from .solver import Traversal, _as_matching, _solve_owner_array
+from .solver import Traversal, _solve_owner_array
 
 __all__ = [
     "AGENTS",
@@ -178,15 +170,15 @@ def build_effective_instance(profile: Profile) -> Instance:
         reported[e] = report.edges
     if agents:
         edges = [(a, t) for a, adj in enumerate(reported) for t in adj]
-        return Instance([Agent(a, c) for a, c in enumerate(bounds)], base.tasks, edges)
+        return Instance(bounds, base.values, edges)
     edges = [(a, j) for j, adj in enumerate(reported) for a in adj]
-    return Instance(base.agents, [Task(j, v) for j, v in enumerate(bounds)], edges)
+    return Instance(base.capacities, bounds, edges)
 
 
 def run_mechanism(
     kind: MechanismKind, profile: Profile, rng_seed: int | None = None
-) -> Matching:
-    """Run a mechanism on a profile of reports.
+) -> tuple[int, ...]:
+    """Run a mechanism on a profile of reports; returns the owner tuple.
 
     The randomized kind needs ``rng_seed``; the assignment it returns is
     always expressed in the original agent ids.
@@ -200,7 +192,7 @@ def run_mechanism(
     if randomized:
         # one run equals trial 0 of the Monte Carlo sampler for the same seed
         order = sample_agent_order(effective, None, derive_rng(rng_seed, 0))
-    return _as_matching(_solve_owner_array(effective, order, _TRAVERSALS[kind]))
+    return _solve_owner_array(effective, order, _TRAVERSALS[kind])
 
 
 @dataclass(frozen=True)
@@ -216,10 +208,13 @@ class FcfsPolicySet:
     policies: tuple[tuple[int, ...], ...]
     residual_chain: tuple[frozenset[int], ...]
 
-    def union_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (a, t) for a, policy in enumerate(self.policies) for t in policy
-        )
+    def owner(self) -> tuple[int, ...]:
+        """The union of the claims as an owner tuple."""
+        owner = [-1] * len(self.residual_chain[0])
+        for a, policy in enumerate(self.policies):
+            for t in policy:
+                owner[t] = a
+        return tuple(owner)
 
 
 def fcfs_policies(inst: Instance) -> FcfsPolicySet:
@@ -232,7 +227,7 @@ def fcfs_policies(inst: Instance) -> FcfsPolicySet:
     for a in range(inst.n):
         candidates = [t for t in inst.agent_adj[a] if t in remaining]
         candidates.sort(key=lambda t: (-values[t], t))
-        take = candidates[: inst.agents[a].capacity]
+        take = candidates[: inst.capacities[a]]
         remaining.difference_update(take)
         policies.append(tuple(sorted(take)))
         chain.append(frozenset(remaining))
@@ -252,7 +247,7 @@ def worst_ne_profile(inst: Instance) -> tuple[Profile, float]:
     profile = Profile(AGENTS, inst, reports)
     welfare = 0.0
     for t in sorted(t for p in policy_set.policies for t in p):
-        welfare += inst.tasks[t].value
+        welfare += inst.values[t]
     return profile, welfare
 
 
@@ -267,7 +262,7 @@ def first_agent_best_report(inst: Instance, agent_id: int = 0) -> tuple[int, ...
         raise ValueError(f"agent {agent_id} has no edges")
     values = inst.values
     ordered = sorted(adj, key=lambda t: (-values[t], t))
-    keep = ordered[: inst.agents[agent_id].capacity]
+    keep = ordered[: inst.capacities[agent_id]]
     return tuple(sorted(keep))
 
 

@@ -18,7 +18,6 @@ from math import inf
 
 from .core import (
     Instance,
-    Matching,
     SizeCapExceededError,
     WEIGHT_TOL,
     agent_utility,
@@ -61,11 +60,11 @@ NASH_PROFILE_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class OptimumCertificate:
-    """The exact optimum with one witness matching and the number of
+    """The exact optimum with one witness owner tuple and the number of
     feasible assignments enumerated on the way."""
 
     weight: float
-    matching: Matching
+    matching: tuple[int, ...]
     enumerated: int
 
 
@@ -116,10 +115,7 @@ def brute_force_mvbm(inst: Instance) -> OptimumCertificate:
         recurse(j + 1, weight)
 
     recurse(0, 0.0)
-    matching = Matching.from_pairs(
-        (a, j) for j, a in enumerate(best_assign) if a != -1
-    )
-    return OptimumCertificate(max(best_weight, 0.0), matching, leaves)
+    return OptimumCertificate(max(best_weight, 0.0), tuple(best_assign), leaves)
 
 
 def _profitable(deviations) -> list[ProfitableDeviation]:

@@ -35,7 +35,12 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Instance, Matching, require_valid
+from .core import (
+    InfeasibleMatchingError,
+    Instance,
+    is_feasible_matching,
+    require_valid,
+)
 
 __all__ = [
     "Traversal",
@@ -136,11 +141,12 @@ class _State:
         self.from_task = [0] * n
         self.epoch = 0
 
-    def seed_matching(self, mu: Matching) -> None:
-        for a, t in mu.pairs:
-            self.owner[t] = a
-            self.load[a] += 1
-            self.agent_tasks[a].append(t)
+    def seed_matching(self, owner: Sequence[int]) -> None:
+        for t, a in enumerate(owner):
+            if a != -1:
+                self.owner[t] = a
+                self.load[a] += 1
+                self.agent_tasks[a].append(t)
 
     def matched_tasks_in_process_order(self, agent: int) -> list[int]:
         tasks = self.agent_tasks[agent]
@@ -293,17 +299,21 @@ class _State:
 
 def find_augmenting_path(
     inst: Instance,
-    partial: Matching,
+    partial: Sequence[int],
     task_id: int,
     traversal: Traversal,
 ) -> AugmentingPath | None:
     """Search for an augmenting path from an unmatched task.
 
-    Returns ``None`` iff no augmenting path from ``task_id`` exists under
-    the given partial matching.
+    ``partial`` is a feasible owner array.  Returns ``None`` iff no
+    augmenting path from ``task_id`` exists under it.
     """
     require_valid(inst)
-    if partial.owner_of(task_id) is not None:
+    if not 0 <= task_id < inst.m:
+        raise ValueError(f"unknown task id {task_id}")
+    if not is_feasible_matching(inst, partial):
+        raise InfeasibleMatchingError(f"partial matching {list(partial)} is infeasible")
+    if partial[task_id] != -1:
         raise ValueError(f"task {task_id} is already matched")
     state = _State(inst, None)
     state.seed_matching(partial)
@@ -314,17 +324,18 @@ def find_augmenting_path(
     return AugmentingPath(state.path_pairs(terminal))
 
 
-def solve_mvbm(inst: Instance, traversal: Traversal) -> Matching:
-    """Maximum vertex-weighted b-matching via augmenting paths.
+def solve_mvbm(inst: Instance, traversal: Traversal) -> tuple[int, ...]:
+    """Maximum vertex-weighted b-matching via augmenting paths, as an
+    owner tuple.
 
     The returned matching always has maximum weight; the traversal only
     decides how tasks are distributed among the agents.
     """
     require_valid(inst)
-    return _as_matching(_solve_owner_array(inst, None, traversal))
+    return _solve_owner_array(inst, None, traversal)
 
 
-def solve_ap(inst: Instance) -> Matching:
+def solve_ap(inst: Instance) -> tuple[int, ...]:
     """Greedy length-1 approximation.
 
     Each task, in processing order, goes to the lowest-index unsaturated
@@ -332,14 +343,14 @@ def solve_ap(inst: Instance) -> Matching:
     least half of the optimum.
     """
     require_valid(inst)
-    return _as_matching(_solve_owner_array(inst, None, None))
+    return _solve_owner_array(inst, None, None)
 
 
 def _solve_owner_array(
     inst: Instance, order: Sequence[int] | None, traversal: Traversal | None
-) -> list[int]:
-    """The one solve behind every entry point: the owning agent of each
-    task, or -1.
+) -> tuple[int, ...]:
+    """The one solve behind every entry point: the owner tuple, holding
+    the agent of each task or -1.
 
     ``order[k]`` is the agent that holds priority position ``k`` (``None``
     keeps the id order); ``traversal`` ``None`` runs the greedy length-1
@@ -347,8 +358,4 @@ def _solve_owner_array(
     """
     state = _State(inst, list(order) if order is not None else None)
     state.run(traversal)
-    return state.owner
-
-
-def _as_matching(owner: Sequence[int]) -> Matching:
-    return Matching.from_pairs((a, t) for t, a in enumerate(owner) if a != -1)
+    return tuple(state.owner)

@@ -133,13 +133,13 @@ def apply_manipulation(
         return spec.report
     ordered = sorted(adj, key=_by_value(inst))
     if isinstance(spec, TLevel):
-        keep = [t for t in ordered if inst.tasks[t].value >= spec.threshold]
+        keep = [t for t in ordered if inst.values[t] >= spec.threshold]
     elif isinstance(spec, KOrder):
         if spec.k < 0:
             raise ValueError("k must be non-negative")
         keep = ordered[: len(ordered) - spec.k] if spec.k < len(ordered) else []
     elif isinstance(spec, TopB):
-        keep = ordered[: inst.agents[agent_id].capacity]
+        keep = ordered[: inst.capacities[agent_id]]
     else:
         raise TypeError(f"unknown manipulation spec {spec!r}")
     if not keep:
@@ -182,11 +182,11 @@ def _is_truthful(inst: Instance, side: str, entity: int, report) -> bool:
     if side == AGENTS:
         return report.edges == inst.agent_adj[entity] and report.capacity in (
             None,
-            inst.agents[entity].capacity,
+            inst.capacities[entity],
         )
     return report.edges == inst.task_adj[entity] and report.value in (
         None,
-        inst.tasks[entity].value,
+        inst.values[entity],
     )
 
 
@@ -327,14 +327,14 @@ def _report_candidates(
         report_type = AgentReport if side == AGENTS else TaskReport
         return [report_type(edges=combo) for combo in subsets]
     if side == AGENTS and setting == "ecms":
-        cap = inst.agents[entity].capacity
+        cap = inst.capacities[entity]
         return [
             AgentReport(edges=combo, capacity=c)
             for combo in subsets
             for c in range(1, cap + 1)
         ]
     if side == TASKS and setting == "evms":
-        value = inst.tasks[entity].value
+        value = inst.values[entity]
         reported = sorted({value * f for f in value_grid if 0 < f <= 1}, reverse=True)
         return [
             TaskReport(edges=combo, value=v)

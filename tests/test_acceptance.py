@@ -121,9 +121,9 @@ def test_criterion_03_approximation_ratio(small_thousand):
 def test_criterion_04_greedy_equals_fcfs(small_thousand, larger_hundred):
     start = time.perf_counter()
     for inst in small_thousand + larger_hundred:
-        assert solve_ap(inst).pairs == fcfs_policies(inst).union_pairs(), inst
+        assert solve_ap(inst) == fcfs_policies(inst).owner(), inst
     elapsed = time.perf_counter() - start
-    _report(4, elapsed < 10.0, f"1100 edge-set equalities in {elapsed:.1f}s")
+    _report(4, elapsed < 10.0, f"1100 owner-tuple equalities in {elapsed:.1f}s")
     assert elapsed < 10.0
 
 
@@ -191,7 +191,7 @@ def test_criterion_06_truthfulness_audits():
 def _family_degree_within_capacity(i: int) -> Instance:
     base = generate_instance(GenConfig(4, 5, 0.5, 1, 2, seed=SEED + 5), i)
     caps = [max(1, len(base.agent_adj[a]) + (i + a) % 2) for a in range(base.n)]
-    return Instance.from_parts(caps, list(base.values), sorted(base.edge_set()))
+    return Instance(caps, base.values, sorted(base.edge_set()))
 
 
 def _family_contested_complete(i: int) -> Instance:
@@ -201,7 +201,7 @@ def _family_contested_complete(i: int) -> Instance:
     m = max(1, sum(caps) - max(caps) - i % 2)
     values = [3.0 + ((i * 7 + j * 13) % 11) / 10.0 for j in range(m)]
     edges = [(a, t) for a in range(n) for t in range(m)]
-    return Instance.from_parts(caps, values, edges)
+    return Instance(caps, values, edges)
 
 
 def _family_agent_classes(i: int) -> Instance:
@@ -221,7 +221,7 @@ def _family_agent_classes(i: int) -> Instance:
             caps.append(b)
             edges.extend((agent, t) for t in task_ids)
         task_base += tasks
-    return Instance.from_parts(caps, values, edges)
+    return Instance(caps, values, edges)
 
 
 def test_criterion_07_truthful_families():

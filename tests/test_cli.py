@@ -198,3 +198,55 @@ def test_solve_parses_numeric_string_report_values(tmp_path, instance_path,
         outputs.append(json.loads(capsys.readouterr().out))
     assert outputs[0] == outputs[1]
     assert [0, 0] in outputs[0]["pairs"]
+
+
+_CONFIG = {"kind": "mpug-curve", "n": [2], "m": [3], "p": [0.8],
+           "capacities": [[1, 2]], "iterations": 2, "seed": 3}
+
+
+def _assert_one_error_line(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (dict(_CONFIG, n=[2.7]), "non-integral n: 2.7"),
+        (dict(_CONFIG, m=["x"]), "non-numeric m: 'x'"),
+        (dict(_CONFIG, iterations=2.9), "non-integral iterations: 2.9"),
+        (dict(_CONFIG, capacities=[[1, 2.5]]), "non-integral capacity high: 2.5"),
+        (dict(_CONFIG, orders=[2.5]), "non-integral order: 2.5"),
+        (dict(_CONFIG, mc_trials=1.5), "non-integral mc_trials: 1.5"),
+        (dict(_CONFIG, seed=0.5), "non-integral seed: 0.5"),
+        (dict(_CONFIG, p=["inf"]), "non-finite p: 'inf'"),
+        (dict(_CONFIG, thresholds=["nan"]), "non-finite threshold: 'nan'"),
+        (dict(_CONFIG, mc_trials=0), "mc_trials must be at least 1"),
+        ([_CONFIG], "not an experiment config: expected a JSON object"),
+        (dict(_CONFIG, out_csv=2), "out_csv must be a path string, got 2"),
+    ],
+)
+def test_experiment_rejects_malformed_configs(tmp_path, capsys, payload, message):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(payload))
+    out_dir = tmp_path / "results"
+    for kind in ([], ["mpug-curve"]):
+        code = main(["experiment", *kind, "--config", str(config_path),
+                     "--out-dir", str(out_dir), "--workers", "1"])
+        assert code == 2
+        _assert_one_error_line(capsys, message)
+    assert not out_dir.exists()
+
+
+def test_experiment_rejects_non_integer_worker_variable(tmp_path, capsys,
+                                                         monkeypatch):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(_CONFIG))
+    monkeypatch.setenv("BMATCH_WORKERS", "abc")
+    code = main(["experiment", "--config", str(config_path),
+                 "--out-dir", str(tmp_path / "results")])
+    assert code == 2
+    _assert_one_error_line(capsys, "BMATCH_WORKERS")

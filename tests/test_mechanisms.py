@@ -45,7 +45,7 @@ def test_effective_instance_after_hiding_one_edge():
 
 
 def test_effective_instance_capacity_report():
-    inst = Instance.from_parts([3, 1], [1.0, 0.5], [(0, 0), (0, 1), (1, 0)])
+    inst = Instance([3, 1], [1.0, 0.5], [(0, 0), (0, 1), (1, 0)])
     profile = truthful_profile(inst).with_report(
         0, AgentReport(edges=(0, 1), capacity=1))
     assert build_effective_instance(profile).capacities == (1, 1)
@@ -67,7 +67,7 @@ def test_effective_instance_rejects_unbounded_reports():
 
 
 def test_task_side_value_report_changes_processing_order():
-    inst = Instance.from_parts([1], [1.0, 0.8], [(0, 0), (0, 1)])
+    inst = Instance([1], [1.0, 0.8], [(0, 0), (0, 1)])
     profile = truthful_profile(inst, "tasks").with_report(
         0, TaskReport(edges=(0,), value=0.5))
     effective = build_effective_instance(profile)
@@ -83,7 +83,7 @@ def test_run_mechanism_reference_outcomes():
     assert matching_weight(eps, mu) == pytest.approx(1.001)
     collusion = equal_value_collusion_instance()
     hidden = truthful_profile(collusion).with_report(0, AgentReport(edges=(1,)))
-    assert run_mechanism(MechanismKind.MAP, hidden).pairs == {(0, 1), (2, 0)}
+    assert run_mechanism(MechanismKind.MAP, hidden) == (2, 0)
 
 
 def test_randomized_mechanism_requires_seed():
@@ -102,13 +102,13 @@ def test_fcfs_policies_on_cascade_market():
 
 
 def test_fcfs_policy_empty_without_adjacency():
-    inst = Instance.from_parts([1, 1], [1.0], [(0, 0)])
+    inst = Instance([1, 1], [1.0], [(0, 0)])
     assert fcfs_policies(inst).policies[1] == ()
 
 
 def test_greedy_equals_fcfs_union_on_random_markets():
     for inst in small_instances(80, seed=31):
-        assert solve_ap(inst).pairs == fcfs_policies(inst).union_pairs()
+        assert solve_ap(inst) == fcfs_policies(inst).owner()
 
 
 def test_worst_equilibrium_profile_welfare_and_fixed_point():
@@ -118,17 +118,17 @@ def test_worst_equilibrium_profile_welfare_and_fixed_point():
     cascade = geometric_cascade_instance()
     profile, welfare = worst_ne_profile(cascade)
     assert welfare == pytest.approx(0.75)
-    union = fcfs_policies(cascade).union_pairs()
-    assert run_mechanism(MechanismKind.MBFS, profile).pairs == union
-    assert run_mechanism(MechanismKind.MDFS, profile).pairs == union
+    claims = fcfs_policies(cascade).owner()
+    assert claims == (0, 0, -1, -1)
+    assert run_mechanism(MechanismKind.MBFS, profile) == claims
+    assert run_mechanism(MechanismKind.MDFS, profile) == claims
 
 
 def test_worst_equilibrium_matches_optimum_when_claims_cover_everything():
     # disjoint interests: the claim profile is the truthful adjacency
-    inst = Instance.from_parts([2, 1], [1.0, 0.5, 0.25],
-                               [(0, 0), (0, 1), (1, 2)])
+    inst = Instance([2, 1], [1.0, 0.5, 0.25], [(0, 0), (0, 1), (1, 2)])
     policy_set = fcfs_policies(inst)
-    assert policy_set.union_pairs() == inst.edge_set()
+    assert policy_set.owner() == (0, 0, 1)
     _, welfare = worst_ne_profile(inst)
     assert welfare == pytest.approx(
         matching_weight(inst, solve_mvbm(inst, Traversal.BREADTH_FIRST)))
@@ -137,23 +137,23 @@ def test_worst_equilibrium_matches_optimum_when_claims_cover_everything():
 def test_first_agent_best_report_examples():
     cascade = geometric_cascade_instance()
     assert first_agent_best_report(cascade) == (0, 1)
-    wide = Instance.from_parts([5], [1.0, 0.5], [(0, 0), (0, 1)])
+    wide = Instance([5], [1.0, 0.5], [(0, 0), (0, 1)])
     assert first_agent_best_report(wide) == (0, 1)
     assert first_agent_best_report(epsilon_gap_instance(0.5)) == (0,)
-    isolated = Instance.from_parts([1, 1], [1.0], [(1, 0)])
+    isolated = Instance([1, 1], [1.0], [(1, 0)])
     with pytest.raises(ValueError):
         first_agent_best_report(isolated)
 
 
 def test_lottery_weight_is_sum_of_inverse_shifted_values():
-    inst = Instance.from_parts([1], [1.0, 0.5], [(0, 0), (0, 1)])
+    inst = Instance([1], [1.0, 0.5], [(0, 0), (0, 1)])
     # independent hand computation: 1/(1+1) + 1/(1+0.5)
     expected = 0.5 + 1.0 / 1.5
     assert lottery_weights(inst, None)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_single_agent_order_is_identity():
-    inst = Instance.from_parts([1], [1.0], [(0, 0)])
+    inst = Instance([1], [1.0], [(0, 0)])
     rng = derive_rng(5)
     assert sample_agent_order(inst, None, rng) == (0,)
 
@@ -170,7 +170,7 @@ def test_equal_agents_win_the_first_slot_equally_often():
 
 
 def test_zero_weight_agents_go_last_in_id_order():
-    inst = Instance.from_parts([1, 1, 1], [1.0], [(1, 0)])
+    inst = Instance([1, 1, 1], [1.0], [(1, 0)])
     profile_reports = [AgentReport(edges=()), None, AgentReport(edges=())]
     rng = derive_rng(9)
     assert sample_agent_order(inst, profile_reports, rng) == (1, 0, 2)

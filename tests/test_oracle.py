@@ -37,21 +37,21 @@ def test_brute_force_on_tied_optimum():
 def test_brute_force_prefers_lexicographically_smallest_assignment():
     cert = brute_force_mvbm(task_collusion_instance())
     assert cert.weight == pytest.approx(1.9, abs=1e-12)
-    assert cert.matching.pairs == {(0, 0), (1, 1)}
+    assert cert.matching == (0, 1, -1)
 
 
 def test_brute_force_on_empty_edge_set():
-    cert = brute_force_mvbm(Instance.from_parts([1, 1], [1.0, 0.5], []))
+    cert = brute_force_mvbm(Instance([1, 1], [1.0, 0.5], []))
     assert cert.weight == 0.0
-    assert cert.matching.pairs == set()
+    assert cert.matching == (-1, -1)
     assert cert.enumerated == 1
 
 
 def test_brute_force_size_caps():
-    wide = Instance.from_parts([1], [1.0] * 9, [(0, t) for t in range(9)])
+    wide = Instance([1], [1.0] * 9, [(0, t) for t in range(9)])
     with pytest.raises(SizeCapExceededError):
         brute_force_mvbm(wide)
-    deep = Instance.from_parts(
+    deep = Instance(
         [1] * 20, [1.0] * 8, [(a, t) for a in range(20) for t in range(8)])
     with pytest.raises(SizeCapExceededError):
         brute_force_mvbm(deep)
@@ -80,8 +80,7 @@ def test_saturation_free_markets_audit_clean():
     # capacities at least the degree: no agent can ever saturate
     for base in small_instances(30, seed=515):
         caps = [max(1, len(base.agent_adj[a])) for a in range(base.n)]
-        inst = Instance.from_parts(caps, list(base.values),
-                                   sorted(base.edge_set()))
+        inst = Instance(caps, base.values, sorted(base.edge_set()))
         assert audit_agent_truthfulness(inst, MechanismKind.MBFS) == []
         assert audit_agent_truthfulness(inst, MechanismKind.MDFS) == []
 
@@ -153,7 +152,7 @@ def test_efficiency_ratios_on_epsilon_market():
 
 
 def test_efficiency_ratios_on_single_agent_market():
-    inst = Instance.from_parts([1], [1.0, 0.5], [(0, 0), (0, 1)])
+    inst = Instance([1], [1.0, 0.5], [(0, 0), (0, 1)])
     assert poa_pos_on_instance(inst, MechanismKind.MBFS) == (
         pytest.approx(1.0), pytest.approx(1.0))
 

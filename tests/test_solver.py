@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmatch.core import Instance, Matching, matching_weight
+from bmatch.core import (
+    InfeasibleMatchingError,
+    Instance,
+    matched_pairs,
+    matching_weight,
+)
 from bmatch.fixtures import (
     complete_three_agent_instance,
     epsilon_gap_instance,
     equal_value_collusion_instance,
+    tied_optimum_instance,
     two_class_instance,
 )
 from bmatch.gen import GenConfig, generate_instance
@@ -25,7 +31,7 @@ from conftest import small_instances
 
 def test_breadth_first_path_is_shortest():
     inst = complete_three_agent_instance()
-    partial = Matching.from_pairs([(0, 0)])
+    partial = (0, -1)
     path = find_augmenting_path(inst, partial, 1, Traversal.BREADTH_FIRST)
     assert path is not None
     assert path.length == 1
@@ -34,7 +40,7 @@ def test_breadth_first_path_is_shortest():
 
 def test_depth_first_path_dives_through_first_agent():
     inst = complete_three_agent_instance()
-    partial = Matching.from_pairs([(0, 0)])
+    partial = (0, -1)
     path = find_augmenting_path(inst, partial, 1, Traversal.DEPTH_FIRST)
     assert path is not None
     assert path.length == 3
@@ -45,15 +51,37 @@ def test_depth_first_path_dives_through_first_agent():
 
 def test_path_search_rejects_matched_start():
     inst = complete_three_agent_instance()
-    partial = Matching.from_pairs([(0, 0)])
+    partial = (0, -1)
     with pytest.raises(ValueError):
         find_augmenting_path(inst, partial, 0, Traversal.BREADTH_FIRST)
 
 
 def test_path_search_returns_none_for_isolated_task():
-    inst = Instance.from_parts([1], [1.0, 0.5], [(0, 0)])
-    assert find_augmenting_path(inst, Matching.empty(), 1,
-                                Traversal.BREADTH_FIRST) is None
+    inst = Instance([1], [1.0, 0.5], [(0, 0)])
+    assert find_augmenting_path(inst, (-1, -1), 1, Traversal.BREADTH_FIRST) is None
+
+
+def test_path_search_rejects_unknown_task():
+    inst = complete_three_agent_instance()
+    for task_id in (-1, 2, 9):
+        for traversal in Traversal:
+            with pytest.raises(ValueError, match="unknown task id"):
+                find_augmenting_path(inst, (-1, -1), task_id, traversal)
+
+
+def test_path_search_rejects_infeasible_partial_matching():
+    inst = complete_three_agent_instance()
+    tied = tied_optimum_instance()
+    for traversal in Traversal:
+        # agent 0 over its capacity of 1
+        with pytest.raises(InfeasibleMatchingError):
+            find_augmenting_path(tied, (0, 0, -1), 2, traversal)
+        # (1, 1) is not an edge of the tied market
+        with pytest.raises(InfeasibleMatchingError):
+            find_augmenting_path(tied, (-1, 1, -1), 0, traversal)
+        # one owner per task
+        with pytest.raises(InfeasibleMatchingError):
+            find_augmenting_path(inst, (-1,), 1, traversal)
 
 
 def test_augmenting_path_shape_is_validated():
@@ -65,27 +93,25 @@ def test_augmenting_path_shape_is_validated():
 
 def test_exact_solver_on_complete_market():
     inst = complete_three_agent_instance()
-    assert solve_mvbm(inst, Traversal.BREADTH_FIRST).pairs == {(0, 0), (1, 1)}
-    assert solve_mvbm(inst, Traversal.DEPTH_FIRST).pairs == {(0, 1), (1, 0)}
+    assert solve_mvbm(inst, Traversal.BREADTH_FIRST) == (0, 1)
+    assert solve_mvbm(inst, Traversal.DEPTH_FIRST) == (1, 0)
 
 
 def test_exact_solver_on_two_class_market():
     inst = two_class_instance()
-    assert solve_mvbm(inst, Traversal.BREADTH_FIRST).pairs == {
-        (0, 0), (0, 1), (1, 2)}
-    assert solve_mvbm(inst, Traversal.DEPTH_FIRST).pairs == {
-        (0, 1), (0, 2), (2, 0)}
+    assert solve_mvbm(inst, Traversal.BREADTH_FIRST) == (0, 0, 1)
+    assert solve_mvbm(inst, Traversal.DEPTH_FIRST) == (2, 0, 0)
 
 
 def test_greedy_solver_examples():
-    assert solve_ap(epsilon_gap_instance(0.5)).pairs == {(0, 0)}
-    assert solve_ap(equal_value_collusion_instance()).pairs == {(0, 0), (1, 1)}
-    single = Instance.from_parts([1], [1.0], [(0, 0)])
-    assert solve_ap(single).pairs == {(0, 0)}
+    assert solve_ap(epsilon_gap_instance(0.5)) == (0, -1)
+    assert solve_ap(equal_value_collusion_instance()) == (0, 1)
+    single = Instance([1], [1.0], [(0, 0)])
+    assert solve_ap(single) == (0,)
 
 
 def test_solver_rejects_invalid_instance():
-    inst = Instance.from_parts([0], [1.0], [(0, 0)])
+    inst = Instance([0], [1.0], [(0, 0)])
     with pytest.raises(ValueError):
         solve_mvbm(inst, Traversal.BREADTH_FIRST)
     with pytest.raises(ValueError):
@@ -115,30 +141,32 @@ def test_matched_tasks_grow_monotonically():
             pairs: set[tuple[int, int]] = set()
             matched_before: set[int] = set()
             for t in inst.task_order:
-                mu = Matching.from_pairs(pairs)
-                if mu.owner_of(t) is not None:
+                owner = [-1] * inst.m
+                for a, task in pairs:
+                    owner[task] = a
+                if owner[t] != -1:
                     continue
-                path = find_augmenting_path(inst, mu, t, traversal)
+                path = find_augmenting_path(inst, tuple(owner), t, traversal)
                 if path is not None:
                     pairs ^= set(path.edges)
                 matched_now = {task for _, task in pairs}
                 assert matched_before <= matched_now
                 matched_before = matched_now
-            assert pairs == solve_mvbm(inst, traversal).pairs
+            assert pairs == set(matched_pairs(solve_mvbm(inst, traversal)))
 
 
 def test_greedy_output_is_maximal_for_single_edge_paths(small_batch):
     for inst in small_batch:
         mu = solve_ap(inst)
         load = {a: 0 for a in range(inst.n)}
-        for a, _ in mu.pairs:
-            load[a] += 1
-        matched = mu.matched_tasks()
+        for a in mu:
+            if a != -1:
+                load[a] += 1
         for t in range(inst.m):
-            if t in matched:
+            if mu[t] != -1:
                 continue
             for a in inst.task_adj[t]:
-                assert load[a] >= inst.agents[a].capacity
+                assert load[a] >= inst.capacities[a]
 
 
 class _UnprunedState(_State):
@@ -272,7 +300,7 @@ def _markets(draw, values=st.sampled_from([0.0, 1.0, 2.0, 2.5])):
     capacities = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     task_values = draw(st.lists(values, min_size=m, max_size=m))
     edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))))
-    return Instance.from_parts(capacities, task_values, sorted(edges))
+    return Instance(capacities, task_values, sorted(edges))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -289,7 +317,7 @@ def test_later_search_routes_around_the_dead_set():
     # reaches the saturated a0, whose task t0 leads back to a0 only, so
     # the search fails and retires a0.  t3 must then skip a0 and still
     # find the free a2 through a1: t3 - a1 - t1 - a2.
-    inst = Instance.from_parts(
+    inst = Instance(
         [1, 1, 1],
         [5.0, 4.0, 3.0, 2.0],
         [(0, 0), (1, 1), (2, 1), (0, 2), (0, 3), (1, 3)],
@@ -319,7 +347,7 @@ def _assignment_optimum(inst: Instance) -> float:
     exactly (non-adjacent pairs weigh 0, so they add nothing)."""
     from scipy.optimize import linear_sum_assignment
 
-    slots = [a for a in range(inst.n) for _ in range(inst.agents[a].capacity)]
+    slots = [a for a in range(inst.n) for _ in range(inst.capacities[a])]
     weights = np.zeros((inst.m, len(slots)))
     for col, a in enumerate(slots):
         for t in inst.agent_adj[a]:

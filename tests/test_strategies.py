@@ -56,7 +56,7 @@ def test_order_manipulation_drops_lowest_values():
 
 
 def test_order_manipulation_drops_higher_ids_among_ties():
-    inst = Instance.from_parts([2], [1.0, 0.5, 0.5], [(0, 0), (0, 1), (0, 2)])
+    inst = Instance([2], [1.0, 0.5, 0.5], [(0, 0), (0, 1), (0, 2)])
     assert apply_manipulation(inst, 0, KOrder(1)).edges == (0, 1)
 
 
@@ -67,7 +67,7 @@ def test_top_capacity_manipulation():
 
 
 def test_manipulation_requires_edges():
-    isolated = Instance.from_parts([1, 1], [1.0], [(1, 0)])
+    isolated = Instance([1, 1], [1.0], [(1, 0)])
     with pytest.raises(ValueError):
         apply_manipulation(isolated, 0, TopB())
 
@@ -114,7 +114,7 @@ def test_instance_gain_excludes_degenerate_zero_agents():
 def test_manipulative_agent_fraction():
     inst = epsilon_gap_instance(0.5)
     assert pma(inst, MechanismKind.MBFS, [TopB()]) == pytest.approx(0.5)
-    quiet = Instance.from_parts([1, 1], [1.0], [])
+    quiet = Instance([1, 1], [1.0], [])
     assert pma(quiet, MechanismKind.MBFS, [TopB()]) == 0.0
     with pytest.raises(ValueError):
         pma(inst, MechanismKind.MBFS, [])
@@ -122,7 +122,7 @@ def test_manipulative_agent_fraction():
 
 def test_manipulable_instance_fraction():
     gainful = epsilon_gap_instance(0.5)
-    quiet = Instance.from_parts([1, 1], [1.0], [])
+    quiet = Instance([1, 1], [1.0], [])
     assert pmi([gainful], MechanismKind.MBFS, [TopB()]) == 1.0
     assert pmi([quiet], MechanismKind.MBFS, [TopB()]) == 0.0
     assert pmi([gainful, quiet], MechanismKind.MBFS, [TopB()]) == 0.5
@@ -153,11 +153,10 @@ def test_best_response_matches_truthful_when_nothing_helps():
 
 
 def test_best_response_input_guards():
-    isolated = Instance.from_parts([1, 1], [1.0], [(1, 0)])
+    isolated = Instance([1, 1], [1.0], [(1, 0)])
     with pytest.raises(ValueError):
         best_response_exhaustive(isolated, MechanismKind.MBFS, 0)
-    wide = Instance.from_parts([1], [1.0] * 21,
-                               [(0, t) for t in range(21)])
+    wide = Instance([1], [1.0] * 21, [(0, t) for t in range(21)])
     with pytest.raises(SizeCapExceededError):
         best_response_exhaustive(wide, MechanismKind.MBFS, 0)
 
@@ -179,7 +178,7 @@ def test_truthful_profile_of_epsilon_market_is_not_an_equilibrium():
 
 
 def test_single_agent_truthful_profile_is_an_equilibrium():
-    inst = Instance.from_parts([1], [1.0, 0.5], [(0, 0), (0, 1)])
+    inst = Instance([1], [1.0, 0.5], [(0, 0), (0, 1)])
     ok, _ = verify_nash(truthful_profile(inst), MechanismKind.MBFS)
     assert ok
 
@@ -232,9 +231,9 @@ def _all_reports(inst, side, entity):
     subsets = [c for k in range(1, len(adj) + 1)
                for c in itertools.combinations(adj, k)]
     if side == AGENTS:
-        cap = inst.agents[entity].capacity
+        cap = inst.capacities[entity]
         return [AgentReport(c, b) for c in subsets for b in (None, *range(1, cap + 1))]
-    value = inst.tasks[entity].value
+    value = inst.values[entity]
     return [TaskReport(c, v) for c in subsets for v in (None, value, value / 2)
             if v is None or v > 0]
 
