@@ -43,4 +43,4 @@ for row in table.rows:
 with tempfile.TemporaryDirectory() as directory:
     out = Path(directory) / "randomized.csv"
     export_results(table, "csv", str(out))
-    print("table written to", out, f"({len(out.read_text().splitlines())} lines)")
+    print("table written to", out.name, f"({len(out.read_text().splitlines())} lines)")

@@ -14,7 +14,6 @@ from .core import (
     matched_pairs,
     matching_weight,
     task_utility,
-    validate_instance,
 )
 from .gen import GenConfig, generate_batch, generate_instance
 from .mechanisms import (

@@ -8,8 +8,9 @@ agent to at most ``capacity`` tasks, so it is fully described by an
 owner tuple: ``owner[t]`` is the agent holding task ``t``, or -1.  Its
 weight is the total value of the matched tasks.
 
-Instances and owner tuples are immutable and safe to share across
-workers.  All operations in this module are pure.
+An ``Instance`` checks itself once, when it is built, so every instance
+in the program is valid.  Instances and owner tuples are immutable and
+safe to share across workers.  All operations in this module are pure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "InvalidInstanceError",
     "InfeasibleMatchingError",
     "SizeCapExceededError",
-    "validate_instance",
     "is_feasible_matching",
     "matching_weight",
     "agent_utility",
@@ -40,7 +40,7 @@ WEIGHT_TOL = 1e-9
 
 
 class InvalidInstanceError(ValueError):
-    """Raised when an operation requires a valid instance but got violations."""
+    """Raised by the ``Instance`` constructor with every violation found."""
 
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
@@ -59,11 +59,11 @@ class SizeCapExceededError(ValueError):
 class Instance:
     """A bipartite market: agent capacities, task values, and adjacency.
 
-    The raw edge list is kept as given so that validation can report
-    duplicates and out-of-range endpoints.  Derived views (sorted
-    adjacency per agent and per task, the task processing order) ignore
-    malformed edges and are only meaningful once ``validate_instance``
-    returns no violations.
+    The constructor is the one place where a market is checked: it
+    raises ``InvalidInstanceError`` listing every non-positive capacity,
+    negative or NaN value, out-of-range endpoint and duplicate edge, so
+    every ``Instance`` is valid and no later layer checks it again.  The
+    adjacency per agent and per task is kept sorted and deduplicated.
 
     Tasks are processed in decreasing value, ties broken by increasing
     task id.  Agent priority is the list index: agent 0 goes first.
@@ -72,7 +72,6 @@ class Instance:
     __slots__ = (
         "capacities",
         "values",
-        "edges",
         "agent_adj",
         "task_adj",
         "task_order",
@@ -87,21 +86,37 @@ class Instance:
     ):
         self.capacities: tuple[int, ...] = tuple(map(int, capacities))
         self.values: tuple[float, ...] = tuple(map(float, values))
-        self.edges: tuple[tuple[int, int], ...] = tuple(
-            (int(a), int(t)) for a, t in edges
-        )
         n, m = len(self.capacities), len(self.values)
+        violations = [
+            f"non-positive capacity {capacity} on agent {i}"
+            for i, capacity in enumerate(self.capacities)
+            if capacity < 1
+        ]
+        violations += [
+            f"negative or NaN value {value} on task {j}"
+            for j, value in enumerate(self.values)
+            if not value >= 0
+        ]
         agent_adj: list[set[int]] = [set() for _ in range(n)]
-        task_adj: list[set[int]] = [set() for _ in range(m)]
-        for a, t in self.edges:
-            if 0 <= a < n and 0 <= t < m:
+        task_adj: list[list[int]] = [[] for _ in range(m)]
+        for a, t in edges:
+            a, t = int(a), int(t)
+            if not 0 <= a < n:
+                violations.append(f"out-of-range agent id {a} in edge ({a}, {t})")
+            elif not 0 <= t < m:
+                violations.append(f"out-of-range task id {t} in edge ({a}, {t})")
+            elif t in agent_adj[a]:
+                violations.append(f"duplicate edge ({a}, {t})")
+            else:
                 agent_adj[a].add(t)
-                task_adj[t].add(a)
+                task_adj[t].append(a)
+        if violations:
+            raise InvalidInstanceError(violations)
         self.agent_adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in agent_adj
+            tuple(sorted(adj)) for adj in agent_adj
         )
         self.task_adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in task_adj
+            tuple(sorted(adj)) for adj in task_adj
         )
         values = self.values
         order = sorted(range(m), key=lambda j: (-values[j], j))
@@ -134,20 +149,20 @@ class Instance:
         return (
             self.capacities == other.capacities
             and self.values == other.values
-            and self.edge_set() == other.edge_set()
+            and self.agent_adj == other.agent_adj
         )
 
     def __hash__(self) -> int:
-        return hash((self.capacities, self.values, self.edge_set()))
+        return hash((self.capacities, self.values, self.agent_adj))
 
     def __repr__(self) -> str:
-        return f"Instance(n={self.n}, m={self.m}, edges={len(self.edges)})"
+        return f"Instance(n={self.n}, m={self.m}, edges={len(self.edge_set())})"
 
     def to_json_dict(self) -> dict:
         return {
             "agents": [{"capacity": c} for c in self.capacities],
             "tasks": [{"value": v} for v in self.values],
-            "edges": sorted([a, t] for a, t in self.edge_set()),
+            "edges": [[a, t] for a, adj in enumerate(self.agent_adj) for t in adj],
         }
 
     @classmethod
@@ -186,15 +201,19 @@ class Instance:
 
 
 def _parse_number(raw, what: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"non-numeric {what}: {raw!r}") from None
+    """``raw`` as a float; a JSON boolean is not a number."""
+    if not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"non-numeric {what}: {raw!r}")
 
 
 def _parse_integral(raw, what: str) -> int:
-    """``raw`` as an int; integral floats are accepted, fractions are not."""
-    if isinstance(raw, int):
+    """``raw`` as an int; integral floats are accepted, fractions and
+    booleans are not."""
+    if type(raw) is int:
         return raw
     number = _parse_number(raw, what)
     if not number.is_integer():
@@ -207,39 +226,6 @@ def _parse_finite(raw, what: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"non-finite {what}: {raw!r}")
     return number
-
-
-def validate_instance(inst: Instance) -> list[str]:
-    """Return every invariant breach with its location; empty means valid.
-
-    Violations are data, not failures: malformed instances can be
-    inspected, they just cannot be solved.
-    """
-    violations: list[str] = []
-    for i, capacity in enumerate(inst.capacities):
-        if capacity < 1:
-            violations.append(f"non-positive capacity {capacity} on agent {i}")
-    for j, value in enumerate(inst.values):
-        if value < 0 or value != value:
-            violations.append(f"negative or NaN value {value} on task {j}")
-    seen: set[tuple[int, int]] = set()
-    for a, t in inst.edges:
-        if not 0 <= a < inst.n:
-            violations.append(f"out-of-range agent id {a} in edge ({a}, {t})")
-            continue
-        if not 0 <= t < inst.m:
-            violations.append(f"out-of-range task id {t} in edge ({a}, {t})")
-            continue
-        if (a, t) in seen:
-            violations.append(f"duplicate edge ({a}, {t})")
-        seen.add((a, t))
-    return violations
-
-
-def require_valid(inst: Instance) -> None:
-    violations = validate_instance(inst)
-    if violations:
-        raise InvalidInstanceError(violations)
 
 
 def is_feasible_matching(inst: Instance, owner: Sequence[int]) -> bool:
@@ -299,9 +285,7 @@ def matched_pairs(owner: Sequence[int]) -> list[tuple[int, int]]:
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    inst = Instance.from_json_dict(data)
-    require_valid(inst)
-    return inst
+    return Instance.from_json_dict(data)
 
 
 def dump_instance(inst: Instance, path: str) -> None:

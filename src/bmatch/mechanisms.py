@@ -25,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, _parse_finite, _parse_integral, require_valid
+from .core import Instance, _parse_finite, _parse_integral
 from .seeds import derive_rng
-from .solver import Traversal, _solve_owner_array
+from .solver import Traversal, solve_ap, solve_mvbm
 
 __all__ = [
     "AGENTS",
@@ -64,11 +64,10 @@ class MechanismKind(enum.Enum):
 
 DETERMINISTIC_KINDS = (MechanismKind.MBFS, MechanismKind.MDFS, MechanismKind.MAP)
 
-# The traversal each mechanism solves with; ``None`` is the greedy solver.
+# The traversal each exact mechanism solves with; ``MAP`` is the greedy solver.
 _TRAVERSALS = {
     MechanismKind.MBFS: Traversal.BREADTH_FIRST,
     MechanismKind.MDFS: Traversal.DEPTH_FIRST,
-    MechanismKind.MAP: None,
     MechanismKind.MRBFS: Traversal.BREADTH_FIRST,
 }
 
@@ -187,12 +186,13 @@ def run_mechanism(
     randomized = kind is MechanismKind.MRBFS
     if randomized and rng_seed is None:
         raise ValueError("the randomized mechanism requires rng_seed")
-    require_valid(effective)
+    if kind is MechanismKind.MAP:
+        return solve_ap(effective)
     order = None
     if randomized:
         # one run equals trial 0 of the Monte Carlo sampler for the same seed
         order = sample_agent_order(effective, None, derive_rng(rng_seed, 0))
-    return _solve_owner_array(effective, order, _TRAVERSALS[kind])
+    return solve_mvbm(effective, _TRAVERSALS[kind], order)
 
 
 @dataclass(frozen=True)
@@ -333,14 +333,13 @@ def randomized_utility_samples(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     effective = build_effective_instance(profile)
-    require_valid(effective)
     values = effective.values
     n = effective.n
     weights = lottery_weights(effective, None)
     samples = np.zeros((trials, n), dtype=np.float64)
     for k in range(trials):
         order = _draw_order(weights, derive_rng(seed, k))
-        owner = _solve_owner_array(effective, order, Traversal.BREADTH_FIRST)
+        owner = solve_mvbm(effective, Traversal.BREADTH_FIRST, order)
         row = samples[k]
         for t, a in enumerate(owner):
             if a != -1:

@@ -22,7 +22,6 @@ from .core import (
     WEIGHT_TOL,
     agent_utility,
     matching_weight,
-    require_valid,
 )
 from .mechanisms import (
     AGENTS,
@@ -76,7 +75,6 @@ def brute_force_mvbm(inst: Instance) -> OptimumCertificate:
     toward the lexicographically smallest assignment vector (agents in
     ascending id, unmatched last).
     """
-    require_valid(inst)
     if inst.m > BRUTE_FORCE_TASK_CAP:
         raise SizeCapExceededError(
             f"{inst.m} tasks exceed the brute-force cap {BRUTE_FORCE_TASK_CAP}"
@@ -131,7 +129,6 @@ def audit_agent_truthfulness(
 ) -> list[ProfitableDeviation]:
     """Every profitable unilateral agent deviation against truthful
     others; an empty list certifies truthfulness on this instance."""
-    require_valid(inst)
     return _profitable(
         unilateral_deviations(
             kind,
@@ -154,7 +151,6 @@ def audit_task_truthfulness(
     combined with each reported value ``true value * f`` for the grid
     fractions ``f``.
     """
-    require_valid(inst)
     return _profitable(
         unilateral_deviations(
             kind,
@@ -183,7 +179,6 @@ def _find_coalition(
     """The first coalition of ``side`` entities up to ``max_size``, by
     size and then lexicographically, with a joint edge-hiding report
     under which no member loses and one strictly gains."""
-    require_valid(inst)
     adjacency, utility = _side_view(inst, side)
     truthful = truthful_profile(inst, side)
     mu = run_mechanism(kind, truthful)
@@ -243,7 +238,6 @@ def enumerate_pure_nash(
     Agents without edges have no strategies and are held at a truthful
     (empty) report.  Raises when the profile space exceeds the cap.
     """
-    require_valid(inst)
     players = [a for a in range(inst.n) if inst.agent_adj[a]]
     option_sets = [_report_candidates(inst, AGENTS, a, "ems") for a in players]
     profile_count = math.prod(len(options) for options in option_sets)
@@ -293,7 +287,6 @@ def poa_pos_on_instance(
     first-come-first-served profile and only the first ratio is
     returned.
     """
-    require_valid(inst)
     if kind not in (MechanismKind.MBFS, MechanismKind.MDFS):
         raise ValueError("equilibrium ratios are defined for the exact mechanisms")
     if exact is None:

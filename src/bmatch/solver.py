@@ -31,16 +31,12 @@ Its weight is at least half the optimum.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (
-    InfeasibleMatchingError,
-    Instance,
-    is_feasible_matching,
-    require_valid,
-)
+from .core import InfeasibleMatchingError, Instance, is_feasible_matching
 
 __all__ = [
     "Traversal",
@@ -135,6 +131,7 @@ class _State:
         self.task_order = inst.task_order
         self.owner = [-1] * m
         self.load = [0] * n
+        # each agent's matched tasks, kept in process order (by rank)
         self.agent_tasks: list[list[int]] = [[] for _ in range(n)]
         self.visit_a = [0] * n
         self.visit_t = [0] * m
@@ -146,13 +143,7 @@ class _State:
             if a != -1:
                 self.owner[t] = a
                 self.load[a] += 1
-                self.agent_tasks[a].append(t)
-
-    def matched_tasks_in_process_order(self, agent: int) -> list[int]:
-        tasks = self.agent_tasks[agent]
-        if len(tasks) > 1:
-            return sorted(tasks, key=self.rank.__getitem__)
-        return tasks
+                bisect.insort(self.agent_tasks[a], t, key=self.rank.__getitem__)
 
     def search_bfs(self, start: int) -> int:
         """Return the terminal agent of a shortest augmenting path from
@@ -181,7 +172,7 @@ class _State:
                 return best
             frontier = []
             for a in next_agents:
-                for t2 in self.matched_tasks_in_process_order(a):
+                for t2 in self.agent_tasks[a]:
                     if visit_t[t2] == epoch:
                         continue
                     visit_t[t2] = epoch
@@ -213,9 +204,7 @@ class _State:
                     if load[a] < caps[a]:
                         return a
                     frame[3] = i
-                    frames.append(
-                        [False, a, self.matched_tasks_in_process_order(a), 0]
-                    )
+                    frames.append([False, a, self.agent_tasks[a], 0])
                     moved = True
                     break
             else:
@@ -261,10 +250,17 @@ class _State:
         a = terminal
         self.load[a] += 1
         t = self.from_task[a]
+        rank = self.rank
         while True:
             prev = self.owner[t]
             self.owner[t] = a
-            self.agent_tasks[a].append(t)
+            tasks = self.agent_tasks[a]
+            # most tasks arrive after the agent's others: append them and
+            # leave insort, whose key calls are slow, to the rest
+            if tasks and rank[t] < rank[tasks[-1]]:
+                bisect.insort(tasks, t, key=rank.__getitem__)
+            else:
+                tasks.append(t)
             if prev == -1:
                 break
             self.agent_tasks[prev].remove(t)
@@ -272,7 +268,9 @@ class _State:
             t = self.from_task[a]
 
     def assign_direct(self, task: int) -> bool:
-        """Length-1 assignment to the first unsaturated agent, if any."""
+        """Length-1 assignment to the first unsaturated agent, if any.
+        Tasks arrive in process order, so appending keeps ``agent_tasks``
+        sorted."""
         for a in self.task_agents[task]:
             if self.load[a] < self.caps[a]:
                 self.owner[task] = a
@@ -281,9 +279,9 @@ class _State:
                 return True
         return False
 
-    def run(self, traversal: Traversal | None) -> None:
-        """Process every task in decreasing value; ``None`` keeps only
-        length-1 paths."""
+    def run(self, traversal: Traversal | None) -> tuple[int, ...]:
+        """Process every task in decreasing value and return the owner
+        tuple; ``None`` keeps only length-1 paths."""
         bfs = traversal is Traversal.BREADTH_FIRST
         search = self.search_bfs if bfs else self.search_dfs
         for t in self.task_order:
@@ -295,6 +293,7 @@ class _State:
                 terminal = search(t)
                 if terminal != -1:
                     self.flip(terminal)
+        return tuple(self.owner)
 
 
 def find_augmenting_path(
@@ -308,7 +307,6 @@ def find_augmenting_path(
     ``partial`` is a feasible owner array.  Returns ``None`` iff no
     augmenting path from ``task_id`` exists under it.
     """
-    require_valid(inst)
     if not 0 <= task_id < inst.m:
         raise ValueError(f"unknown task id {task_id}")
     if not is_feasible_matching(inst, partial):
@@ -324,15 +322,18 @@ def find_augmenting_path(
     return AugmentingPath(state.path_pairs(terminal))
 
 
-def solve_mvbm(inst: Instance, traversal: Traversal) -> tuple[int, ...]:
+def solve_mvbm(
+    inst: Instance, traversal: Traversal, order: Sequence[int] | None = None
+) -> tuple[int, ...]:
     """Maximum vertex-weighted b-matching via augmenting paths, as an
-    owner tuple.
+    owner tuple: the agent of each task, or -1.
 
-    The returned matching always has maximum weight; the traversal only
-    decides how tasks are distributed among the agents.
+    ``order[k]`` is the agent that holds priority position ``k``; ``None``
+    keeps the id order.  The returned matching always has maximum weight;
+    the traversal and the order only decide how tasks are distributed
+    among the agents.
     """
-    require_valid(inst)
-    return _solve_owner_array(inst, None, traversal)
+    return _State(inst, order).run(traversal)
 
 
 def solve_ap(inst: Instance) -> tuple[int, ...]:
@@ -342,20 +343,4 @@ def solve_ap(inst: Instance) -> tuple[int, ...]:
     adjacent agent; assignments are never revisited.  The weight is at
     least half of the optimum.
     """
-    require_valid(inst)
-    return _solve_owner_array(inst, None, None)
-
-
-def _solve_owner_array(
-    inst: Instance, order: Sequence[int] | None, traversal: Traversal | None
-) -> tuple[int, ...]:
-    """The one solve behind every entry point: the owner tuple, holding
-    the agent of each task or -1.
-
-    ``order[k]`` is the agent that holds priority position ``k`` (``None``
-    keeps the id order); ``traversal`` ``None`` runs the greedy length-1
-    solver.  Skips validation; callers must pass valid instances.
-    """
-    state = _State(inst, list(order) if order is not None else None)
-    state.run(traversal)
-    return tuple(state.owner)
+    return _State(inst, None).run(None)

@@ -142,11 +142,42 @@ def test_solve_rejects_malformed_instances(tmp_path, capsys, payload, message):
     assert lines[0].startswith("error: ") and message in lines[0]
 
 
+_ONE_EDGE = {"agents": [{"capacity": 1}], "tasks": [{"value": 1.0}], "edges": [[0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "payload, line",
+    [
+        (dict(_ONE_EDGE, agents=[{"capacity": True}]),
+         "error: non-numeric capacity of agent 0: True"),
+        (dict(_ONE_EDGE, tasks=[{"value": True}]),
+         "error: non-numeric value of task 0: True"),
+        (dict(_ONE_EDGE, edges=[[True, 0]]), "error: non-numeric edge agent: True"),
+        # parseable but invalid markets, rejected by the Instance constructor
+        (dict(_ONE_EDGE, agents=[{"capacity": 0}]),
+         "error: non-positive capacity 0 on agent 0"),
+        (dict(_ONE_EDGE, tasks=[{"value": -1}]),
+         "error: negative or NaN value -1.0 on task 0"),
+        (dict(_ONE_EDGE, edges=[[0, 7]]),
+         "error: out-of-range task id 7 in edge (0, 7)"),
+    ],
+)
+def test_solve_and_audit_reject_invalid_instances(tmp_path, capsys, payload, line):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    for command in (["solve", str(path)], ["audit", "agents", str(path)]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+
+
 @pytest.mark.parametrize(
     "reports, message",
     [
         ([{"edges": [0], "capacity": 1.5}, None], "non-integral reported capacity"),
         ([{"edges": [1.5]}, None], "non-integral reported task id"),
+        ([{"edges": [0], "capacity": True}, None], "non-numeric reported capacity: True"),
     ],
 )
 def test_solve_rejects_non_integral_agent_reports(tmp_path, instance_path,
@@ -227,6 +258,8 @@ def _assert_one_error_line(capsys, message):
         (dict(_CONFIG, mc_trials=0), "mc_trials must be at least 1"),
         ([_CONFIG], "not an experiment config: expected a JSON object"),
         (dict(_CONFIG, out_csv=2), "out_csv must be a path string, got 2"),
+        (dict(_CONFIG, n=[True]), "non-numeric n: True"),
+        (dict(_CONFIG, p=[True]), "non-numeric p: True"),
     ],
 )
 def test_experiment_rejects_malformed_configs(tmp_path, capsys, payload, message):

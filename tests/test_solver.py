@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from bmatch.core import (
     InfeasibleMatchingError,
     Instance,
+    InvalidInstanceError,
     matched_pairs,
     matching_weight,
 )
@@ -111,11 +112,9 @@ def test_greedy_solver_examples():
 
 
 def test_solver_rejects_invalid_instance():
-    inst = Instance([0], [1.0], [(0, 0)])
-    with pytest.raises(ValueError):
-        solve_mvbm(inst, Traversal.BREADTH_FIRST)
-    with pytest.raises(ValueError):
-        solve_ap(inst)
+    # the market is rejected where it is built, so no solver can get it
+    with pytest.raises(InvalidInstanceError, match="non-positive capacity 0 on agent 0"):
+        Instance([0], [1.0], [(0, 0)])
 
 
 def test_both_traversals_reach_the_brute_force_optimum(small_batch):
@@ -171,7 +170,8 @@ def test_greedy_output_is_maximal_for_single_edge_paths(small_batch):
 
 class _UnprunedState(_State):
     """The searches without dead-agent pruning: every search walks the
-    whole alternating tree again.  Reference for the differential tests."""
+    whole alternating tree again, and sorts each agent's matched tasks
+    into process order itself.  Reference for the differential tests."""
 
     __slots__ = ()
 
@@ -200,7 +200,7 @@ class _UnprunedState(_State):
                 return best
             frontier = []
             for a in next_agents:
-                for t2 in self.matched_tasks_in_process_order(a):
+                for t2 in sorted(self.agent_tasks[a], key=self.rank.__getitem__):
                     if visit_t[t2] == epoch:
                         continue
                     visit_t[t2] = epoch
@@ -229,9 +229,8 @@ class _UnprunedState(_State):
                     if load[a] < caps[a]:
                         return a
                     frame[3] = i
-                    frames.append(
-                        [False, a, self.matched_tasks_in_process_order(a), 0]
-                    )
+                    tasks = sorted(self.agent_tasks[a], key=self.rank.__getitem__)
+                    frames.append([False, a, tasks, 0])
                     moved = True
                     break
             else:
@@ -250,9 +249,16 @@ class _UnprunedState(_State):
         return -1
 
 
+def _assert_agent_tasks_in_process_order(state, inst):
+    for a, tasks in enumerate(state.agent_tasks):
+        held = [t for t, owner in enumerate(state.owner) if owner == a]
+        assert tasks == sorted(held, key=inst.task_rank.__getitem__), (a, tasks)
+
+
 def _owners(inst, order, traversal, state_cls=_State):
     state = state_cls(inst, order)
     state.run(traversal)
+    _assert_agent_tasks_in_process_order(state, inst)
     return state.owner
 
 
@@ -378,3 +384,13 @@ def test_exact_solvers_reach_the_assignment_optimum_at_scale():
 def test_exact_solvers_reach_the_assignment_optimum_property(inst):
     pytest.importorskip("scipy")
     _assert_optimal_and_greedy_half(inst)
+
+
+def test_agent_tasks_stay_in_process_order_when_seeded_and_greedy():
+    cfg = GenConfig(6, 12, 0.5, 1, 3, seed=103)
+    for i in range(20):
+        inst = generate_instance(cfg, i)
+        _owners(inst, None, None)
+        seeded = _State(inst, None)
+        seeded.seed_matching(solve_mvbm(inst, Traversal.DEPTH_FIRST))
+        _assert_agent_tasks_in_process_order(seeded, inst)
