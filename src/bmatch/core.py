@@ -200,6 +200,40 @@ class Instance:
         return cls(capacities, values, edges)
 
 
+def _with_agent_reports(
+    base: Instance, capacities: Iterable[int], reported: dict[int, Iterable[int]]
+) -> Instance:
+    """``base`` with new agent capacities and each agent in ``reported``
+    cut down to the given tasks, built without the constructor's checks.
+
+    Every reported row must be a subset of the agent's true row and
+    every capacity must lie in [1, true capacity]; such a market is valid
+    because ``base`` is.  The values, the task order and every adjacency
+    tuple no report touches are shared with ``base``; only the reported
+    rows and the tasks they hide get new tuples.
+    """
+    inst = object.__new__(Instance)
+    inst.capacities = tuple(map(int, capacities))
+    inst.values = base.values
+    inst.task_order = base.task_order
+    inst.task_rank = base.task_rank
+    agent_adj = list(base.agent_adj)
+    hidden_from: dict[int, set[int]] = {}
+    for a, edges in reported.items():
+        keep = set(edges)
+        row = base.agent_adj[a]
+        agent_adj[a] = tuple(t for t in row if t in keep)
+        for t in row:
+            if t not in keep:
+                hidden_from.setdefault(t, set()).add(a)
+    task_adj = list(base.task_adj)
+    for t, agents in hidden_from.items():
+        task_adj[t] = tuple(a for a in task_adj[t] if a not in agents)
+    inst.agent_adj = tuple(agent_adj)
+    inst.task_adj = tuple(task_adj)
+    return inst
+
+
 def _parse_number(raw, what: str) -> float:
     """``raw`` as a float; a JSON boolean is not a number."""
     if not isinstance(raw, bool):

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, _parse_finite, _parse_integral
+from .core import Instance, _parse_finite, _parse_integral, _with_agent_reports
 from .seeds import derive_rng
 from .solver import Traversal, solve_ap, solve_mvbm
 
@@ -139,6 +139,8 @@ def build_effective_instance(profile: Profile) -> Instance:
 
     Raises ``ValueError`` when a report is not bounded by the truth
     (extra edges, capacity outside [1, true], value outside (0, true]).
+    An agent-side market is patched from the base: it shares the values,
+    the task order and every adjacency tuple no report touches.
     """
     base = profile.base
     agents = profile.side == AGENTS
@@ -148,7 +150,7 @@ def build_effective_instance(profile: Profile) -> Instance:
     else:
         noun, peers, report_type, key = "task", "agents", TaskReport, "value"
         true_adj, bounds, low = base.task_adj, list(base.values), "(0"
-    reported = list(true_adj)
+    reported: dict[int, tuple[int, ...]] = {}
     for e, report in enumerate(profile.reports):
         if report is None:
             continue
@@ -168,9 +170,9 @@ def build_effective_instance(profile: Profile) -> Instance:
             bounds[e] = bound
         reported[e] = report.edges
     if agents:
-        edges = [(a, t) for a, adj in enumerate(reported) for t in adj]
-        return Instance(bounds, base.values, edges)
-    edges = [(a, j) for j, adj in enumerate(reported) for a in adj]
+        return _with_agent_reports(base, bounds, reported)
+    # a reported value can move the task in the processing order: rebuild
+    edges = [(a, j) for j, adj in enumerate(true_adj) for a in reported.get(j, adj)]
     return Instance(base.capacities, bounds, edges)
 
 

@@ -27,6 +27,21 @@ would produce.
 The approximate solver considers only length-1 paths: each task goes to
 the lowest-index unsaturated adjacent agent, and assignments never move.
 Its weight is at least half the optimum.
+
+The exact solve is the greedy algorithm on a transversal matroid
+(Edmonds 1971), so a re-solve can start late.  The search from the task
+of rank ``k`` touches only that task, the tasks matched before it (all
+of rank below ``k``) and their adjacent agents.  Two markets with the
+same capacities, the same task order and the same adjacency on every
+task of rank below ``r`` therefore take the same first ``r`` steps: the
+same paths are flipped, and the same searches fail and retire the same
+agents.  ``_solve_journaled`` records each step of one solve, and
+``_resume`` replays the first ``r`` steps into the other market and
+continues there with the same loop.  The dead marks carry over: a dead
+agent is saturated and its matched tasks have rank below ``r``, so they
+have the same adjacent agents in both markets, and the reached set is
+closed in the second market too, by the argument above.  The length-1
+approximation shares its prefix the same way.
 """
 
 from __future__ import annotations
@@ -34,6 +49,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .core import InfeasibleMatchingError, Instance, is_feasible_matching
@@ -111,6 +127,7 @@ class _State:
         "visit_t",
         "from_task",
         "epoch",
+        "retired",
     )
 
     def __init__(self, inst: Instance, order: Sequence[int] | None):
@@ -137,6 +154,8 @@ class _State:
         self.visit_t = [0] * m
         self.from_task = [0] * n
         self.epoch = 0
+        # the agents the last failed search retired; length-1 searches retire none
+        self.retired: list[int] = []
 
     def seed_matching(self, owner: Sequence[int]) -> None:
         for t, a in enumerate(owner):
@@ -154,9 +173,11 @@ class _State:
         caps, load, pos = self.caps, self.load, self.pos
         visit_t[start] = epoch
         frontier = [start]
+        # every saturated agent reached so far, level by level
+        reached: list[int] = []
         while frontier:
             best = -1
-            next_agents: list[int] = []
+            level = len(reached)
             for t in frontier:
                 for a in self.task_agents[t]:
                     if visit_a[a] >= epoch:
@@ -167,17 +188,17 @@ class _State:
                         if best == -1 or pos[a] < pos[best]:
                             best = a
                     else:
-                        next_agents.append(a)
+                        reached.append(a)
             if best != -1:
                 return best
             frontier = []
-            for a in next_agents:
+            for a in reached[level:]:
                 for t2 in self.agent_tasks[a]:
                     if visit_t[t2] == epoch:
                         continue
                     visit_t[t2] = epoch
                     frontier.append(t2)
-        self.retire_reached()
+        self.retire(reached)
         return -1
 
     def search_dfs(self, start: int) -> int:
@@ -187,6 +208,8 @@ class _State:
         visit_a, visit_t = self.visit_a, self.visit_t
         caps, load = self.caps, self.load
         visit_t[start] = epoch
+        # every saturated agent reached, one per agent frame
+        reached: list[int] = []
         # frames: [is_task_frame, node id, sequence, cursor]
         frames: list[list] = [[True, start, self.task_agents[start], 0]]
         while frames:
@@ -203,6 +226,7 @@ class _State:
                     self.from_task[a] = node
                     if load[a] < caps[a]:
                         return a
+                    reached.append(a)
                     frame[3] = i
                     frames.append([False, a, self.agent_tasks[a], 0])
                     moved = True
@@ -220,16 +244,26 @@ class _State:
                     break
             if not moved:
                 frames.pop()
-        self.retire_reached()
+        self.retire(reached)
         return -1
 
-    def retire_reached(self) -> None:
-        """Mark every agent reached by the failed search of this epoch
-        dead; see the module docstring for why it stays unreachable."""
-        visit_a, epoch = self.visit_a, self.epoch
-        for a, stamp in enumerate(visit_a):
-            if stamp == epoch:
-                visit_a[a] = _DEAD
+    def search_direct(self, start: int) -> int:
+        """Length-1 counterpart of ``search_bfs``: the first unsaturated
+        agent adjacent to ``start``, or -1.  It retires nobody."""
+        for a in self.task_agents[start]:
+            if self.load[a] < self.caps[a]:
+                self.from_task[a] = start
+                return a
+        return -1
+
+    def retire(self, reached: list[int]) -> None:
+        """Mark the agents a failed search reached dead; they are all
+        saturated, and the module docstring gives why they stay
+        unreachable."""
+        visit_a = self.visit_a
+        for a in reached:
+            visit_a[a] = _DEAD
+        self.retired = reached
 
     def path_pairs(self, terminal: int) -> tuple[tuple[int, int], ...]:
         """Edges of the found path in path order, from the start task."""
@@ -267,33 +301,50 @@ class _State:
             a = prev
             t = self.from_task[a]
 
-    def assign_direct(self, task: int) -> bool:
-        """Length-1 assignment to the first unsaturated agent, if any.
-        Tasks arrive in process order, so appending keeps ``agent_tasks``
-        sorted."""
-        for a in self.task_agents[task]:
-            if self.load[a] < self.caps[a]:
-                self.owner[task] = a
-                self.load[a] += 1
-                self.agent_tasks[a].append(task)
-                return True
-        return False
+    def run(
+        self, traversal: Traversal | None, start: int = 0, journal: list | None = None
+    ) -> tuple[int, ...]:
+        """Process the tasks of rank ``start`` onwards in decreasing value
+        and return the owner tuple; ``None`` keeps only length-1 paths.
 
-    def run(self, traversal: Traversal | None) -> tuple[int, ...]:
-        """Process every task in decreasing value and return the owner
-        tuple; ``None`` keeps only length-1 paths."""
-        bfs = traversal is Traversal.BREADTH_FIRST
-        search = self.search_bfs if bfs else self.search_dfs
-        for t in self.task_order:
-            if not self.task_agents[t]:
+        With a ``journal`` list, append one ``(path, retired)`` entry per
+        task: the flipped path as ``path_pairs`` gives it, and the agents
+        a failed search retired (both empty when they do not apply).
+        """
+        if traversal is None:
+            search = self.search_direct
+        elif traversal is Traversal.BREADTH_FIRST:
+            search = self.search_bfs
+        else:
+            search = self.search_dfs
+        task_agents = self.task_agents
+        for t in islice(self.task_order, start, None):
+            if not task_agents[t]:
+                if journal is not None:
+                    journal.append(((), ()))
                 continue
-            if traversal is None:
-                self.assign_direct(t)
-            else:
-                terminal = search(t)
-                if terminal != -1:
-                    self.flip(terminal)
+            terminal = search(t)
+            if terminal == -1:
+                if journal is not None:
+                    journal.append(((), self.retired))
+                continue
+            if journal is not None:
+                journal.append((self.path_pairs(terminal), ()))
+            self.flip(terminal)
         return tuple(self.owner)
+
+    def replay(self, journal: list, stop: int) -> None:
+        """Restore the state of the journaled solve before the task of
+        rank ``stop``: owner, loads, ``agent_tasks`` and the dead marks."""
+        from_task, visit_a = self.from_task, self.visit_a
+        for path, retired in islice(journal, stop):
+            if path:
+                # even positions are the (agent, from_task) steps
+                for a, t in path[::2]:
+                    from_task[a] = t
+                self.flip(path[-1][0])
+            for a in retired:
+                visit_a[a] = _DEAD
 
 
 def find_augmenting_path(
@@ -344,3 +395,27 @@ def solve_ap(inst: Instance) -> tuple[int, ...]:
     least half of the optimum.
     """
     return _State(inst, None).run(None)
+
+
+def _solve_journaled(
+    inst: Instance, traversal: Traversal | None
+) -> tuple[tuple[int, ...], list]:
+    """The owner tuple of ``solve_mvbm(inst, traversal)`` (``solve_ap``
+    for ``None``) and the journal of its steps, one per rank."""
+    journal: list = []
+    return _State(inst, None).run(traversal, 0, journal), journal
+
+
+def _resume(
+    inst: Instance, traversal: Traversal | None, journal: list, rank: int
+) -> tuple[int, ...]:
+    """The same owner tuple as a full solve of ``inst``, started at
+    ``rank`` from the journal of a solve of another market.
+
+    That market must have the capacities and task order of ``inst`` and
+    the same adjacency on every task of rank below ``rank``; the module
+    docstring gives why the first ``rank`` steps then agree.
+    """
+    state = _State(inst, None)
+    state.replay(journal, rank)
+    return state.run(traversal, rank)

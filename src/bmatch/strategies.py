@@ -32,6 +32,7 @@ from .core import (
     task_utility,
 )
 from .mechanisms import (
+    _TRAVERSALS,
     AGENTS,
     AgentReport,
     DETERMINISTIC_KINDS,
@@ -39,9 +40,11 @@ from .mechanisms import (
     Profile,
     TASKS,
     TaskReport,
+    build_effective_instance,
     run_mechanism,
     truthful_profile,
 )
+from .solver import _resume, _solve_journaled
 
 __all__ = [
     "TLevel",
@@ -178,16 +181,21 @@ def _side_view(inst: Instance, side: str):
     return inst.task_adj, lambda mu, e: float(task_utility(mu, e))
 
 
-def _is_truthful(inst: Instance, side: str, entity: int, report) -> bool:
-    if side == AGENTS:
-        return report.edges == inst.agent_adj[entity] and report.capacity in (
-            None,
-            inst.capacities[entity],
-        )
+def _is_truthful(inst: Instance, entity: int, report: TaskReport) -> bool:
     return report.edges == inst.task_adj[entity] and report.value in (
         None,
         inst.values[entity],
     )
+
+
+def _first_change(before: Instance, after: Instance, agent: int) -> int:
+    """The lowest process rank at which two markets that differ only in
+    one agent's row and capacity differ: 0 when the capacity does, the
+    number of tasks when nothing does."""
+    if before.capacities[agent] != after.capacities[agent]:
+        return 0
+    changed = set(before.agent_adj[agent]).symmetric_difference(after.agent_adj[agent])
+    return min(map(before.task_rank.__getitem__, changed), default=before.m)
 
 
 def unilateral_deviations(
@@ -203,13 +211,28 @@ def unilateral_deviations(
     in entity order, then in the order of ``candidates(entity,
     baseline)``.  Entities default to every one of ``profile.side`` with
     a non-empty true adjacency; entities without one are skipped.  The
-    profile is solved once, on the first request.  A truthful report is
-    never solved again: its deviant utility is the baseline, so it never
-    reads as a gain and still competes in an argmax.
+    profile is solved once, on the first request.  A report that leaves
+    the market as ``profile`` has it (a truthful report in a truthful
+    slot, or an agent report that keeps the agent's reported row and
+    capacity) is never solved again: its deviant utility is the
+    baseline, so it never reads as a gain and still competes in an
+    argmax.
+
+    An agent's report changes only its own row and capacity, so for the
+    deterministic kinds the profile's solve is journaled and each agent
+    deviation resumes it at the first process rank the report changes
+    (see the ``solver`` module docstring); task reports are solved in
+    full.
     """
     inst, side = profile.base, profile.side
     adjacency, utility = _side_view(inst, side)
-    mu = run_mechanism(kind, profile)
+    resume = side == AGENTS and kind in DETERMINISTIC_KINDS
+    if resume:
+        traversal = _TRAVERSALS.get(kind)  # None: MAP's length-1 solve
+        effective = build_effective_instance(profile)
+        mu, journal = _solve_journaled(effective, traversal)
+    else:
+        mu = run_mechanism(kind, profile)
     if entities is None:
         entities = range(len(adjacency))
     for entity in entities:
@@ -217,12 +240,19 @@ def unilateral_deviations(
             continue
         baseline = utility(mu, entity)
         for report in candidates(entity, baseline):
-            if _is_truthful(inst, side, entity, report):
+            deviation = profile.with_report(entity, report)
+            if resume:
+                reported = build_effective_instance(deviation)
+                rank = _first_change(effective, reported, entity)
+                if rank == inst.m:
+                    deviant = baseline
+                else:
+                    owner = _resume(reported, traversal, journal, rank)
+                    deviant = utility(owner, entity)
+            elif profile.reports[entity] is None and _is_truthful(inst, entity, report):
                 deviant = baseline
             else:
-                deviant = utility(
-                    run_mechanism(kind, profile.with_report(entity, report)), entity
-                )
+                deviant = utility(run_mechanism(kind, deviation), entity)
             yield entity, report, baseline, deviant
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmatch.core import Instance, agent_utility, matching_weight
 from bmatch.fixtures import (
@@ -29,7 +30,7 @@ from bmatch.mechanisms import (
 )
 from bmatch.seeds import derive_rng
 from bmatch.solver import Traversal, solve_ap, solve_mvbm
-from conftest import small_instances
+from conftest import rebuilt_effective_instance, small_instances
 
 
 def test_effective_instance_identity_for_truthful_profile():
@@ -64,6 +65,52 @@ def test_effective_instance_rejects_unbounded_reports():
         build_effective_instance(
             truthful_profile(inst, "tasks").with_report(
                 0, TaskReport(edges=(0,), value=2.0)))
+
+
+@st.composite
+def _agent_profiles(draw):
+    """Agent-side profiles over small markets: any number of reports,
+    each an edge subset of the true row (empty withdraws the agent),
+    some with a capacity report."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 8))
+    capacities = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5]), min_size=m, max_size=m))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))))
+    inst = Instance(capacities, values, sorted(edges))
+    reports = []
+    for a in range(n):
+        if draw(st.booleans()):
+            reports.append(None)
+            continue
+        row = draw(st.sets(st.sampled_from(inst.agent_adj[a]))) if inst.agent_adj[a] else set()
+        capacity = draw(st.none() | st.integers(1, inst.capacities[a]))
+        reports.append(AgentReport(tuple(row), capacity))
+    return Profile("agents", inst, tuple(reports))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(profile=_agent_profiles())
+def test_patched_agent_market_equals_the_rebuilt_one(profile):
+    patched = build_effective_instance(profile)
+    rebuilt = rebuilt_effective_instance(profile)
+    for field in ("capacities", "values", "agent_adj", "task_adj",
+                  "task_order", "task_rank"):
+        assert getattr(patched, field) == getattr(rebuilt, field), field
+    # what no report touches is shared with the base, not copied
+    base = profile.base
+    assert patched.values is base.values
+    assert patched.task_order is base.task_order
+    assert patched.task_rank is base.task_rank
+    hidden = set()
+    for a, report in enumerate(profile.reports):
+        if report is None:
+            assert patched.agent_adj[a] is base.agent_adj[a]
+        else:
+            hidden.update(set(base.agent_adj[a]) - set(report.edges))
+    for t in range(base.m):
+        if t not in hidden:
+            assert patched.task_adj[t] is base.task_adj[t]
 
 
 def test_task_side_value_report_changes_processing_order():

@@ -23,6 +23,8 @@ from bmatch.solver import (
     AugmentingPath,
     Traversal,
     _State,
+    _resume,
+    _solve_journaled,
     find_augmenting_path,
     solve_ap,
     solve_mvbm,
@@ -394,3 +396,65 @@ def test_agent_tasks_stay_in_process_order_when_seeded_and_greedy():
         seeded = _State(inst, None)
         seeded.seed_matching(solve_mvbm(inst, Traversal.DEPTH_FIRST))
         _assert_agent_tasks_in_process_order(seeded, inst)
+
+
+def _state_snapshot(state):
+    dead = [a for a, stamp in enumerate(state.visit_a) if stamp == _DEAD]
+    return state.owner, state.load, state.agent_tasks, dead
+
+
+_RESUME_SHAPES = [
+    (40, 30, 0.8, 1, 3),  # dense
+    (20, 200, 0.1, 1, 3),  # sparse
+    (20, 200, 0.2, 3, 7),  # the gain curve's shape
+]
+
+
+@pytest.mark.parametrize("n, m, p, low, high", _RESUME_SHAPES)
+def test_replay_restores_the_state_before_each_rank(n, m, p, low, high):
+    # the market cut down to the tasks of rank below r takes the same
+    # first r steps and then stops, so its final state is the checkpoint
+    for i in range(2):
+        inst = generate_instance(GenConfig(n, m, p, low, high, seed=104), i)
+        for traversal in (*Traversal, None):
+            _, journal = _solve_journaled(inst, traversal)
+            assert len(journal) == inst.m
+            retiring = [k + 1 for k, (_, retired) in enumerate(journal) if retired]
+            for rank in sorted({0, inst.m, *range(0, inst.m, 7), *retiring}):
+                edges = [(a, t) for a, adj in enumerate(inst.agent_adj) for t in adj
+                         if inst.task_rank[t] < rank]
+                prefix = _State(Instance(inst.capacities, inst.values, edges), None)
+                prefix.run(traversal)
+                replayed = _State(inst, None)
+                replayed.replay(journal, rank)
+                assert _state_snapshot(replayed) == _state_snapshot(prefix), rank
+
+
+@pytest.mark.parametrize("n, m, p, low, high", _RESUME_SHAPES)
+def test_resume_ends_in_the_full_solve_state(n, m, p, low, high):
+    # hide part of one agent's row from a random rank on; replaying the
+    # truthful journal up to the first hidden rank and running on from
+    # there ends where a full solve does: owners, loads, agent_tasks and
+    # dead marks
+    rng = np.random.default_rng(n * m)
+    for i in range(2):
+        inst = generate_instance(GenConfig(n, m, p, low, high, seed=104), i)
+        for traversal in (*Traversal, None):
+            _, journal = _solve_journaled(inst, traversal)
+            for agent in range(inst.n):
+                cut = rng.integers(inst.m)
+                hidden = {t for t in inst.agent_adj[agent]
+                          if inst.task_rank[t] >= cut and rng.random() < 0.5}
+                if not hidden:
+                    continue
+                edges = [(a, t) for a, adj in enumerate(inst.agent_adj) for t in adj
+                         if a != agent or t not in hidden]
+                market = Instance(inst.capacities, inst.values, edges)
+                rank = min(inst.task_rank[t] for t in hidden)
+                full = _State(market, None)
+                owner = full.run(traversal)
+                resumed = _State(market, None)
+                resumed.replay(journal, rank)
+                assert resumed.run(traversal, rank) == owner
+                assert _state_snapshot(resumed) == _state_snapshot(full)
+                assert _resume(market, traversal, journal, rank) == owner

@@ -1,17 +1,20 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmatch import strategies
+from bmatch import solver
 from bmatch.core import Instance, SizeCapExceededError, agent_utility, task_utility
+from bmatch.gen import GenConfig, generate_instance
 from bmatch.fixtures import (
     complete_three_agent_instance,
     epsilon_gap_instance,
     geometric_cascade_instance,
 )
 from bmatch.mechanisms import (
+    _TRAVERSALS,
     AGENTS,
     TASKS,
     AgentReport,
@@ -22,7 +25,9 @@ from bmatch.mechanisms import (
     truthful_profile,
     worst_ne_profile,
 )
+from bmatch.solver import solve_ap, solve_mvbm
 from bmatch.strategies import (
+    _report_candidates,
     ExplicitReport,
     KOrder,
     TLevel,
@@ -36,7 +41,7 @@ from bmatch.strategies import (
     utility_gain_ratio,
     verify_nash,
 )
-from conftest import small_instances
+from conftest import rebuilt_effective_instance, small_instances
 
 
 def test_threshold_manipulation_keeps_values_at_or_above_cutoff():
@@ -248,35 +253,46 @@ def _resolved(inst, kind, side, entity, profile, report):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), side=st.sampled_from([AGENTS, TASKS]),
        kind=st.sampled_from([MechanismKind.MBFS, MechanismKind.MDFS,
-                             MechanismKind.MAP]))
-def test_deviations_equal_a_full_resolve(seed, side, kind):
+                             MechanismKind.MAP]),
+       hiding=st.booleans())
+def test_deviations_equal_a_full_resolve(seed, side, kind, hiding):
     # every yielded deviant utility, the truthful reports' included, equals
     # solving the swapped profile from scratch; order and coverage follow
-    # the entities with edges, then the candidates
+    # the entities with edges, then the candidates.  With ``hiding`` the
+    # first entity's own slot keeps one edge, so its truthful candidate
+    # changes the market and must be solved
     inst = small_instances(seed % 9 + 1, seed=seed, n_max=3, m_max=3)[-1]
     profile = truthful_profile(inst, side)
     count = inst.n if side == AGENTS else inst.m
     adjacency = inst.agent_adj if side == AGENTS else inst.task_adj
+    entities = [e for e in range(count) if adjacency[e]]
+    if hiding and entities:
+        report_type = AgentReport if side == AGENTS else TaskReport
+        first = entities[0]
+        profile = profile.with_report(first, report_type(adjacency[first][:1]))
     got = list(unilateral_deviations(
         kind, profile, lambda e, _: _all_reports(inst, side, e)))
     expected = [
-        (e, r, _resolved(inst, kind, side, e, profile, None),
+        (e, r, _resolved(inst, kind, side, e, profile, profile.reports[e]),
          _resolved(inst, kind, side, e, profile, r))
-        for e in range(count) if adjacency[e]
+        for e in entities
         for r in _all_reports(inst, side, e)
     ]
     assert got == expected
 
 
 def test_deviations_are_lazy_and_skip_the_truthful_solve(monkeypatch):
+    # solves are counted where every solve runs: a full solve, the
+    # journaled baseline and a resumed deviation all enter _State.run
     inst = epsilon_gap_instance(0.5)
     calls = []
+    run = solver._State.run
 
-    def counting(kind, profile, rng_seed=None):
-        calls.append(profile)
-        return run_mechanism(kind, profile, rng_seed)
+    def counting(state, *args, **kwargs):
+        calls.append(args)
+        return run(state, *args, **kwargs)
 
-    monkeypatch.setattr(strategies, "run_mechanism", counting)
+    monkeypatch.setattr(solver._State, "run", counting)
     deviations = unilateral_deviations(
         MechanismKind.MBFS, truthful_profile(inst),
         lambda a, _: [AgentReport(inst.agent_adj[a]), AgentReport((0,))])
@@ -288,3 +304,87 @@ def test_deviations_are_lazy_and_skip_the_truthful_solve(monkeypatch):
     # the first gain ends any() before the other agent is tried
     assert any(after > before for _, _, before, after in deviations)
     assert len(calls) == 2
+
+
+def _full_resolve(kind, profile, agent):
+    """The agent's utility from a full solve of the market rebuilt by the
+    checked constructor: what ``run_mechanism`` computed before the
+    reported market was patched and the solve resumed."""
+    market = rebuilt_effective_instance(profile)
+    if kind is MechanismKind.MAP:
+        owner = solve_ap(market)
+    else:
+        owner = solve_mvbm(market, _TRAVERSALS[kind])
+    return agent_utility(profile.base, owner, agent)
+
+
+def _assert_resumed_deviations_are_full_resolves(profile, candidates, agents=None):
+    for kind in (MechanismKind.MBFS, MechanismKind.MDFS, MechanismKind.MAP):
+        tried = 0
+        for agent, report, baseline, deviant in unilateral_deviations(
+                kind, profile, candidates, agents):
+            assert baseline == _full_resolve(kind, profile, agent)
+            expected = _full_resolve(kind, profile.with_report(agent, report), agent)
+            assert deviant == expected, (kind, agent, report)
+            tried += 1
+        assert tried > 0
+
+
+def _hiding_reports(inst, seed):
+    """The threshold family of the gain curve, order and top-capacity
+    reports, random edge subsets (empty ones included) and the truthful
+    report, per agent."""
+    rng = np.random.default_rng(seed)
+    specs = [TLevel(t) for t in (1.5, 2.0, 2.5, 3.0)] + [KOrder(1), KOrder(3), TopB()]
+
+    def candidates(agent, _):
+        row = inst.agent_adj[agent]
+        reports = [apply_manipulation(inst, agent, spec) for spec in specs]
+        for keep in (0.9, 0.6, 0.0):
+            kept = rng.random(len(row)) < keep
+            reports.append(AgentReport(tuple(t for t, k in zip(row, kept) if k)))
+        reports.append(AgentReport(row))
+        return reports
+
+    return candidates
+
+
+@pytest.mark.parametrize(
+    "n, m, p, low, high",
+    [
+        (40, 30, 0.8, 1, 3),  # dense
+        (20, 200, 0.1, 1, 3),  # sparse
+        (15, 200, 0.2, 3, 7),  # the gain curve's shape
+        (20, 200, 0.2, 3, 7),
+    ],
+)
+def test_resumed_deviations_equal_full_resolves(n, m, p, low, high):
+    inst = generate_instance(GenConfig(n, m, p, low, high, seed=211), 0)
+    _assert_resumed_deviations_are_full_resolves(
+        truthful_profile(inst), _hiding_reports(inst, n))
+
+
+def test_resumed_deviations_against_a_non_truthful_profile():
+    # the others report their FCFS claims and the deviating agent starts
+    # truthful, as in verify_nash; in the full worst profile every
+    # agent's own slot holds its claim too, so a truthful candidate
+    # re-adds the edges that slot hid
+    cfg = GenConfig(12, 40, 0.3, 1, 3, seed=212)
+    for i in range(3):
+        inst = generate_instance(cfg, i)
+        worst, _ = worst_ne_profile(inst)
+        candidates = _hiding_reports(inst, i)
+        for a in range(0, inst.n, 3):
+            _assert_resumed_deviations_are_full_resolves(
+                worst.with_report(a, None), candidates, (a,))
+        _assert_resumed_deviations_are_full_resolves(worst, candidates)
+
+
+def test_resumed_deviations_with_capacity_reports():
+    markets = small_instances(40, seed=213, n_max=4, m_max=5, b_high=3)
+    for inst in markets:
+        if not any(inst.agent_adj):
+            continue
+        _assert_resumed_deviations_are_full_resolves(
+            truthful_profile(inst),
+            lambda a, _: _report_candidates(inst, AGENTS, a, "ecms"))
