@@ -262,16 +262,17 @@ def _first_agent_ratio(inst, kind: MechanismKind) -> float:
     return gain.truthful_utility / gain.manipulated_utility
 
 
-def _compare_first_agent_cell(cfg, cell_index, cell) -> list[ResultRow]:
-    gen_cfg = _cell_gen_config(cfg, cell_index, cell)
-    ratios = {MechanismKind.MBFS: [], MechanismKind.MDFS: []}
-    for i in range(cfg.iterations):
-        inst = generate_instance(gen_cfg, i)
-        for kind in (MechanismKind.MBFS, MechanismKind.MDFS):
-            ratios[kind].append(_first_agent_ratio(inst, kind))
+def _first_agent_sample(cfg, cell_index, instance_index, inst) -> tuple[float, float]:
+    return tuple(
+        _first_agent_ratio(inst, kind)
+        for kind in (MechanismKind.MBFS, MechanismKind.MDFS)
+    )
+
+
+def _first_agent_rows(cfg, cell, samples) -> list[ResultRow]:
     rows = []
-    for kind, label in ((MechanismKind.MBFS, "bfs"), (MechanismKind.MDFS, "dfs")):
-        values = ratios[kind]
+    for k, label in enumerate(("bfs", "dfs")):
+        values = [sample[k] for sample in samples]
         rows.append(_mean_row(cell, cfg.iterations, f"{label}_ratio_mean", values))
         rows.append(
             _extreme_row(cell, cfg.iterations, f"{label}_ratio_min", min(values))
@@ -289,47 +290,45 @@ def _compare_first_agent_cell(cfg, cell_index, cell) -> list[ResultRow]:
     return rows
 
 
-def _mpug_cell(cfg, cell_index, cell) -> list[ResultRow]:
-    gen_cfg = _cell_gen_config(cfg, cell_index, cell)
-    values = [
-        mpug(generate_instance(gen_cfg, i), MechanismKind.MBFS, list(cfg.thresholds))
-        for i in range(cfg.iterations)
-    ]
-    return [_mean_row(cell, cfg.iterations, "mpug_mean", values)]
+def _mpug_sample(cfg, cell_index, instance_index, inst) -> float:
+    return mpug(inst, MechanismKind.MBFS, list(cfg.thresholds))
 
 
-def _pma_pmi_cell(cfg, cell_index, cell) -> list[ResultRow]:
-    gen_cfg = _cell_gen_config(cfg, cell_index, cell)
-    specs = [TLevel(t) for t in cfg.thresholds]
-    pmas = [
-        pma(generate_instance(gen_cfg, i), MechanismKind.MBFS, specs)
-        for i in range(cfg.iterations)
-    ]
-    hits = [1.0 if v > 0.0 else 0.0 for v in pmas]
+def _mpug_rows(cfg, cell, samples) -> list[ResultRow]:
+    return [_mean_row(cell, cfg.iterations, "mpug_mean", samples)]
+
+
+def _pma_sample(cfg, cell_index, instance_index, inst) -> float:
+    return pma(inst, MechanismKind.MBFS, [TLevel(t) for t in cfg.thresholds])
+
+
+def _pma_pmi_rows(cfg, cell, samples) -> list[ResultRow]:
+    hits = [1.0 if v > 0.0 else 0.0 for v in samples]
     return [
-        _mean_row(cell, cfg.iterations, "pma_mean", pmas),
+        _mean_row(cell, cfg.iterations, "pma_mean", samples),
         _mean_row(cell, cfg.iterations, "pmi", hits),
     ]
 
 
-def _randomized_cell(cfg, cell_index, cell) -> list[ResultRow]:
-    gen_cfg = _cell_gen_config(cfg, cell_index, cell)
+def _randomized_sample(cfg, cell_index, instance_index, inst) -> tuple[float, float]:
     specs = [KOrder(k) for k in cfg.orders]
-    det_flags: list[float] = []
-    rand_flags: list[float] = []
-    for i in range(cfg.iterations):
-        inst = generate_instance(gen_cfg, i)
-        manipulable = any(
-            after - before > WEIGHT_TOL
-            for _, _, before, after in _family_deviations(
-                inst, MechanismKind.MBFS, specs
-            )
-        )
-        det_flags.append(1.0 if manipulable else 0.0)
-        rand_flags.append(1.0 if _lottery_manipulable(cfg, cell_index, i, inst, specs) else 0.0)
+    manipulable = any(
+        after - before > WEIGHT_TOL
+        for _, _, before, after in _family_deviations(inst, MechanismKind.MBFS, specs)
+    )
+    lottery = _lottery_manipulable(cfg, cell_index, instance_index, inst, specs)
+    return (1.0 if manipulable else 0.0, 1.0 if lottery else 0.0)
+
+
+def _randomized_rows(cfg, cell, samples) -> list[ResultRow]:
     return [
-        _mean_row(cell, cfg.iterations, "bfs_manipulable_fraction", det_flags),
-        _mean_row(cell, cfg.iterations, "rbfs_manipulable_fraction", rand_flags),
+        _mean_row(
+            cell,
+            cfg.iterations,
+            f"{label}_manipulable_fraction",
+            [sample[k] for sample in samples],
+        )
+        for k, label in enumerate(("bfs", "rbfs"))
     ]
 
 
@@ -363,17 +362,45 @@ def _lottery_manipulable(cfg, cell_index, instance_index, inst, specs) -> bool:
     return False
 
 
-_CELL_RUNNERS = {
-    "compare-first-agent": _compare_first_agent_cell,
-    "mpug-curve": _mpug_cell,
-    "pma-pmi": _pma_pmi_cell,
-    "randomized-vs-deterministic": _randomized_cell,
+# Per kind: the sample of one instance, and the rows of a cell from its
+# samples in instance order.
+_KINDS = {
+    "compare-first-agent": (_first_agent_sample, _first_agent_rows),
+    "mpug-curve": (_mpug_sample, _mpug_rows),
+    "pma-pmi": (_pma_sample, _pma_pmi_rows),
+    "randomized-vs-deterministic": (_randomized_sample, _randomized_rows),
 }
 
+# Chunks per worker over the whole grid: enough to even out cells and
+# instances of unequal cost, few enough to keep the per-job overhead small.
+_CHUNKS_PER_WORKER = 4
 
-def _run_cell(args: tuple) -> list[ResultRow]:
-    cfg, cell_index, cell = args
-    return _CELL_RUNNERS[cfg.kind](cfg, cell_index, cell)
+
+def _run_chunk(job: tuple) -> list:
+    """The samples of instances ``lo`` to ``hi - 1`` of one cell."""
+    cfg, cell_index, cell, lo, hi = job
+    gen_cfg = _cell_gen_config(cfg, cell_index, cell)
+    sample = _KINDS[cfg.kind][0]
+    return [
+        sample(cfg, cell_index, i, generate_instance(gen_cfg, i)) for i in range(lo, hi)
+    ]
+
+
+def _chunk_jobs(cfg: ExperimentConfig, workers: int) -> list[tuple]:
+    """The jobs in cell and instance order: one per cell for one worker,
+    else each cell cut into near-equal instance ranges so that the grid
+    gives about ``_CHUNKS_PER_WORKER`` jobs per worker."""
+    cells = cfg.cells()
+    per_cell = 1
+    if workers > 1:
+        target = _CHUNKS_PER_WORKER * workers
+        per_cell = min(cfg.iterations, -(-target // len(cells)))
+    bounds = [cfg.iterations * k // per_cell for k in range(per_cell + 1)]
+    return [
+        (cfg, index, cell, bounds[k], bounds[k + 1])
+        for index, cell in enumerate(cells)
+        for k in range(per_cell)
+    ]
 
 
 def _worker_count(explicit: int | None) -> int:
@@ -390,21 +417,32 @@ def run_experiment(
 ) -> ResultsTable:
     """Run every grid cell and merge the rows in cell order.
 
-    ``workers`` (or the environment variable) caps the process count;
-    results are identical for any worker count.
+    ``workers`` (or the environment variable) caps the process count.  A
+    job covers a range of one cell's instances; each cell's samples are
+    joined in instance order and reduced once, so results are identical
+    for any worker count.
     """
-    cells = cfg.cells()
-    jobs = [(cfg, index, cell) for index, cell in enumerate(cells)]
-    count = min(_worker_count(workers), len(jobs))
+    count = _worker_count(workers)
+    jobs = _chunk_jobs(cfg, count)
+    count = min(count, len(jobs))
     if count > 1:
         try:
             with ProcessPoolExecutor(max_workers=count) as pool:
-                per_cell = list(pool.map(_run_cell, jobs))
+                chunks = list(pool.map(_run_chunk, jobs))
         except OSError:
-            per_cell = [_run_cell(job) for job in jobs]
+            chunks = [_run_chunk(job) for job in jobs]
     else:
-        per_cell = [_run_cell(job) for job in jobs]
-    rows = tuple(row for cell_rows in per_cell for row in cell_rows)
+        chunks = [_run_chunk(job) for job in jobs]
+    cells = cfg.cells()
+    samples: list[list] = [[] for _ in cells]
+    for (_, cell_index, _, _, _), chunk in zip(jobs, chunks):
+        samples[cell_index].extend(chunk)
+    reduce = _KINDS[cfg.kind][1]
+    rows = tuple(
+        row
+        for cell, cell_samples in zip(cells, samples)
+        for row in reduce(cfg, cell, cell_samples)
+    )
     return ResultsTable(cfg.kind, cfg.seed, cfg.to_json_dict(), rows)
 
 

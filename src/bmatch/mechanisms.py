@@ -281,7 +281,12 @@ def lottery_weights(
             adj = reports[a].edges
         else:
             adj = inst.agent_adj[a]
-        weights.append(sum(1.0 / (1.0 + values[t]) for t in adj))
+        # left to right: builtin sum() compensates its float additions
+        # since Python 3.12, which would change the draws by interpreter
+        weight = 0.0
+        for t in adj:
+            weight += 1.0 / (1.0 + values[t])
+        weights.append(weight)
     return weights
 
 
@@ -301,15 +306,19 @@ def sample_agent_order(
 
 
 def _draw_order(weights: Sequence[float], rng: np.random.Generator) -> tuple[int, ...]:
-    """The draw of ``sample_agent_order`` over precomputed weights."""
+    """The draw of ``sample_agent_order`` over precomputed weights.
+
+    One ``rng.random(k)`` call supplies the doubles of all ``k`` rounds;
+    they are the values ``k`` scalar ``rng.random()`` calls would give.
+    """
     n = len(weights)
     remaining = [a for a in range(n) if weights[a] > 0.0]
     order: list[int] = []
-    while remaining:
+    for u in rng.random(len(remaining)).tolist():
         total = 0.0
         for a in remaining:
             total += weights[a]
-        x = rng.random() * total
+        x = u * total
         acc = 0.0
         chosen = remaining[-1]
         for a in remaining:
@@ -338,14 +347,15 @@ def randomized_utility_samples(
     values = effective.values
     n = effective.n
     weights = lottery_weights(effective, None)
-    samples = np.zeros((trials, n), dtype=np.float64)
+    samples = np.empty((trials, n), dtype=np.float64)
     for k in range(trials):
         order = _draw_order(weights, derive_rng(seed, k))
         owner = solve_mvbm(effective, Traversal.BREADTH_FIRST, order)
-        row = samples[k]
+        row = [0.0] * n
         for t, a in enumerate(owner):
             if a != -1:
                 row[a] += values[t]
+        samples[k] = row
     return samples
 
 

@@ -273,7 +273,11 @@ def enumerate_pure_nash(
             profile = truthful
             for idx, player in enumerate(players):
                 profile = profile.with_report(player, option_sets[idx][key[idx]])
-            equilibria.append((profile, sum(utils)))
+            # left to right: builtin sum() compensates from Python 3.12 on
+            welfare = 0.0
+            for u in utils:
+                welfare += u
+            equilibria.append((profile, welfare))
     return equilibria
 
 

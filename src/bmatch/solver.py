@@ -7,7 +7,10 @@ matching; they differ in which agent ends up with which task:
 
 * breadth-first returns a shortest augmenting path, expanding the
   frontier in agent-priority order, and breaks ties among terminals at
-  the minimal depth by lowest agent index;
+  the minimal depth by lowest priority position (the lowest agent index
+  when no order is given).  A task's agents are listed in priority
+  order, so at depth 1 the first unsaturated agent is that terminal and
+  the search returns it without scanning the rest;
 * depth-first explores a task's adjacent agents in increasing priority
   and dives through a saturated agent's matched tasks (in increasing
   task-process order) before trying the next agent at the same level.
@@ -133,17 +136,25 @@ class _State:
     def __init__(self, inst: Instance, order: Sequence[int] | None):
         n, m = inst.n, inst.m
         self.caps = list(inst.capacities)
-        pos = list(range(n))
-        if order is not None:
-            for position, agent in enumerate(order):
-                pos[agent] = position
-        self.pos = pos
         if order is None:
+            self.pos = list(range(n))
             self.task_agents = inst.task_adj
         else:
-            self.task_agents = [
-                sorted(adj, key=pos.__getitem__) for adj in inst.task_adj
-            ]
+            if sorted(order) != list(range(n)):
+                raise ValueError(
+                    f"order {list(order)} is not a permutation of range({n})"
+                )
+            pos = [0] * n
+            for position, agent in enumerate(order):
+                pos[agent] = position
+            self.pos = pos
+            # one pass in priority order lists each task's agents by position
+            task_agents: list[list[int]] = [[] for _ in range(m)]
+            agent_adj = inst.agent_adj
+            for agent in order:
+                for t in agent_adj[agent]:
+                    task_agents[t].append(agent)
+            self.task_agents = task_agents
         self.rank = inst.task_rank
         self.task_order = inst.task_order
         self.owner = [-1] * m
@@ -169,28 +180,24 @@ class _State:
         ``start``, or -1.  Parent pointers land in ``from_task``/``owner``."""
         self.epoch += 1
         epoch = self.epoch
-        visit_a, visit_t = self.visit_a, self.visit_t
-        caps, load, pos = self.caps, self.load, self.pos
-        visit_t[start] = epoch
-        frontier = [start]
+        visit_a, from_task = self.visit_a, self.from_task
+        caps, load = self.caps, self.load
         # every saturated agent reached so far, level by level
         reached: list[int] = []
-        while frontier:
-            best = -1
-            level = len(reached)
-            for t in frontier:
-                for a in self.task_agents[t]:
-                    if visit_a[a] >= epoch:
-                        continue
-                    visit_a[a] = epoch
-                    self.from_task[a] = t
-                    if load[a] < caps[a]:
-                        if best == -1 or pos[a] < pos[best]:
-                            best = a
-                    else:
-                        reached.append(a)
-            if best != -1:
-                return best
+        # depth 1: the start task's agents come in priority order, so the
+        # first unsaturated one is the terminal of lowest position
+        for a in self.task_agents[start]:
+            if visit_a[a] >= epoch:
+                continue
+            visit_a[a] = epoch
+            from_task[a] = start
+            if load[a] < caps[a]:
+                return a
+            reached.append(a)
+        visit_t, pos, task_agents = self.visit_t, self.pos, self.task_agents
+        visit_t[start] = epoch
+        level = 0
+        while True:
             frontier = []
             for a in reached[level:]:
                 for t2 in self.agent_tasks[a]:
@@ -198,6 +205,23 @@ class _State:
                         continue
                     visit_t[t2] = epoch
                     frontier.append(t2)
+            if not frontier:
+                break
+            best = -1
+            level = len(reached)
+            for t in frontier:
+                for a in task_agents[t]:
+                    if visit_a[a] >= epoch:
+                        continue
+                    visit_a[a] = epoch
+                    from_task[a] = t
+                    if load[a] < caps[a]:
+                        if best == -1 or pos[a] < pos[best]:
+                            best = a
+                    else:
+                        reached.append(a)
+            if best != -1:
+                return best
         self.retire(reached)
         return -1
 
@@ -380,9 +404,10 @@ def solve_mvbm(
     owner tuple: the agent of each task, or -1.
 
     ``order[k]`` is the agent that holds priority position ``k``; ``None``
-    keeps the id order.  The returned matching always has maximum weight;
-    the traversal and the order only decide how tasks are distributed
-    among the agents.
+    keeps the id order, and an order that is not a permutation of
+    ``range(n)`` raises ``ValueError``.  The returned matching always has
+    maximum weight; the traversal and the order only decide how tasks are
+    distributed among the agents.
     """
     return _State(inst, order).run(traversal)
 

@@ -3,12 +3,14 @@ import json
 import pytest
 
 from bmatch.harness import (
+    EXPERIMENT_KINDS,
     ExperimentConfig,
     ResultRow,
     ResultsTable,
     export_results,
     render_plot,
     results_from_json_dict,
+    _chunk_jobs,
     run_experiment,
 )
 
@@ -163,6 +165,36 @@ def test_worker_count_does_not_change_the_bytes(tmp_path):
     export_results(serial, "csv", str(p1))
     export_results(parallel, "csv", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_chunked_cell_gives_the_same_bytes_at_every_worker_count(kind, tmp_path):
+    # one cell of seven instances, so two and three workers split it
+    cfg = tiny_config(kind, iterations=7, mc_trials=8)
+    assert [job[3:] for job in _chunk_jobs(cfg, 1)] == [(0, 7)]
+    assert len(_chunk_jobs(cfg, 2)) > 1 and len(_chunk_jobs(cfg, 3)) > 1
+    outputs = []
+    for workers in (1, 2, 3):
+        path = tmp_path / f"w{workers}.csv"
+        export_results(run_experiment(cfg, workers=workers), "csv", str(path))
+        outputs.append(path.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_chunks_cover_each_cell_in_instance_order():
+    for iterations in (1, 2, 7, 50):
+        cfg = tiny_config("pma-pmi", n_values=(2, 3), m_values=(2, 3, 4),
+                          iterations=iterations)
+        for workers in (1, 2, 3, 8):
+            jobs = _chunk_jobs(cfg, workers)
+            for index, cell in enumerate(cfg.cells()):
+                ranges = [(lo, hi) for _, i, c, lo, hi in jobs if i == index]
+                assert all(c == cell for _, i, c, _, _ in jobs if i == index)
+                covered = [k for lo, hi in ranges for k in range(lo, hi)]
+                assert covered == list(range(iterations)), (iterations, workers)
+                assert all(lo < hi for lo, hi in ranges)
+            if workers == 1:
+                assert len(jobs) == len(cfg.cells())
 
 
 def test_worker_count_does_not_change_the_plot(tmp_path):

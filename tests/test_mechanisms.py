@@ -10,6 +10,7 @@ from bmatch.fixtures import (
     tied_optimum_instance,
     two_by_two_complete_instance,
 )
+from bmatch.gen import GenConfig, generate_instance
 from bmatch.mechanisms import (
     AgentReport,
     MechanismKind,
@@ -27,6 +28,7 @@ from bmatch.mechanisms import (
     sample_agent_order,
     truthful_profile,
     worst_ne_profile,
+    _draw_order,
 )
 from bmatch.seeds import derive_rng
 from bmatch.solver import Traversal, solve_ap, solve_mvbm
@@ -197,6 +199,69 @@ def test_lottery_weight_is_sum_of_inverse_shifted_values():
     # independent hand computation: 1/(1+1) + 1/(1+0.5)
     expected = 0.5 + 1.0 / 1.5
     assert lottery_weights(inst, None)[0] == pytest.approx(expected, abs=1e-12)
+
+
+def test_lottery_weight_adds_left_to_right():
+    # 1 + 1e-16 rounds back to 1 at every step; a compensated sum (the
+    # builtin sum() of Python 3.12+) would give the next double up
+    inst = Instance([1], [0.0, 1e16, 1e16], [(0, 0), (0, 1), (0, 2)])
+    assert lottery_weights(inst, None) == [1.0]
+    for inst in small_instances(60, seed=77, n_max=4, m_max=6):
+        expected = []
+        for a in range(inst.n):
+            weight = 0.0
+            for t in inst.agent_adj[a]:
+                weight += 1.0 / (1.0 + inst.values[t])
+            expected.append(weight)
+        assert lottery_weights(inst, None) == expected
+
+
+def _scalar_draw_order(weights, rng):
+    """The order draw with one scalar ``rng.random()`` call per round and
+    a linear scan: the reference for the batched draw."""
+    n = len(weights)
+    remaining = [a for a in range(n) if weights[a] > 0.0]
+    order = []
+    while remaining:
+        total = 0.0
+        for a in remaining:
+            total += weights[a]
+        x = rng.random() * total
+        acc = 0.0
+        chosen = remaining[-1]
+        for a in remaining:
+            acc += weights[a]
+            if x < acc:
+                chosen = a
+                break
+        order.append(chosen)
+        remaining.remove(chosen)
+    order.extend(a for a in range(n) if weights[a] <= 0.0)
+    return tuple(order)
+
+
+def test_batched_draw_equals_the_scalar_draw():
+    # the randomized experiment's shape: some agents have no edges
+    cfg = GenConfig(20, 25, 0.2, 3, 3, seed=41)
+    weights = [lottery_weights(generate_instance(cfg, i), None) for i in range(30)]
+    assert any(0.0 in w for w in weights)
+    for k in range(3000):
+        w = weights[k % len(weights)]
+        assert _draw_order(w, derive_rng(43, k)) == _scalar_draw_order(
+            w, derive_rng(43, k)
+        ), k
+    zeros = [0.0, 0.5, 0.0, 0.25, 0.25, 0.0, 1e-300]
+    for k in range(200):
+        assert _draw_order(zeros, derive_rng(44, k)) == _scalar_draw_order(
+            zeros, derive_rng(44, k)
+        )
+    assert _draw_order([0.0, 0.0], derive_rng(45)) == (0, 1)
+    market = generate_instance(GenConfig(200, 2000, 0.01, 1, 3, seed=46), 0)
+    big = lottery_weights(market, None)
+    for k in range(5):
+        assert _draw_order(big, derive_rng(47, k)) == _scalar_draw_order(
+            big, derive_rng(47, k)
+        )
 
 
 def test_single_agent_order_is_identity():

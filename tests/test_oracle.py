@@ -139,6 +139,14 @@ def test_equilibrium_enumeration_on_epsilon_market():
     assert welfare == pytest.approx(1.5)
 
 
+def test_equilibrium_welfare_adds_left_to_right():
+    # one profile, utilities (1, 1e-16, 1e-16): left to right the small
+    # ones round away, a compensated sum would keep them
+    inst = Instance([1, 1, 1], [1.0, 1e-16, 1e-16], [(0, 0), (1, 1), (2, 2)])
+    [(_, welfare)] = enumerate_pure_nash(inst, MechanismKind.MBFS)
+    assert welfare == 1.0
+
+
 def test_efficiency_ratios_on_epsilon_market():
     inst = epsilon_gap_instance(1e-3)
     expected = (2 + 1e-3) / (1 + 1e-3)

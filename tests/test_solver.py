@@ -288,6 +288,52 @@ def test_pruning_keeps_owner_arrays(n, m, p, count):
         _assert_pruning_keeps_owners(inst, rng.permutation(n).tolist())
 
 
+def test_pruning_keeps_owner_arrays_under_lottery_orders():
+    # the lottery's solves: 40 markets of the randomized experiment's
+    # shape and capacity, 5 random orders each; the reference scans all
+    # of depth 1 for the lowest position
+    cfg = GenConfig(20, 25, 0.2, 3, 3, seed=101)
+    rng = np.random.default_rng(102)
+    for i in range(40):
+        inst = generate_instance(cfg, i)
+        for _ in range(5):
+            order = rng.permutation(20).tolist()
+            assert _owners(inst, order, Traversal.BREADTH_FIRST) == _owners(
+                inst, order, Traversal.BREADTH_FIRST, _UnprunedState
+            ), (i, order)
+
+
+def test_priority_adjacency_is_each_task_sorted_by_position():
+    rng = np.random.default_rng(103)
+    for inst in small_instances(60, seed=104, n_max=5, m_max=6) + [
+        generate_instance(GenConfig(20, 25, 0.2, 3, 3, seed=105), 0)
+    ]:
+        order = rng.permutation(inst.n).tolist()
+        pos = {a: k for k, a in enumerate(order)}
+        expected = [sorted(adj, key=pos.__getitem__) for adj in inst.task_adj]
+        state = _State(inst, order)
+        assert state.task_agents == expected
+        assert state.pos == [pos[a] for a in range(inst.n)]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        [0, 1],  # agent 2 missing
+        [0, 0, 2],  # duplicate
+        [-1, 0, 1],  # negative id
+        [0, 1, 2, 3],  # too long
+        [0, 1, 3],  # out of range
+        [],
+    ],
+)
+def test_solver_rejects_orders_that_are_not_permutations(order):
+    inst = complete_three_agent_instance()
+    for traversal in Traversal:
+        with pytest.raises(ValueError, match="not a permutation"):
+            solve_mvbm(inst, traversal, order)
+
+
 def test_pruning_keeps_owner_arrays_on_small_markets():
     rng = np.random.default_rng(99)
     for i in range(200):
