@@ -119,11 +119,28 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ValueError("not an experiment config: expected a JSON object")
 
-        def integers(values, what):
-            return tuple(_parse_integral(v, what) for v in values)
+        def listed(key, default=None):
+            # a string would be read one character at a time
+            values = data.get(key, default)
+            if not isinstance(values, list):
+                raise ValueError(f"{key} must be a list, got {values!r}")
+            return values
 
-        def finites(values, what):
-            return tuple(_parse_finite(v, what) for v in values)
+        def integers(key, what, default=None):
+            return tuple(_parse_integral(v, what) for v in listed(key, default))
+
+        def finites(key, what, default=None):
+            return tuple(_parse_finite(v, what) for v in listed(key, default))
+
+        def capacity_range(entry):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ValueError(
+                    f"capacities entries must be [low, high] lists, got {entry!r}"
+                )
+            return (
+                _parse_integral(entry[0], "capacity low"),
+                _parse_integral(entry[1], "capacity high"),
+            )
 
         def path(key):
             # open() would take an integer as a file descriptor
@@ -134,21 +151,13 @@ class ExperimentConfig:
 
         return cls(
             kind=data["kind"],
-            n_values=integers(data["n"], "n"),
-            m_values=integers(data["m"], "m"),
-            p_values=finites(data["p"], "p"),
-            capacity_ranges=tuple(
-                (
-                    _parse_integral(lo, "capacity low"),
-                    _parse_integral(hi, "capacity high"),
-                )
-                for lo, hi in data["capacities"]
-            ),
+            n_values=integers("n", "n"),
+            m_values=integers("m", "m"),
+            p_values=finites("p", "p"),
+            capacity_ranges=tuple(map(capacity_range, listed("capacities"))),
             iterations=_parse_integral(data.get("iterations", 250), "iterations"),
-            thresholds=finites(
-                data.get("thresholds", (1.5, 2.0, 2.5, 3.0)), "threshold"
-            ),
-            orders=integers(data.get("orders", (2, 3, 4)), "order"),
+            thresholds=finites("thresholds", "threshold", [1.5, 2.0, 2.5, 3.0]),
+            orders=integers("orders", "order", [2, 3, 4]),
             mc_trials=_parse_integral(data.get("mc_trials", 250), "mc_trials"),
             seed=_parse_integral(data.get("seed", 0), "seed"),
             out_csv=path("out_csv"),
@@ -253,8 +262,9 @@ def _cell_gen_config(cfg: ExperimentConfig, cell_index: int, cell) -> GenConfig:
 
 def _first_agent_ratio(inst, kind: MechanismKind) -> float:
     """Truthful payoff over top-capacity-report payoff for agent 0;
-    1 when the agent cannot manipulate (including the 0/0 case)."""
-    if not inst.agent_adj[0]:
+    1 when the agent cannot manipulate (including the 0/0 case and a
+    market without agents)."""
+    if inst.n == 0 or not inst.agent_adj[0]:
         return 1.0
     gain = utility_gain_ratio(inst, kind, 0, TopB())
     if gain.manipulated_utility <= WEIGHT_TOL:

@@ -193,7 +193,7 @@ def run_mechanism(
     order = None
     if randomized:
         # one run equals trial 0 of the Monte Carlo sampler for the same seed
-        order = sample_agent_order(effective, None, derive_rng(rng_seed, 0))
+        order = sample_agent_order(effective, derive_rng(rng_seed, 0))
     return solve_mvbm(effective, _TRAVERSALS[kind], order)
 
 
@@ -268,19 +268,15 @@ def first_agent_best_report(inst: Instance, agent_id: int = 0) -> tuple[int, ...
     return tuple(sorted(keep))
 
 
-def lottery_weights(
-    inst: Instance, reports: Sequence[AgentReport | None] | None
-) -> list[float]:
+def lottery_weights(inst: Instance) -> list[float]:
     """Per-agent lottery weight: the sum of 1/(1 + value) over the
-    *reported* adjacent tasks.  Hiding a low-valued edge lowers the
-    weight, so concealment is penalized in the order draw."""
+    adjacent tasks of ``inst``, which for a reported market (see
+    ``build_effective_instance``) are the *reported* ones.  Hiding a
+    low-valued edge lowers the weight, so concealment is penalized in
+    the order draw."""
     values = inst.values
     weights = []
-    for a in range(inst.n):
-        if reports is not None and reports[a] is not None:
-            adj = reports[a].edges
-        else:
-            adj = inst.agent_adj[a]
+    for adj in inst.agent_adj:
         # left to right: builtin sum() compensates its float additions
         # since Python 3.12, which would change the draws by interpreter
         weight = 0.0
@@ -290,11 +286,7 @@ def lottery_weights(
     return weights
 
 
-def sample_agent_order(
-    inst: Instance,
-    reports: Sequence[AgentReport | None] | None,
-    rng: np.random.Generator,
-) -> tuple[int, ...]:
+def sample_agent_order(inst: Instance, rng: np.random.Generator) -> tuple[int, ...]:
     """Sequential weighted draw without replacement.
 
     Each round picks one of the remaining agents with probability
@@ -302,7 +294,7 @@ def sample_agent_order(
     (no reported edges) are appended after all positive-weight agents,
     in id order.
     """
-    return _draw_order(lottery_weights(inst, reports), rng)
+    return _draw_order(lottery_weights(inst), rng)
 
 
 def _draw_order(weights: Sequence[float], rng: np.random.Generator) -> tuple[int, ...]:
@@ -346,7 +338,7 @@ def randomized_utility_samples(
     effective = build_effective_instance(profile)
     values = effective.values
     n = effective.n
-    weights = lottery_weights(effective, None)
+    weights = lottery_weights(effective)
     samples = np.empty((trials, n), dtype=np.float64)
     for k in range(trials):
         order = _draw_order(weights, derive_rng(seed, k))

@@ -35,16 +35,18 @@ The exact solve is the greedy algorithm on a transversal matroid
 (Edmonds 1971), so a re-solve can start late.  The search from the task
 of rank ``k`` touches only that task, the tasks matched before it (all
 of rank below ``k``) and their adjacent agents.  Two markets with the
-same capacities, the same task order and the same adjacency on every
-task of rank below ``r`` therefore take the same first ``r`` steps: the
+same capacities and the same task, with the same adjacent agents, at
+every rank below ``r`` therefore take the same first ``r`` steps: the
 same paths are flipped, and the same searches fail and retire the same
-agents.  ``_solve_journaled`` records each step of one solve, and
-``_resume`` replays the first ``r`` steps into the other market and
-continues there with the same loop.  The dead marks carry over: a dead
-agent is saturated and its matched tasks have rank below ``r``, so they
-have the same adjacent agents in both markets, and the reached set is
-closed in the second market too, by the argument above.  The length-1
-approximation shares its prefix the same way.
+agents.  The ranks from ``r`` on may hold other tasks: a reported task
+value moves only that task in the order.  ``_solve_journaled`` records
+each step of one solve, and ``_resume`` replays the first ``r`` steps
+into the other market and continues there with the same loop.  The
+dead marks carry over: a dead agent is saturated and its matched tasks
+have rank below ``r``, so they have the same adjacent agents in both
+markets, and the reached set is closed in the second market too, by the
+argument above.  The length-1 approximation shares its prefix the same
+way.
 """
 
 from __future__ import annotations
@@ -437,9 +439,9 @@ def _resume(
     """The same owner tuple as a full solve of ``inst``, started at
     ``rank`` from the journal of a solve of another market.
 
-    That market must have the capacities and task order of ``inst`` and
-    the same adjacency on every task of rank below ``rank``; the module
-    docstring gives why the first ``rank`` steps then agree.
+    That market must have the capacities of ``inst`` and the same task,
+    with the same adjacent agents, at every rank below ``rank``; the
+    module docstring gives why the first ``rank`` steps then agree.
     """
     state = _State(inst, None)
     state.replay(journal, rank)

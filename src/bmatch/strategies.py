@@ -164,8 +164,6 @@ def utility_gain_ratio(
 ) -> GainReport:
     """Solve the truthful and the manipulated market and compare the
     agent's utility; the ratio is clipped at zero and uses 0/0 = 1."""
-    if kind not in DETERMINISTIC_KINDS:
-        raise ValueError("gain ratios are defined for deterministic mechanisms")
     report = apply_manipulation(inst, agent_id, spec)
     ((_, _, before, after),) = unilateral_deviations(
         kind, truthful_profile(inst), lambda a, _: (report,), (agent_id,)
@@ -181,20 +179,28 @@ def _side_view(inst: Instance, side: str):
     return inst.task_adj, lambda mu, e: float(task_utility(mu, e))
 
 
-def _is_truthful(inst: Instance, entity: int, report: TaskReport) -> bool:
-    return report.edges == inst.task_adj[entity] and report.value in (
-        None,
-        inst.values[entity],
-    )
-
-
-def _first_change(before: Instance, after: Instance, agent: int) -> int:
+def _first_change(before: Instance, after: Instance, side: str, entity: int) -> int:
     """The lowest process rank at which two markets that differ only in
-    one agent's row and capacity differ: 0 when the capacity does, the
-    number of tasks when nothing does."""
-    if before.capacities[agent] != after.capacities[agent]:
+    one entity's report differ, or the number of tasks when they do not.
+
+    An agent's report changes its row and capacity: rank 0 when the
+    capacity changes, else the lowest rank of a task the row gains or
+    loses.  A task's report changes its column and value, and a value
+    moves only that task in the processing order, so every rank below
+    both of its positions holds the same task with the same column in
+    both markets.
+    """
+    if side == TASKS:
+        if (
+            before.task_adj[entity] == after.task_adj[entity]
+            and before.values[entity] == after.values[entity]
+        ):
+            return before.m
+        return min(before.task_rank[entity], after.task_rank[entity])
+    if before.capacities[entity] != after.capacities[entity]:
         return 0
-    changed = set(before.agent_adj[agent]).symmetric_difference(after.agent_adj[agent])
+    row = set(before.agent_adj[entity])
+    changed = row.symmetric_difference(after.agent_adj[entity])
     return min(map(before.task_rank.__getitem__, changed), default=before.m)
 
 
@@ -211,28 +217,24 @@ def unilateral_deviations(
     in entity order, then in the order of ``candidates(entity,
     baseline)``.  Entities default to every one of ``profile.side`` with
     a non-empty true adjacency; entities without one are skipped.  The
-    profile is solved once, on the first request.  A report that leaves
-    the market as ``profile`` has it (a truthful report in a truthful
-    slot, or an agent report that keeps the agent's reported row and
-    capacity) is never solved again: its deviant utility is the
-    baseline, so it never reads as a gain and still competes in an
-    argmax.
+    mechanism must be deterministic: ``ValueError`` otherwise.
 
-    An agent's report changes only its own row and capacity, so for the
-    deterministic kinds the profile's solve is journaled and each agent
-    deviation resumes it at the first process rank the report changes
-    (see the ``solver`` module docstring); task reports are solved in
-    full.
+    The profile's solve is journaled once, on the first request, and
+    each deviation resumes it at the first process rank the report
+    changes (see the ``solver`` module docstring).  A report that leaves
+    the market as ``profile`` has it is never solved again: its deviant
+    utility is the baseline, so it never reads as a gain and still
+    competes in an argmax.
     """
+    if kind not in DETERMINISTIC_KINDS:
+        raise ValueError(
+            "deviations are defined for the deterministic mechanisms MBFS, MDFS and MAP"
+        )
     inst, side = profile.base, profile.side
     adjacency, utility = _side_view(inst, side)
-    resume = side == AGENTS and kind in DETERMINISTIC_KINDS
-    if resume:
-        traversal = _TRAVERSALS.get(kind)  # None: MAP's length-1 solve
-        effective = build_effective_instance(profile)
-        mu, journal = _solve_journaled(effective, traversal)
-    else:
-        mu = run_mechanism(kind, profile)
+    traversal = _TRAVERSALS.get(kind)  # None: MAP's length-1 solve
+    effective = build_effective_instance(profile)
+    mu, journal = _solve_journaled(effective, traversal)
     if entities is None:
         entities = range(len(adjacency))
     for entity in entities:
@@ -240,19 +242,12 @@ def unilateral_deviations(
             continue
         baseline = utility(mu, entity)
         for report in candidates(entity, baseline):
-            deviation = profile.with_report(entity, report)
-            if resume:
-                reported = build_effective_instance(deviation)
-                rank = _first_change(effective, reported, entity)
-                if rank == inst.m:
-                    deviant = baseline
-                else:
-                    owner = _resume(reported, traversal, journal, rank)
-                    deviant = utility(owner, entity)
-            elif profile.reports[entity] is None and _is_truthful(inst, entity, report):
+            reported = build_effective_instance(profile.with_report(entity, report))
+            rank = _first_change(effective, reported, side, entity)
+            if rank == inst.m:
                 deviant = baseline
             else:
-                deviant = utility(run_mechanism(kind, deviation), entity)
+                deviant = utility(_resume(reported, traversal, journal, rank), entity)
             yield entity, report, baseline, deviant
 
 
@@ -287,8 +282,6 @@ def mpug(
     """
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
-    if kind not in DETERMINISTIC_KINDS:
-        raise ValueError("gain ratios are defined for deterministic mechanisms")
     specs: list[ManipulationSpec] = [TLevel(t) for t in thresholds]
     best = 0.0
     for _, _, before, after in _family_deviations(inst, kind, specs):

@@ -93,6 +93,17 @@ def test_experiment_writes_outputs(tmp_path, capsys):
     assert (out_dir / "mpug-curve.svg").exists()
 
 
+def test_first_agent_experiment_without_agents(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(dict(_CONFIG, n=[0])))
+    out_dir = tmp_path / "results"
+    code = main(["experiment", "compare-first-agent", "--config", str(config_path),
+                 "--out-dir", str(out_dir), "--workers", "1"])
+    assert code == 0
+    csv = (out_dir / "compare-first-agent.csv").read_text()
+    assert ",bfs_ratio_mean,1.000000," in csv
+
+
 def test_experiment_fast_preset(tmp_path, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({
@@ -260,6 +271,19 @@ def _assert_one_error_line(capsys, message):
         (dict(_CONFIG, out_csv=2), "out_csv must be a path string, got 2"),
         (dict(_CONFIG, n=[True]), "non-numeric n: True"),
         (dict(_CONFIG, p=[True]), "non-numeric p: True"),
+        # a string is not read one character at a time
+        (dict(_CONFIG, n="12"), "n must be a list, got '12'"),
+        (dict(_CONFIG, m=3), "m must be a list, got 3"),
+        (dict(_CONFIG, p=0.8), "p must be a list, got 0.8"),
+        (dict(_CONFIG, thresholds="25"), "thresholds must be a list, got '25'"),
+        (dict(_CONFIG, orders="23"), "orders must be a list, got '23'"),
+        (dict(_CONFIG, capacities="12"), "capacities must be a list, got '12'"),
+        (dict(_CONFIG, capacities=["13"]),
+         "capacities entries must be [low, high] lists, got '13'"),
+        (dict(_CONFIG, capacities=[5]),
+         "capacities entries must be [low, high] lists, got 5"),
+        (dict(_CONFIG, capacities=[[1, 2, 3]]),
+         "capacities entries must be [low, high] lists, got [1, 2, 3]"),
     ],
 )
 def test_experiment_rejects_malformed_configs(tmp_path, capsys, payload, message):

@@ -57,6 +57,15 @@ def test_compare_first_agent_metrics_present():
             assert row.stderr is not None
 
 
+def test_compare_first_agent_without_agents():
+    # a market without agents has no first agent to manipulate: every
+    # ratio is 1 and every loss 0
+    table = run_experiment(tiny_config("compare-first-agent", n_values=(0,)), workers=1)
+    for row in table.rows:
+        expected = 0.0 if "loss" in row.metric else 1.0
+        assert row.value == expected, row.metric
+
+
 def test_fixed_instance_cell_reproduces_the_direct_ratio():
     # a single-cell grid on a deterministic 2x2 shape: the mean ratio must
     # equal the ratio computed by hand on each generated market

@@ -198,14 +198,14 @@ def test_lottery_weight_is_sum_of_inverse_shifted_values():
     inst = Instance([1], [1.0, 0.5], [(0, 0), (0, 1)])
     # independent hand computation: 1/(1+1) + 1/(1+0.5)
     expected = 0.5 + 1.0 / 1.5
-    assert lottery_weights(inst, None)[0] == pytest.approx(expected, abs=1e-12)
+    assert lottery_weights(inst)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_lottery_weight_adds_left_to_right():
     # 1 + 1e-16 rounds back to 1 at every step; a compensated sum (the
     # builtin sum() of Python 3.12+) would give the next double up
     inst = Instance([1], [0.0, 1e16, 1e16], [(0, 0), (0, 1), (0, 2)])
-    assert lottery_weights(inst, None) == [1.0]
+    assert lottery_weights(inst) == [1.0]
     for inst in small_instances(60, seed=77, n_max=4, m_max=6):
         expected = []
         for a in range(inst.n):
@@ -213,7 +213,7 @@ def test_lottery_weight_adds_left_to_right():
             for t in inst.agent_adj[a]:
                 weight += 1.0 / (1.0 + inst.values[t])
             expected.append(weight)
-        assert lottery_weights(inst, None) == expected
+        assert lottery_weights(inst) == expected
 
 
 def _scalar_draw_order(weights, rng):
@@ -243,7 +243,7 @@ def _scalar_draw_order(weights, rng):
 def test_batched_draw_equals_the_scalar_draw():
     # the randomized experiment's shape: some agents have no edges
     cfg = GenConfig(20, 25, 0.2, 3, 3, seed=41)
-    weights = [lottery_weights(generate_instance(cfg, i), None) for i in range(30)]
+    weights = [lottery_weights(generate_instance(cfg, i)) for i in range(30)]
     assert any(0.0 in w for w in weights)
     for k in range(3000):
         w = weights[k % len(weights)]
@@ -257,7 +257,7 @@ def test_batched_draw_equals_the_scalar_draw():
         )
     assert _draw_order([0.0, 0.0], derive_rng(45)) == (0, 1)
     market = generate_instance(GenConfig(200, 2000, 0.01, 1, 3, seed=46), 0)
-    big = lottery_weights(market, None)
+    big = lottery_weights(market)
     for k in range(5):
         assert _draw_order(big, derive_rng(47, k)) == _scalar_draw_order(
             big, derive_rng(47, k)
@@ -267,7 +267,7 @@ def test_batched_draw_equals_the_scalar_draw():
 def test_single_agent_order_is_identity():
     inst = Instance([1], [1.0], [(0, 0)])
     rng = derive_rng(5)
-    assert sample_agent_order(inst, None, rng) == (0,)
+    assert sample_agent_order(inst, rng) == (0,)
 
 
 def test_equal_agents_win_the_first_slot_equally_often():
@@ -275,7 +275,7 @@ def test_equal_agents_win_the_first_slot_equally_often():
     rng = derive_rng(123)
     first_counts = [0, 0]
     for _ in range(10_000):
-        order = sample_agent_order(inst, None, rng)
+        order = sample_agent_order(inst, rng)
         first_counts[order[0]] += 1
     # binomial(10000, 0.5): three standard deviations is 150
     assert abs(first_counts[0] - 5000) <= 150
@@ -283,9 +283,10 @@ def test_equal_agents_win_the_first_slot_equally_often():
 
 def test_zero_weight_agents_go_last_in_id_order():
     inst = Instance([1, 1, 1], [1.0], [(1, 0)])
-    profile_reports = [AgentReport(edges=()), None, AgentReport(edges=())]
+    reports = (AgentReport(edges=()), None, AgentReport(edges=()))
+    reported = build_effective_instance(Profile("agents", inst, reports))
     rng = derive_rng(9)
-    assert sample_agent_order(inst, profile_reports, rng) == (1, 0, 2)
+    assert sample_agent_order(reported, rng) == (1, 0, 2)
 
 
 def test_randomized_expectations_on_complete_market():

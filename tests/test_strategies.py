@@ -25,6 +25,7 @@ from bmatch.mechanisms import (
     truthful_profile,
     worst_ne_profile,
 )
+from bmatch.oracle import audit_agent_truthfulness, audit_task_truthfulness
 from bmatch.solver import solve_ap, solve_mvbm
 from bmatch.strategies import (
     _report_candidates,
@@ -250,26 +251,14 @@ def _resolved(inst, kind, side, entity, profile, report):
     return float(task_utility(mu, entity))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10_000), side=st.sampled_from([AGENTS, TASKS]),
-       kind=st.sampled_from([MechanismKind.MBFS, MechanismKind.MDFS,
-                             MechanismKind.MAP]),
-       hiding=st.booleans())
-def test_deviations_equal_a_full_resolve(seed, side, kind, hiding):
+def _assert_deviations_are_full_resolves(inst, kind, profile):
     # every yielded deviant utility, the truthful reports' included, equals
     # solving the swapped profile from scratch; order and coverage follow
-    # the entities with edges, then the candidates.  With ``hiding`` the
-    # first entity's own slot keeps one edge, so its truthful candidate
-    # changes the market and must be solved
-    inst = small_instances(seed % 9 + 1, seed=seed, n_max=3, m_max=3)[-1]
-    profile = truthful_profile(inst, side)
+    # the entities with edges, then the candidates
+    side = profile.side
     count = inst.n if side == AGENTS else inst.m
     adjacency = inst.agent_adj if side == AGENTS else inst.task_adj
     entities = [e for e in range(count) if adjacency[e]]
-    if hiding and entities:
-        report_type = AgentReport if side == AGENTS else TaskReport
-        first = entities[0]
-        profile = profile.with_report(first, report_type(adjacency[first][:1]))
     got = list(unilateral_deviations(
         kind, profile, lambda e, _: _all_reports(inst, side, e)))
     expected = [
@@ -279,6 +268,57 @@ def test_deviations_equal_a_full_resolve(seed, side, kind, hiding):
         for r in _all_reports(inst, side, e)
     ]
     assert got == expected
+
+
+def test_a_raised_task_value_resumes_at_its_new_rank():
+    # task 1 reports half its value and moves to the last rank; its
+    # truthful candidate moves it back up to rank 2, ahead of task 0.  A
+    # resume at its old rank would skip it and read it as unmatched.  This
+    # runs before the property below, which a wrong rank can send into a
+    # resume that never ends
+    inst = Instance([2], [3.1418, 3.1674, 3.4766, 3.6967], [(0, 0), (0, 1), (0, 3)])
+    profile = truthful_profile(inst, TASKS).with_report(1, TaskReport((0,), 3.1674 / 2))
+    ((_, _, baseline, deviant),) = unilateral_deviations(
+        MechanismKind.MBFS, profile, lambda j, _: [TaskReport((0,))], (1,))
+    assert (baseline, deviant) == (0.0, 1.0)
+    _assert_deviations_are_full_resolves(inst, MechanismKind.MBFS, profile)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), side=st.sampled_from([AGENTS, TASKS]),
+       kind=st.sampled_from([MechanismKind.MBFS, MechanismKind.MDFS,
+                             MechanismKind.MAP]),
+       hiding=st.booleans())
+def test_deviations_equal_a_full_resolve(seed, side, kind, hiding):
+    # with ``hiding`` the first entity's own slot keeps one edge, and a
+    # task's slot also halves its value, so the truthful candidates change
+    # the market (a raised value moves the task up the processing order)
+    inst = small_instances(seed % 9 + 1, seed=seed, n_max=3, m_max=3)[-1]
+    profile = truthful_profile(inst, side)
+    adjacency = inst.agent_adj if side == AGENTS else inst.task_adj
+    entities = [e for e, adj in enumerate(adjacency) if adj]
+    if hiding and entities:
+        first = entities[0]
+        if side == AGENTS:
+            report = AgentReport(adjacency[first][:1])
+        else:
+            value = inst.values[first]
+            report = TaskReport(adjacency[first][:1], value / 2 if value > 0 else None)
+        profile = profile.with_report(first, report)
+    _assert_deviations_are_full_resolves(inst, kind, profile)
+
+
+def test_deviations_need_a_deterministic_mechanism():
+    inst = epsilon_gap_instance(0.5)
+    message = "deterministic mechanisms MBFS, MDFS and MAP"
+    with pytest.raises(ValueError, match=message):
+        pma(inst, MechanismKind.MRBFS, [TopB()])
+    with pytest.raises(ValueError, match=message):
+        best_response_exhaustive(inst, MechanismKind.MRBFS, 0)
+    with pytest.raises(ValueError, match=message):
+        audit_agent_truthfulness(inst, MechanismKind.MRBFS)
+    with pytest.raises(ValueError, match=message):
+        audit_task_truthfulness(inst, MechanismKind.MRBFS)
 
 
 def test_deviations_are_lazy_and_skip_the_truthful_solve(monkeypatch):
