@@ -60,7 +60,7 @@ def generate_instance(cfg: GenConfig, index: int) -> Instance:
         rng.normal(cfg.value_mean, cfg.value_sigma, size=cfg.m), 0.0
     ).tolist()
     mask = rng.random((cfg.n, cfg.m)) < cfg.p
-    edges = [(int(a), int(t)) for a, t in np.argwhere(mask)]
+    edges = np.argwhere(mask).tolist()
     return Instance(capacities, values, edges)
 
 

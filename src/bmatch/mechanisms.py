@@ -134,43 +134,57 @@ def truthful_profile(inst: Instance, side: str = AGENTS) -> Profile:
     return Profile(side, inst, (None,) * count)
 
 
+def _bounded_report(
+    base: Instance, side: str, e: int, report: AgentReport | TaskReport
+) -> tuple[tuple[int, ...], int | float]:
+    """The edges and the capacity (agents) or value (tasks) that entity
+    ``e`` of ``side`` reports.
+
+    Raises ``ValueError`` when the report is not bounded by the truth
+    (extra edges, capacity outside [1, true], value outside (0, true]).
+    """
+    agents = side == AGENTS
+    if agents:
+        noun, peers, report_type, key = "agent", "tasks", AgentReport, "capacity"
+        true_adj, true_bound, low = base.agent_adj[e], base.capacities[e], "[1"
+    else:
+        noun, peers, report_type, key = "task", "agents", TaskReport, "value"
+        true_adj, true_bound, low = base.task_adj[e], base.values[e], "(0"
+    if not isinstance(report, report_type):
+        raise ValueError(f"{noun} {e} carries a non-{noun} report")
+    extra = set(report.edges).difference(true_adj)
+    if extra:
+        raise ValueError(
+            f"{noun} {e} reports non-existing edges to {peers} {sorted(extra)}"
+        )
+    bound = getattr(report, key)
+    if bound is None:
+        return report.edges, true_bound
+    if not (bound >= 1 if agents else bound > 0) or bound > true_bound:
+        raise ValueError(
+            f"{noun} {e} reports {key} {bound} outside {low}, {true_bound}]"
+        )
+    return report.edges, bound
+
+
 def build_effective_instance(profile: Profile) -> Instance:
     """Materialize the reported market.
 
     Raises ``ValueError`` when a report is not bounded by the truth
-    (extra edges, capacity outside [1, true], value outside (0, true]).
-    An agent-side market is patched from the base: it shares the values,
-    the task order and every adjacency tuple no report touches.
+    (see ``_bounded_report``).  An agent-side market is patched from the
+    base: it shares the values, the task order and every adjacency tuple
+    no report touches.
     """
-    base = profile.base
-    agents = profile.side == AGENTS
-    if agents:
-        noun, peers, report_type, key = "agent", "tasks", AgentReport, "capacity"
-        true_adj, bounds, low = base.agent_adj, list(base.capacities), "[1"
-    else:
-        noun, peers, report_type, key = "task", "agents", TaskReport, "value"
-        true_adj, bounds, low = base.task_adj, list(base.values), "(0"
+    base, side = profile.base, profile.side
+    agents = side == AGENTS
+    bounds = list(base.capacities if agents else base.values)
     reported: dict[int, tuple[int, ...]] = {}
     for e, report in enumerate(profile.reports):
-        if report is None:
-            continue
-        if not isinstance(report, report_type):
-            raise ValueError(f"{noun} {e} carries a non-{noun} report")
-        extra = set(report.edges) - set(true_adj[e])
-        if extra:
-            raise ValueError(
-                f"{noun} {e} reports non-existing edges to {peers} {sorted(extra)}"
-            )
-        bound = getattr(report, key)
-        if bound is not None:
-            if not (bound >= 1 if agents else bound > 0) or bound > bounds[e]:
-                raise ValueError(
-                    f"{noun} {e} reports {key} {bound} outside {low}, {bounds[e]}]"
-                )
-            bounds[e] = bound
-        reported[e] = report.edges
+        if report is not None:
+            reported[e], bounds[e] = _bounded_report(base, side, e, report)
     if agents:
         return _with_agent_reports(base, bounds, reported)
+    true_adj = base.task_adj
     # a reported value can move the task in the processing order: rebuild
     edges = [(a, j) for j, adj in enumerate(true_adj) for a in reported.get(j, adj)]
     return Instance(base.capacities, bounds, edges)

@@ -47,6 +47,19 @@ have rank below ``r``, so they have the same adjacent agents in both
 markets, and the reached set is closed in the second market too, by the
 argument above.  The length-1 approximation shares its prefix the same
 way.
+
+An agent that a failed search retires keeps its tasks to the end of the
+solve, since no later path reaches it.  The set the search closed was
+closed already before that step, because a search changes no
+assignment.  So let one solve retire agent ``a`` at step ``s``, and let
+another market have the same capacities and differ from this one only
+in the tasks of rank ``s`` and above in ``a``'s row.  Both solves reach
+step ``s`` in the same state.  The closed set's matched tasks have rank
+below ``s``, so they have the same adjacent agents in both markets, and
+the set is closed and saturated in the other market too: ``a`` ends the
+other solve with the tasks it ends this one with.  For the same reason
+a solve that only needs one agent's tasks can stop as soon as that
+agent is retired (``_resume_agent``).
 """
 
 from __future__ import annotations
@@ -328,7 +341,11 @@ class _State:
             t = self.from_task[a]
 
     def run(
-        self, traversal: Traversal | None, start: int = 0, journal: list | None = None
+        self,
+        traversal: Traversal | None,
+        start: int = 0,
+        journal: list | None = None,
+        until_retired: int | None = None,
     ) -> tuple[int, ...]:
         """Process the tasks of rank ``start`` onwards in decreasing value
         and return the owner tuple; ``None`` keeps only length-1 paths.
@@ -336,6 +353,10 @@ class _State:
         With a ``journal`` list, append one ``(path, retired)`` entry per
         task: the flipped path as ``path_pairs`` gives it, and the agents
         a failed search retired (both empty when they do not apply).
+
+        With ``until_retired``, stop as soon as a failed search retires
+        that agent.  The owner tuple is then partial; only that agent's
+        entries are final (see the module docstring).
         """
         if traversal is None:
             search = self.search_direct
@@ -343,7 +364,7 @@ class _State:
             search = self.search_bfs
         else:
             search = self.search_dfs
-        task_agents = self.task_agents
+        task_agents, visit_a = self.task_agents, self.visit_a
         for t in islice(self.task_order, start, None):
             if not task_agents[t]:
                 if journal is not None:
@@ -353,6 +374,8 @@ class _State:
             if terminal == -1:
                 if journal is not None:
                     journal.append(((), self.retired))
+                if until_retired is not None and visit_a[until_retired] == _DEAD:
+                    break
                 continue
             if journal is not None:
                 journal.append((self.path_pairs(terminal), ()))
@@ -446,3 +469,19 @@ def _resume(
     state = _State(inst, None)
     state.replay(journal, rank)
     return state.run(traversal, rank)
+
+
+def _resume_agent(
+    inst: Instance, traversal: Traversal | None, journal: list, rank: int, agent: int
+) -> tuple[int, ...]:
+    """The tasks ``agent`` holds at the end of a full solve of ``inst``,
+    in increasing id, started at ``rank`` from the journal of a solve of
+    another market under the precondition of ``_resume``.
+
+    The solve stops once ``agent`` is retired, since its tasks are then
+    final (see the module docstring).
+    """
+    state = _State(inst, None)
+    state.replay(journal, rank)
+    state.run(traversal, rank, until_retired=agent)
+    return tuple(sorted(state.agent_tasks[agent]))

@@ -40,11 +40,12 @@ from .mechanisms import (
     Profile,
     TASKS,
     TaskReport,
+    _bounded_report,
     build_effective_instance,
     run_mechanism,
     truthful_profile,
 )
-from .solver import _resume, _solve_journaled
+from .solver import _resume, _resume_agent, _solve_journaled
 
 __all__ = [
     "TLevel",
@@ -129,12 +130,24 @@ def apply_manipulation(
     If a family would drop every edge, the single highest-valued edge is
     kept instead, since a report cannot be empty.
     """
+    return _manipulated(inst, agent_id, _ordered_row(inst, agent_id), spec)
+
+
+def _ordered_row(inst: Instance, agent_id: int) -> list[int]:
+    """The agent's adjacent tasks by decreasing value, ties by id."""
     adj = inst.agent_adj[agent_id]
     if not adj:
         raise ValueError(f"agent {agent_id} has no edges to manipulate")
+    return sorted(adj, key=_by_value(inst))
+
+
+def _manipulated(
+    inst: Instance, agent_id: int, ordered: list[int], spec: ManipulationSpec
+) -> AgentReport:
+    """The report of ``apply_manipulation`` from the agent's
+    ``_ordered_row``."""
     if isinstance(spec, ExplicitReport):
         return spec.report
-    ordered = sorted(adj, key=_by_value(inst))
     if isinstance(spec, TLevel):
         keep = [t for t in ordered if inst.values[t] >= spec.threshold]
     elif isinstance(spec, KOrder):
@@ -179,29 +192,40 @@ def _side_view(inst: Instance, side: str):
     return inst.task_adj, lambda mu, e: float(task_utility(mu, e))
 
 
-def _first_change(before: Instance, after: Instance, side: str, entity: int) -> int:
-    """The lowest process rank at which two markets that differ only in
-    one entity's report differ, or the number of tasks when they do not.
-
-    An agent's report changes its row and capacity: rank 0 when the
-    capacity changes, else the lowest rank of a task the row gains or
-    loses.  A task's report changes its column and value, and a value
-    moves only that task in the processing order, so every rank below
-    both of its positions holds the same task with the same column in
-    both markets.
-    """
-    if side == TASKS:
-        if (
-            before.task_adj[entity] == after.task_adj[entity]
-            and before.values[entity] == after.values[entity]
-        ):
-            return before.m
-        return min(before.task_rank[entity], after.task_rank[entity])
-    if before.capacities[entity] != after.capacities[entity]:
+def _agent_first_change(
+    before: Instance, entity: int, edges: tuple[int, ...], capacity: int
+) -> int:
+    """The lowest process rank at which ``before`` changes when agent
+    ``entity`` reports ``edges`` and ``capacity`` instead, or the number
+    of tasks when it does not: rank 0 when the capacity changes, else the
+    lowest rank of a task the row gains or loses."""
+    if capacity != before.capacities[entity]:
         return 0
-    row = set(before.agent_adj[entity])
-    changed = row.symmetric_difference(after.agent_adj[entity])
+    changed = set(before.agent_adj[entity]).symmetric_difference(edges)
     return min(map(before.task_rank.__getitem__, changed), default=before.m)
+
+
+def _task_first_change(before: Instance, after: Instance, entity: int) -> int:
+    """The lowest process rank at which two markets that differ only in
+    one task's report differ, or the number of tasks when they do not.
+
+    A task's report changes its column and value, and a value moves only
+    that task in the processing order, so every rank below both of its
+    positions holds the same task with the same column in both markets.
+    """
+    if (
+        before.task_adj[entity] == after.task_adj[entity]
+        and before.values[entity] == after.values[entity]
+    ):
+        return before.m
+    return min(before.task_rank[entity], after.task_rank[entity])
+
+
+def _require_deterministic(kind: MechanismKind) -> None:
+    if kind not in DETERMINISTIC_KINDS:
+        raise ValueError(
+            "deviations are defined for the deterministic mechanisms MBFS, MDFS and MAP"
+        )
 
 
 def unilateral_deviations(
@@ -225,16 +249,28 @@ def unilateral_deviations(
     the market as ``profile`` has it is never solved again: its deviant
     utility is the baseline, so it never reads as a gain and still
     competes in an argmax.
+
+    An agent's report is checked and its first changed rank read without
+    building the reported market.  When the journal retires the agent at
+    a step no later than that rank, the agent's tasks are final before
+    the report changes anything (see the ``solver`` module docstring),
+    so the deviant utility is the baseline and nothing is built or
+    solved.  Otherwise the resumed solve stops as soon as the agent is
+    retired.  ``MAP`` retires no one.
     """
-    if kind not in DETERMINISTIC_KINDS:
-        raise ValueError(
-            "deviations are defined for the deterministic mechanisms MBFS, MDFS and MAP"
-        )
+    _require_deterministic(kind)
     inst, side = profile.base, profile.side
     adjacency, utility = _side_view(inst, side)
     traversal = _TRAVERSALS.get(kind)  # None: MAP's length-1 solve
     effective = build_effective_instance(profile)
     mu, journal = _solve_journaled(effective, traversal)
+    values = inst.values
+    # the step that retires each agent, or m: a dead agent is never
+    # reached again, so no agent is retired twice
+    retired_at = [inst.m] * inst.n
+    for step, (_, retired) in enumerate(journal):
+        for a in retired:
+            retired_at[a] = step
     if entities is None:
         entities = range(len(adjacency))
     for entity in entities:
@@ -242,12 +278,30 @@ def unilateral_deviations(
             continue
         baseline = utility(mu, entity)
         for report in candidates(entity, baseline):
-            reported = build_effective_instance(profile.with_report(entity, report))
-            rank = _first_change(effective, reported, side, entity)
-            if rank == inst.m:
-                deviant = baseline
+            if side == TASKS:
+                reported = build_effective_instance(profile.with_report(entity, report))
+                rank = _task_first_change(effective, reported, entity)
+                if rank == inst.m:
+                    deviant = baseline
+                else:
+                    deviant = utility(_resume(reported, traversal, journal, rank), entity)
             else:
-                deviant = utility(_resume(reported, traversal, journal, rank), entity)
+                if report is None:
+                    edges, capacity = adjacency[entity], inst.capacities[entity]
+                else:
+                    edges, capacity = _bounded_report(inst, side, entity, report)
+                rank = _agent_first_change(effective, entity, edges, capacity)
+                # an unchanged market, rank m, lands here too: retired_at <= m
+                if retired_at[entity] <= rank:
+                    deviant = baseline
+                else:
+                    reported = build_effective_instance(
+                        profile.with_report(entity, report)
+                    )
+                    deviant = 0.0
+                    # in increasing task id, as agent_utility sums
+                    for t in _resume_agent(reported, traversal, journal, rank, entity):
+                        deviant += values[t]
             yield entity, report, baseline, deviant
 
 
@@ -257,8 +311,9 @@ def _family_reports(
     """The distinct reports the specs build for one agent, in spec order,
     without the truthful one."""
     seen = {inst.agent_adj[agent_id]}
+    ordered = _ordered_row(inst, agent_id)
     for spec in specs:
-        report = apply_manipulation(inst, agent_id, spec)
+        report = _manipulated(inst, agent_id, ordered, spec)
         if report.edges not in seen:
             seen.add(report.edges)
             yield report
@@ -405,6 +460,7 @@ def verify_nash(
 ) -> tuple[bool, ProfitableDeviation | None]:
     """True iff no agent has a strictly improving unilateral deviation;
     otherwise also returns the first one found (in agent order)."""
+    _require_deterministic(kind)
     inst = profile.base
     mu = run_mechanism(kind, profile)
     for a in range(inst.n):

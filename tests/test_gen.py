@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from bmatch.core import Instance
 from bmatch.gen import GenConfig, generate_batch, generate_instance
+from bmatch.seeds import derive_rng
 
 
 def test_identical_config_and_index_reproduce_bit_for_bit():
@@ -19,6 +21,26 @@ def test_indices_are_independent_substreams():
     direct = generate_instance(cfg, 3)
     assert batch[3] == direct
     assert batch[0] != batch[1]
+
+
+def _loop_built_instance(cfg, index):
+    """``generate_instance`` with the edges listed one ``int()`` pair at a
+    time: the reference for the generator's single ``tolist`` call."""
+    rng = derive_rng(cfg.seed, index)
+    capacities = rng.integers(cfg.capacity_low, cfg.capacity_high + 1, size=cfg.n)
+    values = np.maximum(rng.normal(cfg.value_mean, cfg.value_sigma, size=cfg.m), 0.0)
+    mask = rng.random((cfg.n, cfg.m)) < cfg.p
+    edges = [(int(a), int(t)) for a, t in np.argwhere(mask)]
+    return Instance(capacities.tolist(), values.tolist(), edges)
+
+
+def test_edges_match_the_per_pair_reference():
+    for cfg in (GenConfig(20, 200, 0.2, 3, 7, seed=9), GenConfig(7, 5, 0.6, 1, 2, seed=4),
+                GenConfig(0, 3, 0.5, 1, 1, seed=1), GenConfig(3, 0, 0.5, 1, 1, seed=1)):
+        for i in range(5):
+            got, want = generate_instance(cfg, i), _loop_built_instance(cfg, i)
+            assert got == want
+            assert got.task_adj == want.task_adj and got.task_order == want.task_order
 
 
 def test_connection_probability_extremes():

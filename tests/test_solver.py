@@ -24,6 +24,7 @@ from bmatch.solver import (
     Traversal,
     _State,
     _resume,
+    _resume_agent,
     _solve_journaled,
     find_augmenting_path,
     solve_ap,
@@ -504,3 +505,18 @@ def test_resume_ends_in_the_full_solve_state(n, m, p, low, high):
                 assert resumed.run(traversal, rank) == owner
                 assert _state_snapshot(resumed) == _state_snapshot(full)
                 assert _resume(market, traversal, journal, rank) == owner
+                tasks = tuple(t for t, a in enumerate(owner) if a == agent)
+                assert _resume_agent(market, traversal, journal, rank, agent) == tasks
+
+
+@pytest.mark.parametrize("traversal", list(Traversal))
+def test_a_run_stops_once_the_watched_agent_is_retired(traversal):
+    # agents 0 and 1 hold tasks 0 and 1 when the search from task 2
+    # retires both; the full solve goes on to give task 3 to agent 2
+    inst = Instance([1, 1, 1], [3.0, 2.0, 1.0, 0.5],
+                    [(0, 0), (0, 2), (0, 3), (1, 0), (1, 1), (2, 3)])
+    assert _State(inst, None).run(traversal) == (0, 1, -1, 2)
+    assert _State(inst, None).run(traversal, until_retired=0) == (0, 1, -1, -1)
+    assert _State(inst, None).run(traversal, until_retired=2) == (0, 1, -1, 2)
+    _, journal = _solve_journaled(inst, traversal)
+    assert _resume_agent(inst, traversal, journal, 0, 0) == (0,)

@@ -319,12 +319,11 @@ def test_deviations_need_a_deterministic_mechanism():
         audit_agent_truthfulness(inst, MechanismKind.MRBFS)
     with pytest.raises(ValueError, match=message):
         audit_task_truthfulness(inst, MechanismKind.MRBFS)
+    with pytest.raises(ValueError, match=message):
+        verify_nash(truthful_profile(inst), MechanismKind.MRBFS)
 
 
-def test_deviations_are_lazy_and_skip_the_truthful_solve(monkeypatch):
-    # solves are counted where every solve runs: a full solve, the
-    # journaled baseline and a resumed deviation all enter _State.run
-    inst = epsilon_gap_instance(0.5)
+def _counting_runs(monkeypatch):
     calls = []
     run = solver._State.run
 
@@ -333,6 +332,14 @@ def test_deviations_are_lazy_and_skip_the_truthful_solve(monkeypatch):
         return run(state, *args, **kwargs)
 
     monkeypatch.setattr(solver._State, "run", counting)
+    return calls
+
+
+def test_deviations_are_lazy_and_skip_the_truthful_solve(monkeypatch):
+    # solves are counted where every solve runs: a full solve, the
+    # journaled baseline and a resumed deviation all enter _State.run
+    inst = epsilon_gap_instance(0.5)
+    calls = _counting_runs(monkeypatch)
     deviations = unilateral_deviations(
         MechanismKind.MBFS, truthful_profile(inst),
         lambda a, _: [AgentReport(inst.agent_adj[a]), AgentReport((0,))])
@@ -344,6 +351,56 @@ def test_deviations_are_lazy_and_skip_the_truthful_solve(monkeypatch):
     # the first gain ends any() before the other agent is tried
     assert any(after > before for _, _, before, after in deviations)
     assert len(calls) == 2
+
+
+def _retiring_market():
+    # agent 0 takes task 0 and agent 1 task 1; the search from task 2
+    # (rank 2) reaches both, both saturated, and retires them; agent 2
+    # then takes task 3, and the search from task 4 retires it
+    return Instance([1, 1, 1], [3.0, 2.0, 1.0, 0.5, 0.25],
+                    [(0, 0), (0, 2), (0, 3), (1, 0), (1, 1), (2, 3), (2, 4)])
+
+
+@pytest.mark.parametrize("kind", [MechanismKind.MBFS, MechanismKind.MDFS])
+def test_a_retired_deviant_keeps_its_baseline_without_a_solve(monkeypatch, kind):
+    inst = _retiring_market()
+    profile = truthful_profile(inst)
+    # hiding task 3 changes rank 3, hiding task 2 the retiring rank 2
+    reports = [AgentReport((0, 2)), AgentReport((0, 3)), AgentReport((0,))]
+    calls = _counting_runs(monkeypatch)
+    got = list(unilateral_deviations(kind, profile, lambda a, _: reports, (0,)))
+    # the baseline solve is the only one
+    assert len(calls) == 1
+    assert [(r, b, d) for _, r, b, d in got] == [(r, 3.0, 3.0) for r in reports]
+    for report in reports:
+        assert _full_resolve(kind, profile.with_report(0, report), 0) == 3.0
+
+
+@pytest.mark.parametrize("kind", [MechanismKind.MBFS, MechanismKind.MDFS])
+def test_a_saturated_deviant_that_is_not_retired_is_solved(monkeypatch, kind):
+    # agent 0 is saturated by task 0 from rank 0 on, but the search from
+    # task 1 frees it through agent 1, so it is never retired; hiding
+    # task 1 (rank 1) keeps task 0
+    inst = epsilon_gap_instance(0.5)
+    calls = _counting_runs(monkeypatch)
+    ((_, _, baseline, deviant),) = unilateral_deviations(
+        kind, truthful_profile(inst), lambda a, _: [AgentReport((0,))], (0,))
+    assert (baseline, deviant) == (1.0, 1.5)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("report, message", [
+    # task 4 has the last rank, after agent 0 is retired
+    (AgentReport((0, 2, 3, 4)), "non-existing edges to tasks \\[4\\]"),
+    (AgentReport((0, 2, 3), 0), "capacity 0 outside \\[1, 1\\]"),
+    (AgentReport((0, 2), 2), "capacity 2 outside \\[1, 1\\]"),
+])
+def test_a_retired_deviant_still_needs_a_bounded_report(report, message):
+    inst = _retiring_market()
+    deviations = unilateral_deviations(
+        MechanismKind.MBFS, truthful_profile(inst), lambda a, _: [report], (0,))
+    with pytest.raises(ValueError, match=message):
+        next(deviations)
 
 
 def _full_resolve(kind, profile, agent):
