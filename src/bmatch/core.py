@@ -60,10 +60,11 @@ class Instance:
     """A bipartite market: agent capacities, task values, and adjacency.
 
     The constructor is the one place where a market is checked: it
-    raises ``InvalidInstanceError`` listing every non-positive capacity,
-    negative or NaN value, out-of-range endpoint and duplicate edge, so
-    every ``Instance`` is valid and no later layer checks it again.  The
-    adjacency per agent and per task is kept sorted and deduplicated.
+    raises ``InvalidInstanceError`` listing every non-integral (boolean
+    included) or non-positive capacity, negative or NaN value,
+    out-of-range endpoint and duplicate edge, so every ``Instance`` is
+    valid and no later layer checks it again.  The adjacency per agent
+    and per task is kept sorted and deduplicated.
 
     Tasks are processed in decreasing value, ties broken by increasing
     task id.  Agent priority is the list index: agent 0 goes first.
@@ -84,14 +85,15 @@ class Instance:
         values: Iterable[float],
         edges: Iterable[tuple[int, int]],
     ):
-        self.capacities: tuple[int, ...] = tuple(map(int, capacities))
+        capacities = tuple(capacities)
         self.values: tuple[float, ...] = tuple(map(float, values))
-        n, m = len(self.capacities), len(self.values)
-        violations = [
-            f"non-positive capacity {capacity} on agent {i}"
-            for i, capacity in enumerate(self.capacities)
-            if capacity < 1
-        ]
+        n, m = len(capacities), len(self.values)
+        violations = []
+        for i, capacity in enumerate(capacities):
+            if isinstance(capacity, bool) or not float(capacity).is_integer():
+                violations.append(f"non-integral capacity {capacity!r} on agent {i}")
+            elif capacity < 1:
+                violations.append(f"non-positive capacity {int(capacity)} on agent {i}")
         violations += [
             f"negative or NaN value {value} on task {j}"
             for j, value in enumerate(self.values)
@@ -112,19 +114,14 @@ class Instance:
                 task_adj[t].append(a)
         if violations:
             raise InvalidInstanceError(violations)
+        self.capacities: tuple[int, ...] = tuple(map(int, capacities))
         self.agent_adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(adj)) for adj in agent_adj
         )
         self.task_adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(adj)) for adj in task_adj
         )
-        values = self.values
-        order = sorted(range(m), key=lambda j: (-values[j], j))
-        self.task_order: tuple[int, ...] = tuple(order)
-        rank = [0] * m
-        for pos, j in enumerate(order):
-            rank[j] = pos
-        self.task_rank: tuple[int, ...] = tuple(rank)
+        self.task_order, self.task_rank = _process_order(self.values)
 
     @property
     def n(self) -> int:
@@ -200,37 +197,57 @@ class Instance:
         return cls(capacities, values, edges)
 
 
-def _with_agent_reports(
-    base: Instance, capacities: Iterable[int], reported: dict[int, Iterable[int]]
-) -> Instance:
-    """``base`` with new agent capacities and each agent in ``reported``
-    cut down to the given tasks, built without the constructor's checks.
+def _process_order(
+    values: tuple[float, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The task order (decreasing value, ties by increasing id) and each
+    task's rank in it."""
+    order = sorted(range(len(values)), key=lambda j: (-values[j], j))
+    rank = [0] * len(order)
+    for pos, j in enumerate(order):
+        rank[j] = pos
+    return tuple(order), tuple(rank)
 
-    Every reported row must be a subset of the agent's true row and
-    every capacity must lie in [1, true capacity]; such a market is valid
-    because ``base`` is.  The values, the task order and every adjacency
-    tuple no report touches are shared with ``base``; only the reported
-    rows and the tasks they hide get new tuples.
+
+def _with_reports(
+    base: Instance,
+    agents: bool,
+    bounds: Iterable[int] | Iterable[float],
+    reported: dict[int, Iterable[int]],
+) -> Instance:
+    """``base`` with the bounds of one side (the capacities when
+    ``agents``, else the values) and each of that side's entities in
+    ``reported`` cut down to the given peers, built without the
+    constructor's checks.
+
+    Every reported row must be a subset of the true row and every bound
+    must pass ``mechanisms._bounded_report``; such a market is valid
+    because ``base`` is.  Every adjacency tuple no report touches is
+    shared with ``base``, and so is the task order while the values are.
     """
-    inst = object.__new__(Instance)
-    inst.capacities = tuple(map(int, capacities))
-    inst.values = base.values
-    inst.task_order = base.task_order
-    inst.task_rank = base.task_rank
-    agent_adj = list(base.agent_adj)
+    rows = list(base.agent_adj if agents else base.task_adj)
+    cols = list(base.task_adj if agents else base.agent_adj)
     hidden_from: dict[int, set[int]] = {}
-    for a, edges in reported.items():
+    for e, edges in reported.items():
         keep = set(edges)
-        row = base.agent_adj[a]
-        agent_adj[a] = tuple(t for t in row if t in keep)
-        for t in row:
-            if t not in keep:
-                hidden_from.setdefault(t, set()).add(a)
-    task_adj = list(base.task_adj)
-    for t, agents in hidden_from.items():
-        task_adj[t] = tuple(a for a in task_adj[t] if a not in agents)
-    inst.agent_adj = tuple(agent_adj)
-    inst.task_adj = tuple(task_adj)
+        row = rows[e]
+        rows[e] = tuple(p for p in row if p in keep)
+        for p in row:
+            if p not in keep:
+                hidden_from.setdefault(p, set()).add(e)
+    for p, entities in hidden_from.items():
+        cols[p] = tuple(e for e in cols[p] if e not in entities)
+    inst = object.__new__(Instance)
+    if agents:
+        inst.capacities, inst.values = tuple(bounds), base.values
+        inst.agent_adj, inst.task_adj = tuple(rows), tuple(cols)
+    else:
+        inst.capacities, inst.values = base.capacities, tuple(bounds)
+        inst.agent_adj, inst.task_adj = tuple(cols), tuple(rows)
+    if inst.values == base.values:
+        inst.task_order, inst.task_rank = base.task_order, base.task_rank
+    else:
+        inst.task_order, inst.task_rank = _process_order(inst.values)
     return inst
 
 

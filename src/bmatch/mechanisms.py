@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, _parse_finite, _parse_integral, _with_agent_reports
+from .core import Instance, _parse_finite, _parse_integral, _with_reports
 from .seeds import derive_rng
 from .solver import Traversal, solve_ap, solve_mvbm
 
@@ -135,13 +135,16 @@ def truthful_profile(inst: Instance, side: str = AGENTS) -> Profile:
 
 
 def _bounded_report(
-    base: Instance, side: str, e: int, report: AgentReport | TaskReport
+    base: Instance, side: str, e: int, report: AgentReport | TaskReport | None
 ) -> tuple[tuple[int, ...], int | float]:
     """The edges and the capacity (agents) or value (tasks) that entity
-    ``e`` of ``side`` reports.
+    ``e`` of ``side`` reports; ``None`` reports the truth.
 
     Raises ``ValueError`` when the report is not bounded by the truth
-    (extra edges, capacity outside [1, true], value outside (0, true]).
+    (extra edges, capacity outside [1, true], value outside (0, true])
+    or its capacity is not an integer (a boolean is not one).  The
+    capacity comes back as an ``int`` and the value as a ``float``, as
+    the ``Instance`` constructor stores them.
     """
     agents = side == AGENTS
     if agents:
@@ -150,6 +153,8 @@ def _bounded_report(
     else:
         noun, peers, report_type, key = "task", "agents", TaskReport, "value"
         true_adj, true_bound, low = base.task_adj[e], base.values[e], "(0"
+    if report is None:
+        return true_adj, true_bound
     if not isinstance(report, report_type):
         raise ValueError(f"{noun} {e} carries a non-{noun} report")
     extra = set(report.edges).difference(true_adj)
@@ -164,16 +169,18 @@ def _bounded_report(
         raise ValueError(
             f"{noun} {e} reports {key} {bound} outside {low}, {true_bound}]"
         )
-    return report.edges, bound
+    if agents and (isinstance(bound, bool) or bound != int(bound)):
+        raise ValueError(f"agent {e} reports non-integral capacity {bound!r}")
+    return report.edges, int(bound) if agents else float(bound)
 
 
 def build_effective_instance(profile: Profile) -> Instance:
     """Materialize the reported market.
 
     Raises ``ValueError`` when a report is not bounded by the truth
-    (see ``_bounded_report``).  An agent-side market is patched from the
-    base: it shares the values, the task order and every adjacency tuple
-    no report touches.
+    (see ``_bounded_report``).  The market is patched from the base, on
+    either side: it shares every adjacency tuple no report touches, and
+    the task order while no reported value differs from the truth.
     """
     base, side = profile.base, profile.side
     agents = side == AGENTS
@@ -182,12 +189,7 @@ def build_effective_instance(profile: Profile) -> Instance:
     for e, report in enumerate(profile.reports):
         if report is not None:
             reported[e], bounds[e] = _bounded_report(base, side, e, report)
-    if agents:
-        return _with_agent_reports(base, bounds, reported)
-    true_adj = base.task_adj
-    # a reported value can move the task in the processing order: rebuild
-    edges = [(a, j) for j, adj in enumerate(true_adj) for a in reported.get(j, adj)]
-    return Instance(base.capacities, bounds, edges)
+    return _with_reports(base, agents, bounds, reported)
 
 
 def run_mechanism(
@@ -236,13 +238,12 @@ class FcfsPolicySet:
 def fcfs_policies(inst: Instance) -> FcfsPolicySet:
     """The claim recursion: each agent, in priority order, takes the
     highest-valued remaining tasks it is adjacent to, up to capacity."""
-    values = inst.values
     remaining = set(range(inst.m))
     chain = [frozenset(remaining)]
     policies = []
     for a in range(inst.n):
         candidates = [t for t in inst.agent_adj[a] if t in remaining]
-        candidates.sort(key=lambda t: (-values[t], t))
+        candidates.sort(key=inst.task_rank.__getitem__)
         take = candidates[: inst.capacities[a]]
         remaining.difference_update(take)
         policies.append(tuple(sorted(take)))
@@ -276,8 +277,7 @@ def first_agent_best_report(inst: Instance, agent_id: int = 0) -> tuple[int, ...
     adj = inst.agent_adj[agent_id]
     if not adj:
         raise ValueError(f"agent {agent_id} has no edges")
-    values = inst.values
-    ordered = sorted(adj, key=lambda t: (-values[t], t))
+    ordered = sorted(adj, key=inst.task_rank.__getitem__)
     keep = ordered[: inst.capacities[agent_id]]
     return tuple(sorted(keep))
 

@@ -59,7 +59,14 @@ below ``s``, so they have the same adjacent agents in both markets, and
 the set is closed and saturated in the other market too: ``a`` ends the
 other solve with the tasks it ends this one with.  For the same reason
 a solve that only needs one agent's tasks can stop as soon as that
-agent is retired (``_resume_agent``).
+agent is retired (``_resume``).
+
+A task's outcome is final right after its own rank.  Flipping an
+augmenting path matches its start task and moves every other task on
+it from one agent to another, so a matched task stays matched; an
+unmatched task is searched from once, at its rank, and a failed search
+changes no assignment.  So a solve that only needs to know whether task
+``j`` is matched can stop after the step of ``j``'s rank (``_resume``).
 """
 
 from __future__ import annotations
@@ -346,9 +353,11 @@ class _State:
         start: int = 0,
         journal: list | None = None,
         until_retired: int | None = None,
+        end: int | None = None,
     ) -> tuple[int, ...]:
-        """Process the tasks of rank ``start`` onwards in decreasing value
-        and return the owner tuple; ``None`` keeps only length-1 paths.
+        """Process the tasks of rank ``start`` up to ``end`` in decreasing
+        value and return the owner tuple; ``None`` keeps only length-1
+        paths.
 
         With a ``journal`` list, append one ``(path, retired)`` entry per
         task: the flipped path as ``path_pairs`` gives it, and the agents
@@ -365,7 +374,7 @@ class _State:
         else:
             search = self.search_dfs
         task_agents, visit_a = self.task_agents, self.visit_a
-        for t in islice(self.task_order, start, None):
+        for t in islice(self.task_order, start, end):
             if not task_agents[t]:
                 if journal is not None:
                     journal.append(((), ()))
@@ -457,31 +466,24 @@ def _solve_journaled(
 
 
 def _resume(
-    inst: Instance, traversal: Traversal | None, journal: list, rank: int
+    inst: Instance,
+    traversal: Traversal | None,
+    journal: list,
+    rank: int,
+    agents: bool,
+    entity: int,
 ) -> tuple[int, ...]:
-    """The same owner tuple as a full solve of ``inst``, started at
-    ``rank`` from the journal of a solve of another market.
+    """An owner tuple of ``inst`` whose entries for the watched agent
+    (``agents``) or task ``entity`` are those of a full solve, started
+    at ``rank`` from the journal of a solve of another market.
 
     That market must have the capacities of ``inst`` and the same task,
-    with the same adjacent agents, at every rank below ``rank``; the
-    module docstring gives why the first ``rank`` steps then agree.
+    with the same adjacent agents, at every rank below ``rank``.  The
+    run stops once the watched agent is retired, or right after the
+    watched task's rank; the module docstring gives why.
     """
     state = _State(inst, None)
     state.replay(journal, rank)
-    return state.run(traversal, rank)
-
-
-def _resume_agent(
-    inst: Instance, traversal: Traversal | None, journal: list, rank: int, agent: int
-) -> tuple[int, ...]:
-    """The tasks ``agent`` holds at the end of a full solve of ``inst``,
-    in increasing id, started at ``rank`` from the journal of a solve of
-    another market under the precondition of ``_resume``.
-
-    The solve stops once ``agent`` is retired, since its tasks are then
-    final (see the module docstring).
-    """
-    state = _State(inst, None)
-    state.replay(journal, rank)
-    state.run(traversal, rank, until_retired=agent)
-    return tuple(sorted(state.agent_tasks[agent]))
+    if agents:
+        return state.run(traversal, rank, until_retired=entity)
+    return state.run(traversal, rank, end=inst.task_rank[entity] + 1)

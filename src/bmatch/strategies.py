@@ -19,6 +19,7 @@ maximum).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from math import inf
@@ -45,7 +46,7 @@ from .mechanisms import (
     run_mechanism,
     truthful_profile,
 )
-from .solver import _resume, _resume_agent, _solve_journaled
+from .solver import _resume, _solve_journaled
 
 __all__ = [
     "TLevel",
@@ -117,11 +118,6 @@ class ProfitableDeviation:
     deviant_utility: float
 
 
-def _by_value(inst: Instance):
-    values = inst.values
-    return lambda t: (-values[t], t)
-
-
 def apply_manipulation(
     inst: Instance, agent_id: int, spec: ManipulationSpec
 ) -> AgentReport:
@@ -138,7 +134,7 @@ def _ordered_row(inst: Instance, agent_id: int) -> list[int]:
     adj = inst.agent_adj[agent_id]
     if not adj:
         raise ValueError(f"agent {agent_id} has no edges to manipulate")
-    return sorted(adj, key=_by_value(inst))
+    return sorted(adj, key=inst.task_rank.__getitem__)
 
 
 def _manipulated(
@@ -192,33 +188,30 @@ def _side_view(inst: Instance, side: str):
     return inst.task_adj, lambda mu, e: float(task_utility(mu, e))
 
 
-def _agent_first_change(
-    before: Instance, entity: int, edges: tuple[int, ...], capacity: int
+def _first_change(
+    before: Instance, agents: bool, entity: int, edges: tuple[int, ...], bound
 ) -> int:
     """The lowest process rank at which ``before`` changes when agent
-    ``entity`` reports ``edges`` and ``capacity`` instead, or the number
-    of tasks when it does not: rank 0 when the capacity changes, else the
-    lowest rank of a task the row gains or loses."""
-    if capacity != before.capacities[entity]:
-        return 0
-    changed = set(before.agent_adj[entity]).symmetric_difference(edges)
-    return min(map(before.task_rank.__getitem__, changed), default=before.m)
+    (``agents``) or task ``entity`` reports ``edges`` and ``bound``
+    instead, or the number of tasks when it does not.
 
-
-def _task_first_change(before: Instance, after: Instance, entity: int) -> int:
-    """The lowest process rank at which two markets that differ only in
-    one task's report differ, or the number of tasks when they do not.
-
-    A task's report changes its column and value, and a value moves only
-    that task in the processing order, so every rank below both of its
-    positions holds the same task with the same column in both markets.
+    For an agent it is rank 0 when its capacity changes, else the lowest
+    rank of a task its row gains or loses.  A task's value moves only
+    that task in the processing order, so it is the lower of its rank
+    and the position of its new ``(-value, id)`` key.
     """
-    if (
-        before.task_adj[entity] == after.task_adj[entity]
-        and before.values[entity] == after.values[entity]
-    ):
-        return before.m
-    return min(before.task_rank[entity], after.task_rank[entity])
+    if agents:
+        if bound != before.capacities[entity]:
+            return 0
+        changed = set(before.agent_adj[entity]).symmetric_difference(edges)
+        return min(map(before.task_rank.__getitem__, changed), default=before.m)
+    rank, values = before.task_rank[entity], before.values
+    if bound != values[entity]:
+        moved = bisect.bisect_left(
+            before.task_order, (-bound, entity), key=lambda j: (-values[j], j)
+        )
+        return min(rank, moved)
+    return rank if before.task_adj[entity] != edges else before.m
 
 
 def _require_deterministic(kind: MechanismKind) -> None:
@@ -243,34 +236,33 @@ def unilateral_deviations(
     a non-empty true adjacency; entities without one are skipped.  The
     mechanism must be deterministic: ``ValueError`` otherwise.
 
-    The profile's solve is journaled once, on the first request, and
-    each deviation resumes it at the first process rank the report
-    changes (see the ``solver`` module docstring).  A report that leaves
-    the market as ``profile`` has it is never solved again: its deviant
-    utility is the baseline, so it never reads as a gain and still
-    competes in an argmax.
-
-    An agent's report is checked and its first changed rank read without
-    building the reported market.  When the journal retires the agent at
-    a step no later than that rank, the agent's tasks are final before
-    the report changes anything (see the ``solver`` module docstring),
-    so the deviant utility is the baseline and nothing is built or
-    solved.  Otherwise the resumed solve stops as soon as the agent is
-    retired.  ``MAP`` retires no one.
+    The profile's solve is journaled once, on the first request.  Each
+    report is checked as ``build_effective_instance`` checks it, and its
+    first changed process rank is read without building anything.  When
+    the entity's outcome is final at a step no later than that rank, the
+    deviant utility is the baseline and nothing is built or solved: an
+    agent retired there keeps its tasks, and a task is final after its
+    own rank, so only its unchanged report skips (see the ``solver``
+    module docstring).  Such a report never reads as a gain and still
+    competes in an argmax.  Any other report resumes the journal at that
+    rank until the entity's outcome is final.  ``MAP`` retires no one.
     """
     _require_deterministic(kind)
     inst, side = profile.base, profile.side
+    agents = side == AGENTS
     adjacency, utility = _side_view(inst, side)
     traversal = _TRAVERSALS.get(kind)  # None: MAP's length-1 solve
     effective = build_effective_instance(profile)
     mu, journal = _solve_journaled(effective, traversal)
-    values = inst.values
-    # the step that retires each agent, or m: a dead agent is never
-    # reached again, so no agent is retired twice
-    retired_at = [inst.m] * inst.n
-    for step, (_, retired) in enumerate(journal):
-        for a in retired:
-            retired_at[a] = step
+    if agents:
+        # the step that retires each agent, or m: a dead agent is never
+        # reached again, so no agent is retired twice
+        final_at = [inst.m] * inst.n
+        for step, (_, retired) in enumerate(journal):
+            for a in retired:
+                final_at[a] = step
+    else:
+        final_at = [rank + 1 for rank in effective.task_rank]
     if entities is None:
         entities = range(len(adjacency))
     for entity in entities:
@@ -278,30 +270,15 @@ def unilateral_deviations(
             continue
         baseline = utility(mu, entity)
         for report in candidates(entity, baseline):
-            if side == TASKS:
-                reported = build_effective_instance(profile.with_report(entity, report))
-                rank = _task_first_change(effective, reported, entity)
-                if rank == inst.m:
-                    deviant = baseline
-                else:
-                    deviant = utility(_resume(reported, traversal, journal, rank), entity)
+            edges, bound = _bounded_report(inst, side, entity, report)
+            rank = _first_change(effective, agents, entity, edges, bound)
+            # an unchanged market, rank m, lands here too: final_at <= m
+            if final_at[entity] <= rank:
+                deviant = baseline
             else:
-                if report is None:
-                    edges, capacity = adjacency[entity], inst.capacities[entity]
-                else:
-                    edges, capacity = _bounded_report(inst, side, entity, report)
-                rank = _agent_first_change(effective, entity, edges, capacity)
-                # an unchanged market, rank m, lands here too: retired_at <= m
-                if retired_at[entity] <= rank:
-                    deviant = baseline
-                else:
-                    reported = build_effective_instance(
-                        profile.with_report(entity, report)
-                    )
-                    deviant = 0.0
-                    # in increasing task id, as agent_utility sums
-                    for t in _resume_agent(reported, traversal, journal, rank, entity):
-                        deviant += values[t]
+                reported = build_effective_instance(profile.with_report(entity, report))
+                owner = _resume(reported, traversal, journal, rank, agents, entity)
+                deviant = utility(owner, entity)
             yield entity, report, baseline, deviant
 
 

@@ -29,17 +29,20 @@ def small_batch():
 
 
 def rebuilt_effective_instance(profile):
-    """An agent-side reported market built from its materialized edges by
-    the checked constructor: the reference for the patched build of
-    ``build_effective_instance``."""
-    assert profile.side == AGENTS
+    """A reported market, of either side, built from its materialized
+    edges by the checked constructor: the reference for the patched
+    build of ``build_effective_instance``."""
     base = profile.base
-    rows = list(base.agent_adj)
-    capacities = list(base.capacities)
-    for a, report in enumerate(profile.reports):
+    agents = profile.side == AGENTS
+    rows = list(base.agent_adj if agents else base.task_adj)
+    bounds = list(base.capacities if agents else base.values)
+    for e, report in enumerate(profile.reports):
         if report is not None:
-            rows[a] = report.edges
-            if report.capacity is not None:
-                capacities[a] = report.capacity
-    edges = [(a, t) for a, row in enumerate(rows) for t in row]
-    return Instance(capacities, base.values, edges)
+            rows[e] = report.edges
+            bound = report.capacity if agents else report.value
+            if bound is not None:
+                bounds[e] = bound
+    pairs = [(e, peer) for e, row in enumerate(rows) for peer in row]
+    if agents:
+        return Instance(bounds, base.values, pairs)
+    return Instance(base.capacities, bounds, [(a, t) for t, a in pairs])

@@ -28,13 +28,14 @@ from bmatch.solver import Traversal, solve_mvbm
 def _reference_violations(capacities, values, edges) -> list[str]:
     """Every invariant breach of a raw market, found by a separate pass
     over the converted inputs; the reference for ``Instance``'s checks."""
-    capacities = [int(c) for c in capacities]
     values = [float(v) for v in values]
     n, m = len(capacities), len(values)
     violations: list[str] = []
     for i, capacity in enumerate(capacities):
-        if capacity < 1:
-            violations.append(f"non-positive capacity {capacity} on agent {i}")
+        if type(capacity) is bool or capacity != int(capacity):
+            violations.append(f"non-integral capacity {capacity!r} on agent {i}")
+        elif capacity < 1:
+            violations.append(f"non-positive capacity {int(capacity)} on agent {i}")
     for j, value in enumerate(values):
         if value < 0 or value != value:
             violations.append(f"negative or NaN value {value} on task {j}")
@@ -81,6 +82,13 @@ def test_validate_reports_duplicates_and_bad_task():
     assert any("task id 7" in v for v in violations)
 
 
+def test_validate_reports_non_integral_capacity():
+    # a fraction or a boolean is not truncated into a capacity
+    assert _violations([2.7], [1.0], [(0, 0)]) == ["non-integral capacity 2.7 on agent 0"]
+    assert _violations([True], [1.0], [(0, 0)]) == ["non-integral capacity True on agent 0"]
+    assert Instance([2.0], [1.0], [(0, 0)]).capacities == (2,)
+
+
 def test_invalid_instance_lists_every_violation_in_order():
     with pytest.raises(InvalidInstanceError) as info:
         Instance([0, -2], [-1.0, math.nan], [(5, 0), (1, 1), (1, 1), (0, 9)])
@@ -99,11 +107,14 @@ def test_invalid_instance_lists_every_violation_in_order():
 
 @st.composite
 def _raw_markets(draw):
-    """Possibly malformed raw markets: zero or negative capacities,
-    negative or NaN values, out-of-range and duplicate edges."""
+    """Possibly malformed raw markets: zero, negative, fractional or
+    boolean capacities, negative or NaN values, out-of-range and
+    duplicate edges."""
     n = draw(st.integers(0, 4))
     m = draw(st.integers(0, 5))
-    capacities = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    capacities = draw(st.lists(
+        st.one_of(st.integers(-1, 3), st.sampled_from([2.0, 1.5, True])),
+        min_size=n, max_size=n))
     values = draw(st.lists(
         st.one_of(st.sampled_from([0.0, 1.0, 2.5, -0.5, math.nan]),
                   st.floats(-1.0, 5.0)),
@@ -122,6 +133,7 @@ def test_constructor_checks_match_the_reference(raw):
         assert _violations(capacities, values, edges) == expected
         return
     inst = Instance(capacities, values, edges)
+    assert inst.capacities == tuple(map(int, capacities))
     pairs = set(edges)
     assert inst.agent_adj == tuple(
         tuple(sorted(t for a2, t in pairs if a2 == a)) for a in range(len(capacities))

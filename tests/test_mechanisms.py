@@ -69,6 +69,19 @@ def test_effective_instance_rejects_unbounded_reports():
                 0, TaskReport(edges=(0,), value=2.0)))
 
 
+def test_effective_instance_rejects_non_integral_capacity_reports():
+    inst = Instance([2], [1.0, 0.5], [(0, 0), (0, 1)])
+    profile = truthful_profile(inst)
+    for capacity in (1.5, True):
+        with pytest.raises(ValueError, match="non-integral capacity"):
+            build_effective_instance(
+                profile.with_report(0, AgentReport((0, 1), capacity)))
+    # an integral float is a capacity, stored as an int
+    effective = build_effective_instance(profile.with_report(0, AgentReport((0, 1), 1.0)))
+    assert effective.capacities == (1,)
+    assert type(effective.capacities[0]) is int
+
+
 @st.composite
 def _agent_profiles(draw):
     """Agent-side profiles over small markets: any number of reports,
@@ -113,6 +126,56 @@ def test_patched_agent_market_equals_the_rebuilt_one(profile):
     for t in range(base.m):
         if t not in hidden:
             assert patched.task_adj[t] is base.task_adj[t]
+
+
+@st.composite
+def _task_profiles(draw):
+    """Task-side profiles over small markets: any number of reports,
+    each an agent subset of the true column (empty hides the task from
+    every agent), some with a lowered value that may tie another task's
+    value (ties go to the lower id)."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 8))
+    capacities = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    grid = [0.0, 0.5, 1.0, 2.0, 2.5]
+    values = draw(st.lists(st.sampled_from(grid), min_size=m, max_size=m))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))))
+    inst = Instance(capacities, values, sorted(edges))
+    reports = []
+    for t in range(m):
+        if draw(st.booleans()):
+            reports.append(None)
+            continue
+        column = draw(st.sets(st.sampled_from(inst.task_adj[t]))) if inst.task_adj[t] else set()
+        lower = [v for v in grid if 0 < v <= inst.values[t]]
+        value = draw(st.sampled_from([None, *lower]))
+        reports.append(TaskReport(tuple(column), value))
+    return Profile("tasks", inst, tuple(reports))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(profile=_task_profiles())
+def test_patched_task_market_equals_the_rebuilt_one(profile):
+    patched = build_effective_instance(profile)
+    rebuilt = rebuilt_effective_instance(profile)
+    for field in ("capacities", "values", "agent_adj", "task_adj",
+                  "task_order", "task_rank"):
+        assert getattr(patched, field) == getattr(rebuilt, field), field
+    # what no report touches is shared with the base, not copied
+    base = profile.base
+    assert patched.capacities is base.capacities
+    if patched.values == base.values:
+        assert patched.task_order is base.task_order
+        assert patched.task_rank is base.task_rank
+    hidden = set()
+    for t, report in enumerate(profile.reports):
+        if report is None:
+            assert patched.task_adj[t] is base.task_adj[t]
+        else:
+            hidden.update(set(base.task_adj[t]) - set(report.edges))
+    for a in range(base.n):
+        if a not in hidden:
+            assert patched.agent_adj[a] is base.agent_adj[a]
 
 
 def test_task_side_value_report_changes_processing_order():

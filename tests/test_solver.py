@@ -24,7 +24,6 @@ from bmatch.solver import (
     Traversal,
     _State,
     _resume,
-    _resume_agent,
     _solve_journaled,
     find_augmenting_path,
     solve_ap,
@@ -504,9 +503,13 @@ def test_resume_ends_in_the_full_solve_state(n, m, p, low, high):
                 resumed.replay(journal, rank)
                 assert resumed.run(traversal, rank) == owner
                 assert _state_snapshot(resumed) == _state_snapshot(full)
-                assert _resume(market, traversal, journal, rank) == owner
-                tasks = tuple(t for t, a in enumerate(owner) if a == agent)
-                assert _resume_agent(market, traversal, journal, rank, agent) == tasks
+                # a watched entity's entries are those of the full solve
+                watched = _resume(market, traversal, journal, rank, True, agent)
+                tasks = [t for t, a in enumerate(owner) if a == agent]
+                assert [t for t, a in enumerate(watched) if a == agent] == tasks
+                for t in hidden:
+                    watched = _resume(market, traversal, journal, rank, False, t)
+                    assert (watched[t] == -1) == (owner[t] == -1)
 
 
 @pytest.mark.parametrize("traversal", list(Traversal))
@@ -519,4 +522,23 @@ def test_a_run_stops_once_the_watched_agent_is_retired(traversal):
     assert _State(inst, None).run(traversal, until_retired=0) == (0, 1, -1, -1)
     assert _State(inst, None).run(traversal, until_retired=2) == (0, 1, -1, 2)
     _, journal = _solve_journaled(inst, traversal)
-    assert _resume_agent(inst, traversal, journal, 0, 0) == (0,)
+    assert _resume(inst, traversal, journal, 0, True, 0) == (0, 1, -1, -1)
+
+
+@pytest.mark.parametrize("traversal", [*Traversal, None])
+def test_a_resume_stops_after_the_watched_tasks_rank(traversal):
+    # tasks 1, 0, 3, 2 in process order, and every traversal matches
+    # three of them; a resume watching task j reads j's full-solve
+    # outcome and leaves every later rank unmatched, as the replay left it
+    inst = Instance([1, 1, 1], [2.0, 3.0, 0.5, 1.0],
+                    [(0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (2, 0)])
+    assert inst.task_order == (1, 0, 3, 2)
+    full = _State(inst, None).run(traversal)
+    assert sum(a != -1 for a in full) == 3
+    _, journal = _solve_journaled(inst, traversal)
+    for rank in range(inst.m):
+        for j in inst.task_order[rank:]:
+            owner = _resume(inst, traversal, journal, rank, False, j)
+            assert (owner[j] == -1) == (full[j] == -1)
+            later = inst.task_order[inst.task_rank[j] + 1:]
+            assert [owner[t] for t in later] == [-1] * len(later)

@@ -28,6 +28,7 @@ from bmatch.mechanisms import (
 from bmatch.oracle import audit_agent_truthfulness, audit_task_truthfulness
 from bmatch.solver import solve_ap, solve_mvbm
 from bmatch.strategies import (
+    _first_change,
     _report_candidates,
     ExplicitReport,
     KOrder,
@@ -353,6 +354,33 @@ def test_deviations_are_lazy_and_skip_the_truthful_solve(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("kind", [MechanismKind.MBFS, MechanismKind.MAP])
+def test_only_an_unchanged_task_report_skips_the_solve(monkeypatch, kind):
+    # task 2 has the last rank; its truthful report is not solved again,
+    # while only lowering its value, or dropping agent 0, resumes a solve
+    inst = Instance([2, 1], [2.0, 1.0, 0.5], [(0, 0), (0, 2), (1, 1), (1, 2)])
+    calls = _counting_runs(monkeypatch)
+    reports = [None, TaskReport((0, 1)), TaskReport((0, 1), 0.25), TaskReport((1,))]
+    got = list(unilateral_deviations(
+        kind, truthful_profile(inst, TASKS), lambda j, _: reports, (2,)))
+    assert [d for _, _, _, d in got] == [1.0, 1.0, 1.0, 0.0]
+    assert len(calls) == 3
+
+
+def test_a_task_reports_first_change_is_its_earlier_position():
+    # process order 0, 1, 2, 3; a task moved by its value changes the
+    # ranks from the earlier of its two positions on, ties going by id
+    inst = Instance([1], [4.0, 3.0, 2.0, 1.0], [(0, t) for t in range(4)])
+    column = (0,)
+    assert _first_change(inst, False, 3, column, 1.0) == 4
+    assert _first_change(inst, False, 3, (), 1.0) == 3
+    assert _first_change(inst, False, 1, column, 1.5) == 1
+    assert _first_change(inst, False, 3, column, 2.5) == 2
+    assert _first_change(inst, False, 3, column, 2.0) == 3
+    assert _first_change(inst, False, 3, column, 3.0) == 2
+    assert _first_change(inst, False, 3, column, 5.0) == 0
+
+
 def _retiring_market():
     # agent 0 takes task 0 and agent 1 task 1; the search from task 2
     # (rank 2) reaches both, both saturated, and retires them; agent 2
@@ -403,26 +431,28 @@ def test_a_retired_deviant_still_needs_a_bounded_report(report, message):
         next(deviations)
 
 
-def _full_resolve(kind, profile, agent):
-    """The agent's utility from a full solve of the market rebuilt by the
-    checked constructor: what ``run_mechanism`` computed before the
+def _full_resolve(kind, profile, entity):
+    """The entity's utility from a full solve of the market rebuilt by
+    the checked constructor: what ``run_mechanism`` computed before the
     reported market was patched and the solve resumed."""
     market = rebuilt_effective_instance(profile)
     if kind is MechanismKind.MAP:
         owner = solve_ap(market)
     else:
         owner = solve_mvbm(market, _TRAVERSALS[kind])
-    return agent_utility(profile.base, owner, agent)
+    if profile.side == AGENTS:
+        return agent_utility(profile.base, owner, entity)
+    return float(task_utility(owner, entity))
 
 
-def _assert_resumed_deviations_are_full_resolves(profile, candidates, agents=None):
+def _assert_resumed_deviations_are_full_resolves(profile, candidates, entities=None):
     for kind in (MechanismKind.MBFS, MechanismKind.MDFS, MechanismKind.MAP):
         tried = 0
-        for agent, report, baseline, deviant in unilateral_deviations(
-                kind, profile, candidates, agents):
-            assert baseline == _full_resolve(kind, profile, agent)
-            expected = _full_resolve(kind, profile.with_report(agent, report), agent)
-            assert deviant == expected, (kind, agent, report)
+        for entity, report, baseline, deviant in unilateral_deviations(
+                kind, profile, candidates, entities):
+            assert baseline == _full_resolve(kind, profile, entity)
+            expected = _full_resolve(kind, profile.with_report(entity, report), entity)
+            assert deviant == expected, (kind, entity, report)
             tried += 1
         assert tried > 0
 
@@ -459,6 +489,37 @@ def test_resumed_deviations_equal_full_resolves(n, m, p, low, high):
     inst = generate_instance(GenConfig(n, m, p, low, high, seed=211), 0)
     _assert_resumed_deviations_are_full_resolves(
         truthful_profile(inst), _hiding_reports(inst, n))
+
+
+def _task_reports(inst, seed):
+    """Random column subsets per task (the full and the empty one
+    included) crossed with the ``evms`` value grid 1, 0.5, 0.25."""
+    rng = np.random.default_rng(seed)
+
+    def candidates(task, _):
+        column, value = inst.task_adj[task], inst.values[task]
+        reports = []
+        for keep in (1.0, 0.9, 0.6, 0.0):
+            kept = rng.random(len(column)) < keep
+            edges = tuple(a for a, k in zip(column, kept) if k)
+            reports += [TaskReport(edges, value * f) for f in (1, 0.5, 0.25)
+                        if value * f > 0]
+        return reports
+
+    return candidates
+
+
+@pytest.mark.parametrize(
+    "n, m, p, low, high, stride",
+    [
+        (40, 30, 0.8, 1, 3, 1),  # dense
+        (20, 200, 0.1, 1, 3, 5),  # sparse, every fifth task
+    ],
+)
+def test_resumed_task_deviations_equal_full_resolves(n, m, p, low, high, stride):
+    inst = generate_instance(GenConfig(n, m, p, low, high, seed=211), 0)
+    _assert_resumed_deviations_are_full_resolves(
+        truthful_profile(inst, TASKS), _task_reports(inst, m), range(0, m, stride))
 
 
 def test_resumed_deviations_against_a_non_truthful_profile():
