@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ValueError("mc_trials must be at least 1")
         if self.kind == "mpug-curve" and not self.thresholds:
             raise ValueError("thresholds must be non-empty")
+        if self.kind == "randomized-vs-deterministic" and not self.orders:
+            raise ValueError("orders must be non-empty")
 
     def cells(self) -> list[tuple[int, int, float, tuple[int, int]]]:
         return list(

@@ -10,6 +10,10 @@ market and solves it:
 * ``MAP``: the greedy length-1 approximation (truthful for agents);
 * ``MRBFS``: a lottery orders the agents, then ``MBFS`` runs on the
   permuted market and the assignment is mapped back to original ids.
+  A Monte Carlo probe (``randomized_utility_samples``) draws the
+  substreams and orders of all its trials at once; trial ``k``'s order
+  is still the one ``sample_agent_order`` draws from ``derive_rng(seed,
+  k)``, the definition of that trial's stream.
 
 The first-come-first-served (FCFS) recursion gives each agent, in
 priority order, the best remaining tasks it is adjacent to, up to its
@@ -26,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Instance, _parse_finite, _parse_integral, _with_reports
-from .seeds import derive_rng
+from .seeds import derive_rng, substream_doubles
 from .solver import Traversal, solve_ap, solve_mvbm
 
 __all__ = [
@@ -306,36 +310,45 @@ def sample_agent_order(inst: Instance, rng: np.random.Generator) -> tuple[int, .
     Each round picks one of the remaining agents with probability
     proportional to its lottery weight.  Agents whose weight is zero
     (no reported edges) are appended after all positive-weight agents,
-    in id order.
+    in id order.  One ``rng.random(k)`` call supplies the doubles of all
+    ``k`` rounds; they are the values ``k`` scalar calls would give.
     """
-    return _draw_order(lottery_weights(inst), rng)
+    weights = lottery_weights(inst)
+    rounds = sum(1 for w in weights if w > 0.0)
+    return tuple(_draw_orders(weights, rng.random(rounds)[None])[0])
 
 
-def _draw_order(weights: Sequence[float], rng: np.random.Generator) -> tuple[int, ...]:
-    """The draw of ``sample_agent_order`` over precomputed weights.
+def _draw_orders(weights: Sequence[float], doubles: np.ndarray) -> list[list[int]]:
+    """The draw of ``sample_agent_order``, once per row of ``doubles``.
 
-    One ``rng.random(k)`` call supplies the doubles of all ``k`` rounds;
-    they are the values ``k`` scalar ``rng.random()`` calls would give.
+    ``doubles`` has one row per order and one column per round, that is
+    per positive weight.  A round scans the remaining agents in id order:
+    with ``total`` their weight sum and ``x = u * total``, it picks the
+    first agent whose running sum ``acc`` exceeds ``x``, or the last
+    remaining agent when rounding leaves none.  All rows advance one
+    round at a time: drawn and zero-weight agents keep their column with
+    weight 0.0, and ``np.cumsum`` adds left to right, where adding 0.0
+    leaves a positive sum unchanged, so ``total`` and ``acc`` are those
+    of the scalar scan bit for bit and a weight-0.0 column is never the
+    first whose ``acc`` exceeds ``x``.
     """
-    n = len(weights)
-    remaining = [a for a in range(n) if weights[a] > 0.0]
-    order: list[int] = []
-    for u in rng.random(len(remaining)).tolist():
-        total = 0.0
-        for a in remaining:
-            total += weights[a]
-        x = u * total
-        acc = 0.0
-        chosen = remaining[-1]
-        for a in remaining:
-            acc += weights[a]
-            if x < acc:
-                chosen = a
-                break
-        order.append(chosen)
-        remaining.remove(chosen)
-    order.extend(a for a in range(n) if weights[a] <= 0.0)
-    return tuple(order)
+    live = np.tile(np.asarray(weights, dtype=np.float64), (len(doubles), 1))
+    rows, n = live.shape
+    rounds = doubles.shape[1]
+    orders = np.empty((rows, n), dtype=np.intp)
+    row = np.arange(rows)
+    for r in range(rounds):
+        acc = np.cumsum(live, axis=1)
+        hit = (doubles[:, r] * acc[:, -1])[:, None] < acc
+        col = hit.argmax(axis=1)
+        missed = ~hit[row, col]
+        if missed.any():
+            # the last column still holding a positive weight
+            col[missed] = n - 1 - (live[missed, ::-1] > 0.0).argmax(axis=1)
+        orders[:, r] = col
+        live[row, col] = 0.0
+    orders[:, rounds:] = [a for a, w in enumerate(weights) if w <= 0.0]
+    return orders.tolist()
 
 
 def randomized_utility_samples(
@@ -345,7 +358,10 @@ def randomized_utility_samples(
 
     Returns a (trials, n) array.  Trial ``k`` uses the substream
     ``(seed, k)``, so results are independent of execution order and
-    identical for identical seeds.
+    identical for identical seeds.  The doubles and orders of all trials
+    are drawn at once (``substream_doubles``, ``_draw_orders``); row
+    ``k`` is the trial ``sample_agent_order(effective, derive_rng(seed,
+    k))`` would give.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -353,9 +369,10 @@ def randomized_utility_samples(
     values = effective.values
     n = effective.n
     weights = lottery_weights(effective)
+    rounds = sum(1 for w in weights if w > 0.0)
+    orders = _draw_orders(weights, substream_doubles(seed, trials, rounds))
     samples = np.empty((trials, n), dtype=np.float64)
-    for k in range(trials):
-        order = _draw_order(weights, derive_rng(seed, k))
+    for k, order in enumerate(orders):
         owner = solve_mvbm(effective, Traversal.BREADTH_FIRST, order)
         row = [0.0] * n
         for t, a in enumerate(owner):

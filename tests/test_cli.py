@@ -298,6 +298,19 @@ def test_experiment_rejects_malformed_configs(tmp_path, capsys, payload, message
     assert not out_dir.exists()
 
 
+def test_experiment_rejects_empty_orders(tmp_path, capsys):
+    # no order would be probed, and both manipulable fractions read 0
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(
+        dict(_CONFIG, kind="randomized-vs-deterministic", orders=[])))
+    out_dir = tmp_path / "results"
+    code = main(["experiment", "--config", str(config_path),
+                 "--out-dir", str(out_dir), "--workers", "1"])
+    assert code == 2
+    _assert_one_error_line(capsys, "orders must be non-empty")
+    assert not out_dir.exists()
+
+
 def test_experiment_rejects_non_integer_worker_variable(tmp_path, capsys,
                                                          monkeypatch):
     config_path = tmp_path / "cfg.json"

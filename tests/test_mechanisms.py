@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ from bmatch.mechanisms import (
     sample_agent_order,
     truthful_profile,
     worst_ne_profile,
-    _draw_order,
+    _draw_orders,
 )
 from bmatch.seeds import derive_rng
 from bmatch.solver import Traversal, solve_ap, solve_mvbm
@@ -303,28 +305,74 @@ def _scalar_draw_order(weights, rng):
     return tuple(order)
 
 
+def _assert_rows_match_the_scalar_draw(weights, seed, keys):
+    """``_draw_orders`` over the rows ``derive_rng(seed, k).random(R)``
+    gives, row by row, the scalar draw of the stream ``(seed, k)``."""
+    rounds = sum(1 for w in weights if w > 0.0)
+    doubles = np.stack([derive_rng(seed, k).random(rounds) for k in keys])
+    for k, order in zip(keys, _draw_orders(weights, doubles)):
+        assert tuple(order) == _scalar_draw_order(weights, derive_rng(seed, k)), k
+
+
 def test_batched_draw_equals_the_scalar_draw():
     # the randomized experiment's shape: some agents have no edges
     cfg = GenConfig(20, 25, 0.2, 3, 3, seed=41)
     weights = [lottery_weights(generate_instance(cfg, i)) for i in range(30)]
     assert any(0.0 in w for w in weights)
-    for k in range(3000):
-        w = weights[k % len(weights)]
-        assert _draw_order(w, derive_rng(43, k)) == _scalar_draw_order(
-            w, derive_rng(43, k)
-        ), k
+    for i, w in enumerate(weights):
+        _assert_rows_match_the_scalar_draw(w, 43, range(i, 3000, len(weights)))
     zeros = [0.0, 0.5, 0.0, 0.25, 0.25, 0.0, 1e-300]
-    for k in range(200):
-        assert _draw_order(zeros, derive_rng(44, k)) == _scalar_draw_order(
-            zeros, derive_rng(44, k)
-        )
-    assert _draw_order([0.0, 0.0], derive_rng(45)) == (0, 1)
+    _assert_rows_match_the_scalar_draw(zeros, 44, range(200))
+    assert _draw_orders([0.0, 0.0], np.empty((3, 0))) == [[0, 1]] * 3
     market = generate_instance(GenConfig(200, 2000, 0.01, 1, 3, seed=46), 0)
-    big = lottery_weights(market)
-    for k in range(5):
-        assert _draw_order(big, derive_rng(47, k)) == _scalar_draw_order(
-            big, derive_rng(47, k)
-        )
+    _assert_rows_match_the_scalar_draw(lottery_weights(market), 47, range(5))
+
+
+class _FixedRng:
+    """Stands in for a generator that returns the given doubles in turn."""
+
+    def __init__(self, doubles):
+        self.doubles = iter(doubles)
+
+    def random(self, size=None):
+        if size is None:
+            return next(self.doubles)
+        return np.array([next(self.doubles) for _ in range(size)])
+
+
+def test_draw_falls_back_to_the_last_remaining_agent():
+    # three one-ulp weights: 0.95 * total rounds up to total, so no
+    # running sum exceeds x and every round takes the last agent left
+    weights = [5e-324, 0.0, 5e-324, 5e-324]
+    assert 0.95 * 1.5e-323 == 1.5e-323
+    assert _scalar_draw_order(weights, _FixedRng([0.95] * 3)) == (3, 2, 0, 1)
+    assert _draw_orders(weights, np.full((2, 3), 0.95)) == [[3, 2, 0, 1]] * 2
+    # task values near the largest double give subnormal weights, whose
+    # totals the largest double below 1 cannot shrink
+    inst = Instance([1, 1, 1], [1.7e308, 1.6e308], [(0, 0), (1, 1), (2, 0)])
+    weights = lottery_weights(inst)
+    u = 1.0 - 2.0**-53
+    assert 0.0 < weights[0] < sys.float_info.min and u * weights[0] == weights[0]
+    assert _scalar_draw_order(weights, _FixedRng([u] * 3)) == (2, 1, 0)
+    assert sample_agent_order(inst, _FixedRng([u] * 3)) == (2, 1, 0)
+    rows = [[u, 0.5, u], [0.0, u, 0.0], [0.5, 0.0, u]]
+    assert _draw_orders(weights, np.array(rows)) == [
+        list(_scalar_draw_order(weights, _FixedRng(row))) for row in rows
+    ]
+
+
+def test_sampler_rows_equal_single_order_draws():
+    # c11's shape with one agent withdrawn, so one weight is zero
+    inst = generate_instance(GenConfig(20, 25, 0.2, 3, 3, seed=48), 0)
+    withdrawn = next(a for a in range(inst.n) if inst.agent_adj[a])
+    profile = truthful_profile(inst).with_report(withdrawn, AgentReport(edges=()))
+    effective = build_effective_instance(profile)
+    samples = randomized_utility_samples(profile, 250, 49)
+    for k, row in enumerate(samples):
+        order = sample_agent_order(effective, derive_rng(49, k))
+        owner = solve_mvbm(effective, Traversal.BREADTH_FIRST, order)
+        expected = [agent_utility(effective, owner, a) for a in range(inst.n)]
+        assert row.tolist() == expected, k
 
 
 def test_single_agent_order_is_identity():
