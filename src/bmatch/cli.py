@@ -47,6 +47,8 @@ from .mechanisms import (
 from .oracle import audit_agent_truthfulness, audit_task_truthfulness
 
 USAGE_ERROR = 2
+# Bad input, reported as one line and the usage exit code.
+_INPUT_ERRORS = (ValueError, OSError, KeyError, TypeError)
 
 _MECH_BY_NAME = {
     "bfs": MechanismKind.MBFS,
@@ -182,7 +184,12 @@ def _cmd_audit(args) -> int:
     report = []
     violations = 0
     for path in args.instances:
-        found = audit(load_instance(path), kind, args.setting)
+        try:
+            inst = load_instance(path)
+        except _INPUT_ERRORS as exc:
+            # name the file: a glob may sweep in a non-instance
+            raise ValueError(f"{path}: {exc}") from exc
+        found = audit(inst, kind, args.setting)
         entries = [
             {
                 entity: d.entity,
@@ -262,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -25,6 +25,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import product
 
@@ -424,6 +425,52 @@ def _worker_count(explicit: int | None) -> int:
     return os.cpu_count() or 1
 
 
+# The process's pool as (process id, worker count, executor), kept
+# across calls; a forked child sees its parent's entry and starts its own.
+_pool: tuple[int, int, ProcessPoolExecutor] | None = None
+
+
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The pool of ``workers`` processes, started at the first call and
+    replaced when the worker count or the process changes."""
+    global _pool
+    if _pool is not None and _pool[:2] == (os.getpid(), workers):
+        return _pool[2]
+    _drop_pool()
+    pool = ProcessPoolExecutor(max_workers=workers)
+    _pool = (os.getpid(), workers, pool)
+    return pool
+
+
+def _drop_pool() -> None:
+    global _pool
+    if _pool is None:
+        return
+    pid, _, pool = _pool
+    _pool = None
+    if pid == os.getpid():
+        pool.shutdown()
+
+
+def _run_jobs(jobs: list[tuple], workers: int) -> list:
+    """The chunks of ``jobs`` in job order, on the shared pool when more
+    than one worker is asked for.  A pool that cannot start leaves the
+    jobs to this process; a broken one is replaced and the jobs rerun
+    once, which gives the same chunks since a job is a pure function."""
+    if workers > 1:
+        for retry in (False, True):
+            try:
+                return list(_shared_pool(workers).map(_run_chunk, jobs))
+            except BrokenProcessPool:
+                _drop_pool()
+                if retry:
+                    raise
+            except OSError:
+                _drop_pool()
+                break
+    return [_run_chunk(job) for job in jobs]
+
+
 def run_experiment(
     cfg: ExperimentConfig, workers: int | None = None
 ) -> ResultsTable:
@@ -433,18 +480,16 @@ def run_experiment(
     job covers a range of one cell's instances; each cell's samples are
     joined in instance order and reduced once, so results are identical
     for any worker count.
+
+    The process pool lives as long as the process: it is started at the
+    first call that runs more than one worker, reused by every later call
+    with the same count and replaced at a new count.  Its workers fork
+    when it starts and keep the module state of that moment, so a
+    function patched later is not seen by them.
     """
     count = _worker_count(workers)
     jobs = _chunk_jobs(cfg, count)
-    count = min(count, len(jobs))
-    if count > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=count) as pool:
-                chunks = list(pool.map(_run_chunk, jobs))
-        except OSError:
-            chunks = [_run_chunk(job) for job in jobs]
-    else:
-        chunks = [_run_chunk(job) for job in jobs]
+    chunks = _run_jobs(jobs, min(count, len(jobs)))
     cells = cfg.cells()
     samples: list[list] = [[] for _ in cells]
     for (_, cell_index, _, _, _), chunk in zip(jobs, chunks):

@@ -176,11 +176,14 @@ _ONE_EDGE = {"agents": [{"capacity": 1}], "tasks": [{"value": 1.0}], "edges": [[
 def test_solve_and_audit_reject_invalid_instances(tmp_path, capsys, payload, line):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    for command in (["solve", str(path)], ["audit", "agents", str(path)]):
+    # audit names the file, since it takes many
+    audit_line = line.replace("error: ", f"error: {path}: ", 1)
+    for command, expected in ((["solve", str(path)], line),
+                              (["audit", "agents", str(path)], audit_line)):
         assert main(command) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [line]
+        assert captured.err.splitlines() == [expected]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,13 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from bmatch import harness
 from bmatch.harness import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
@@ -212,6 +218,86 @@ def test_worker_count_does_not_change_the_plot(tmp_path):
     render_plot(run_experiment(cfg, workers=1), str(s1))
     render_plot(run_experiment(cfg, workers=2), str(s2))
     assert s1.read_bytes() == s2.read_bytes()
+
+
+@pytest.fixture
+def fresh_pool():
+    """No pool cached before or after the test."""
+    harness._drop_pool()
+    yield
+    harness._drop_pool()
+
+
+def _csv(table, path) -> bytes:
+    export_results(table, "csv", str(path))
+    return path.read_bytes()
+
+
+def test_reused_and_replaced_pools_give_the_serial_bytes(fresh_pool, tmp_path):
+    # one cell of seven instances: seven jobs at two and at three workers
+    cfg = tiny_config("pma-pmi", iterations=7)
+    serial = _csv(run_experiment(cfg, workers=1), tmp_path / "serial.csv")
+    assert harness._pool is None
+    pools = []
+    for workers in (2, 2, 3, 2):
+        path = tmp_path / f"w{workers}.csv"
+        assert _csv(run_experiment(cfg, workers=workers), path) == serial
+        pid, count, pool = harness._pool
+        assert (pid, count) == (os.getpid(), workers)
+        pools.append(pool)
+    assert pools[1] is pools[0]
+    assert pools[2] is not pools[1] and pools[3] is not pools[2]
+
+
+def test_a_killed_worker_is_replaced_by_a_fresh_pool(fresh_pool, tmp_path):
+    cfg = tiny_config("mpug-curve", iterations=7)
+    serial = _csv(run_experiment(cfg, workers=1), tmp_path / "serial.csv")
+    run_experiment(cfg, workers=2)
+    broken = harness._pool[2]
+    victim = next(iter(broken._processes))
+    os.kill(victim, signal.SIGKILL)
+    assert _csv(run_experiment(cfg, workers=2), tmp_path / "after.csv") == serial
+    assert harness._pool[2] is not broken
+
+
+def test_a_pool_that_cannot_start_runs_serially(fresh_pool, monkeypatch, tmp_path):
+    def no_pool(*args, **kwargs):
+        raise OSError("no semaphores")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    cfg = tiny_config("compare-first-agent", iterations=7)
+    serial = _csv(run_experiment(cfg, workers=1), tmp_path / "serial.csv")
+    assert _csv(run_experiment(cfg, workers=2), tmp_path / "w2.csv") == serial
+    assert harness._pool is None
+
+
+_POOL_SCRIPT = """
+from bmatch import harness
+cfg = harness.ExperimentConfig(
+    kind="pma-pmi", n_values=(3,), m_values=(4,), p_values=(0.6,),
+    capacity_ranges=((1, 2),), iterations=7, seed=7)
+harness.run_experiment(cfg, workers=2)
+print(*harness._pool[2]._processes)
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_the_pool_workers_end_with_the_process():
+    src = Path(harness.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _POOL_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    assert not any(_alive(pid) for pid in pids)
 
 
 def _mpug_table(points_by_n: dict[int, list[tuple[int, float]]]) -> ResultsTable:
