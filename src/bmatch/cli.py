@@ -120,6 +120,8 @@ def _cmd_solve(args) -> int:
     if kind is MechanismKind.MRBFS and args.seed is None:
         print("error: --seed is required with --mech rbfs", file=sys.stderr)
         return USAGE_ERROR
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     mu = run_mechanism(kind, profile, rng_seed=args.seed)
     result = {
         "mechanism": args.mech,
@@ -133,6 +135,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
     cfg = GenConfig(
         n=args.n,
         m=args.m,

@@ -131,9 +131,6 @@ class Instance:
     def m(self) -> int:
         return len(self.values)
 
-    def degree(self, agent_id: int) -> int:
-        return len(self.agent_adj[agent_id])
-
     def edge_set(self) -> frozenset[tuple[int, int]]:
         """The normalized (deduplicated) edge set."""
         return frozenset(

@@ -48,6 +48,8 @@ class GenConfig:
             raise ValueError("capacity bounds must satisfy 1 <= low <= high")
         if self.value_sigma < 0:
             raise ValueError("value spread must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def generate_instance(cfg: GenConfig, index: int) -> Instance:

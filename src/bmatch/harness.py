@@ -93,6 +93,10 @@ class ExperimentConfig:
             raise ValueError("iterations must be at least 1")
         if self.mc_trials < 1:
             raise ValueError("mc_trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if any(k < 0 for k in self.orders):
+            raise ValueError(f"orders must be non-negative, got {list(self.orders)}")
         if self.kind == "mpug-curve" and not self.thresholds:
             raise ValueError("thresholds must be non-empty")
         if self.kind == "randomized-vs-deterministic" and not self.orders:

@@ -7,6 +7,10 @@ run the mechanisms under test on each: truthfulness audits try every
 bounded unilateral report, coalition searches every joint report of a
 small group, and equilibria are enumerated over full pure-strategy
 profiles.
+
+Coalition searches and equilibrium enumeration share one joint-report
+loop, ``_joint_outcomes``: after the mechanism and cap checks it builds
+each joint profile in one step and runs the mechanism once on it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import inf
+from typing import Iterator, Sequence
 
 from .core import (
     Instance,
@@ -36,6 +41,7 @@ from .solver import Traversal, solve_mvbm
 from .strategies import (
     ProfitableDeviation,
     _report_candidates,
+    _require_deterministic,
     _side_view,
     unilateral_deviations,
 )
@@ -173,35 +179,48 @@ class CoalitionDeviation:
     deviant_utilities: tuple[float, ...]
 
 
+def _joint_outcomes(
+    inst: Instance, kind: MechanismKind, side: str, entities: Sequence[int], cap: int
+) -> Iterator[tuple[tuple[int, ...], Profile, tuple[int, ...]]]:
+    """Run a deterministic mechanism on every joint ``ems`` report of
+    ``entities``, the others truthful, at most ``cap`` of them.  Yields
+    ``(key, profile, owner)`` with ``key`` the option indices, in
+    product order."""
+    _require_deterministic(kind)
+    option_sets = [_report_candidates(inst, side, e, "ems") for e in entities]
+    count = math.prod(len(options) for options in option_sets)
+    if count > cap:
+        raise SizeCapExceededError(
+            f"{count} joint reports of {side} {tuple(entities)} exceed the cap {cap}"
+        )
+    reports: list[object] = [None] * (inst.n if side == AGENTS else inst.m)
+    for key in itertools.product(*(range(len(options)) for options in option_sets)):
+        for e, options, choice in zip(entities, option_sets, key):
+            reports[e] = options[choice]
+        profile = Profile(side, inst, tuple(reports))
+        yield key, profile, run_mechanism(kind, profile)
+
+
 def _find_coalition(
-    inst: Instance, kind: MechanismKind, side: str, max_size: int, joint_cap: int
+    inst: Instance, kind: MechanismKind, side: str, max_size: int, cap: int
 ) -> CoalitionDeviation | None:
     """The first coalition of ``side`` entities up to ``max_size``, by
     size and then lexicographically, with a joint edge-hiding report
     under which no member loses and one strictly gains."""
     adjacency, utility = _side_view(inst, side)
-    truthful = truthful_profile(inst, side)
-    mu = run_mechanism(kind, truthful)
+    # the empty coalition's one joint report is the truthful profile
+    ((_, _, mu),) = _joint_outcomes(inst, kind, side, (), cap)
     baseline = [utility(mu, e) for e in range(len(adjacency))]
     eligible = [e for e, adj in enumerate(adjacency) if adj]
     for size in range(1, max_size + 1):
         for coalition in itertools.combinations(eligible, size):
-            option_sets = [_report_candidates(inst, side, e, "ems") for e in coalition]
-            joint_count = math.prod(len(options) for options in option_sets)
-            if joint_count > joint_cap:
-                raise SizeCapExceededError(
-                    f"coalition {coalition} has {joint_count} joint reports"
-                )
             old = tuple(baseline[e] for e in coalition)
-            for joint in itertools.product(*option_sets):
-                profile = truthful
-                for e, report in zip(coalition, joint):
-                    profile = profile.with_report(e, report)
-                mu_dev = run_mechanism(kind, profile)
-                new = tuple(utility(mu_dev, e) for e in coalition)
+            for _, profile, owner in _joint_outcomes(inst, kind, side, coalition, cap):
+                new = tuple(utility(owner, e) for e in coalition)
                 no_loss = all(u >= o - WEIGHT_TOL for u, o in zip(new, old))
                 strict = any(u > o + WEIGHT_TOL for u, o in zip(new, old))
                 if no_loss and strict:
+                    joint = tuple(profile.reports[e] for e in coalition)
                     return CoalitionDeviation(coalition, joint, old, new)
     return None
 
@@ -239,40 +258,24 @@ def enumerate_pure_nash(
     (empty) report.  Raises when the profile space exceeds the cap.
     """
     players = [a for a in range(inst.n) if inst.agent_adj[a]]
-    option_sets = [_report_candidates(inst, AGENTS, a, "ems") for a in players]
-    profile_count = math.prod(len(options) for options in option_sets)
-    if profile_count > NASH_PROFILE_CAP:
-        raise SizeCapExceededError(
-            f"{profile_count} pure profiles exceed the cap {NASH_PROFILE_CAP}"
-        )
-    truthful = truthful_profile(inst)
-
-    utilities: dict[tuple[int, ...], tuple[float, ...]] = {}
-    for key in itertools.product(*(range(len(o)) for o in option_sets)):
-        profile = truthful
-        for idx, choice in enumerate(key):
-            profile = profile.with_report(players[idx], option_sets[idx][choice])
-        mu = run_mechanism(kind, profile)
-        utilities[key] = tuple(agent_utility(inst, mu, a) for a in range(inst.n))
+    runs = _joint_outcomes(inst, kind, AGENTS, players, NASH_PROFILE_CAP)
+    outcomes = {
+        key: (profile, tuple(agent_utility(inst, owner, a) for a in range(inst.n)))
+        for key, profile, owner in runs
+    }
+    # the last key in product order holds each player's last option
+    option_counts = [choice + 1 for choice in next(reversed(outcomes))]
 
     equilibria: list[tuple[Profile, float]] = []
-    for key, utils in utilities.items():
-        is_ne = True
-        for idx, player in enumerate(players):
-            current = utils[player]
-            for alt in range(len(option_sets[idx])):
-                if alt == key[idx]:
-                    continue
-                alt_key = key[:idx] + (alt,) + key[idx + 1 :]
-                if utilities[alt_key][player] > current + WEIGHT_TOL:
-                    is_ne = False
-                    break
-            if not is_ne:
-                break
-        if is_ne:
-            profile = truthful
-            for idx, player in enumerate(players):
-                profile = profile.with_report(player, option_sets[idx][key[idx]])
+    for key, (profile, utils) in outcomes.items():
+        improvable = any(
+            outcomes[key[:idx] + (alt,) + key[idx + 1 :]][1][player]
+            > utils[player] + WEIGHT_TOL
+            for idx, player in enumerate(players)
+            for alt in range(option_counts[idx])
+            if alt != key[idx]
+        )
+        if not improvable:
             # left to right: builtin sum() compensates from Python 3.12 on
             welfare = 0.0
             for u in utils:

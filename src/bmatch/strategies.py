@@ -43,7 +43,6 @@ from .mechanisms import (
     TaskReport,
     _bounded_report,
     build_effective_instance,
-    run_mechanism,
     truthful_profile,
 )
 from .solver import _resume, _solve_journaled
@@ -131,6 +130,8 @@ def apply_manipulation(
 
 def _ordered_row(inst: Instance, agent_id: int) -> list[int]:
     """The agent's adjacent tasks by decreasing value, ties by id."""
+    if not 0 <= agent_id < inst.n:
+        raise ValueError(f"unknown agent id {agent_id}")
     adj = inst.agent_adj[agent_id]
     if not adj:
         raise ValueError(f"agent {agent_id} has no edges to manipulate")
@@ -362,9 +363,12 @@ def _report_candidates(
     value ``true value * f`` for the grid fractions ``f``, highest first
     (``evms``, tasks)."""
     if side == AGENTS:
-        adj, noun = inst.agent_adj[entity], "agent"
+        adjacency, noun = inst.agent_adj, "agent"
     else:
-        adj, noun = inst.task_adj[entity], "task"
+        adjacency, noun = inst.task_adj, "task"
+    if not 0 <= entity < len(adjacency):
+        raise ValueError(f"unknown {noun} id {entity}")
+    adj = adjacency[entity]
     degree = len(adj)
     if degree == 0:
         raise ValueError(f"{noun} {entity} has an empty strategy set")
@@ -400,6 +404,21 @@ def _report_candidates(
     raise ValueError(f"unknown setting {setting!r}")
 
 
+def _argmax(deviations: Iterable[tuple]) -> tuple[int, AgentReport, float, float]:
+    """One agent's best ``unilateral_deviations`` yield; ties as in
+    ``best_response_exhaustive``."""
+    best_report, best_utility = None, -inf
+    for agent, report, baseline, utility in deviations:
+        if utility > best_utility + WEIGHT_TOL:
+            best_report, best_utility = report, utility
+        elif utility > best_utility - WEIGHT_TOL:
+            key = (report.edges, -(report.capacity or 0))
+            if key < (best_report.edges, -(best_report.capacity or 0)):
+                best_report = report
+    assert best_report is not None
+    return agent, best_report, baseline, best_utility
+
+
 def best_response_exhaustive(
     inst: Instance,
     kind: MechanismKind,
@@ -415,38 +434,29 @@ def best_response_exhaustive(
     """
     if others is None:
         others = truthful_profile(inst)
+    elif others.side != AGENTS:
+        raise ValueError("best responses need an agent-side profile")
     candidates = _report_candidates(inst, AGENTS, agent_id, setting)
-    best_report: AgentReport | None = None
-    best_utility = -inf
-    for _, report, _, utility in unilateral_deviations(
+    _, report, _, utility = _argmax(unilateral_deviations(
         kind, others.with_report(agent_id, None), lambda a, _: candidates, (agent_id,)
-    ):
-        if utility > best_utility + WEIGHT_TOL:
-            best_report, best_utility = report, utility
-        elif utility > best_utility - WEIGHT_TOL and best_report is not None:
-            key = (report.edges, -(report.capacity or 0))
-            best_key = (best_report.edges, -(best_report.capacity or 0))
-            if key < best_key:
-                best_report = report
-    assert best_report is not None
-    return best_report, best_utility
+    ))
+    return report, utility
 
 
 def verify_nash(
     profile: Profile, kind: MechanismKind, setting: str = "ems"
 ) -> tuple[bool, ProfitableDeviation | None]:
     """True iff no agent has a strictly improving unilateral deviation;
-    otherwise also returns the first one found (in agent order)."""
-    _require_deterministic(kind)
+    otherwise also returns the first one found (in agent order), from
+    one deviation pass over ``profile``."""
+    if profile.side != AGENTS:
+        raise ValueError("verify_nash needs an agent-side profile")
     inst = profile.base
-    mu = run_mechanism(kind, profile)
-    for a in range(inst.n):
-        if not inst.agent_adj[a]:
-            continue
-        current = agent_utility(inst, mu, a)
-        report, utility = best_response_exhaustive(
-            inst, kind, a, others=profile, setting=setting
-        )
+    deviations = unilateral_deviations(
+        kind, profile, lambda a, _: _report_candidates(inst, AGENTS, a, setting)
+    )
+    for _, group in itertools.groupby(deviations, key=lambda d: d[0]):
+        agent, report, current, utility = _argmax(group)
         if utility > current + WEIGHT_TOL:
-            return False, ProfitableDeviation(a, report, current, utility)
+            return False, ProfitableDeviation(agent, report, current, utility)
     return True, None

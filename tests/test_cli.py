@@ -36,6 +36,9 @@ def test_solve_greedy_with_profile(tmp_path, instance_path, capsys):
 def test_solve_randomized_requires_seed(instance_path, capsys):
     assert main(["solve", instance_path, "--mech", "rbfs"]) == 2
     assert main(["solve", instance_path, "--mech", "rbfs", "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert main(["solve", instance_path, "--mech", "rbfs", "--seed", "-3"]) == 2
+    _assert_one_error_line(capsys, "error: --seed must be non-negative, got -3")
 
 
 def test_gen_writes_batch_and_manifest(tmp_path, capsys):
@@ -287,6 +290,9 @@ def _assert_one_error_line(capsys, message):
          "capacities entries must be [low, high] lists, got 5"),
         (dict(_CONFIG, capacities=[[1, 2, 3]]),
          "capacities entries must be [low, high] lists, got [1, 2, 3]"),
+        # rejected up front: numpy and KOrder would fail later, unnamed
+        (dict(_CONFIG, seed=-5), "seed must be non-negative, got -5"),
+        (dict(_CONFIG, orders=[2, -1]), "orders must be non-negative, got [2, -1]"),
     ],
 )
 def test_experiment_rejects_malformed_configs(tmp_path, capsys, payload, message):
@@ -298,6 +304,22 @@ def test_experiment_rejects_malformed_configs(tmp_path, capsys, payload, message
                      "--out-dir", str(out_dir), "--workers", "1"])
         assert code == 2
         _assert_one_error_line(capsys, message)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--count", "-2"], "error: --count must be non-negative, got -2"),
+        (["--seed", "-1"], "error: seed must be non-negative, got -1"),
+    ],
+)
+def test_gen_rejects_negative_count_and_seed(tmp_path, capsys, flags, message):
+    out_dir = tmp_path / "batch"
+    code = main(["gen", "--n", "2", "--m", "3", "--p", "0.5", *flags,
+                 "--out", str(out_dir)])
+    assert code == 2
+    _assert_one_error_line(capsys, message)
     assert not out_dir.exists()
 
 

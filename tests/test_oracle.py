@@ -170,3 +170,12 @@ def test_efficiency_ratio_never_exceeds_two(small_batch):
         for kind in (MechanismKind.MBFS, MechanismKind.MDFS):
             poa, _ = poa_pos_on_instance(inst, kind, exact=False)
             assert poa <= 2 + 1e-6
+
+
+def test_joint_report_cap_names_the_entities():
+    inst = Instance([1, 1], [1.0, 1.0], [(0, 0), (0, 1), (1, 0), (1, 1)])
+    # three reports per agent, nine joint reports
+    with pytest.raises(SizeCapExceededError,
+                       match=r"9 joint reports of agents \(0, 1\) exceed the cap 8"):
+        find_agent_coalition(inst, MechanismKind.MBFS, max_size=2, joint_cap=8)
+    assert find_agent_coalition(inst, MechanismKind.MBFS, max_size=2, joint_cap=9) is None

@@ -25,7 +25,13 @@ from bmatch.mechanisms import (
     truthful_profile,
     worst_ne_profile,
 )
-from bmatch.oracle import audit_agent_truthfulness, audit_task_truthfulness
+from bmatch.oracle import (
+    audit_agent_truthfulness,
+    audit_task_truthfulness,
+    enumerate_pure_nash,
+    find_agent_coalition,
+    find_task_coalition,
+)
 from bmatch.solver import solve_ap, solve_mvbm
 from bmatch.strategies import (
     _first_change,
@@ -166,6 +172,12 @@ def test_best_response_input_guards():
     wide = Instance([1], [1.0] * 21, [(0, t) for t in range(21)])
     with pytest.raises(SizeCapExceededError):
         best_response_exhaustive(wide, MechanismKind.MBFS, 0)
+    for agent in (2, -1):
+        with pytest.raises(ValueError, match=f"unknown agent id {agent}"):
+            best_response_exhaustive(isolated, MechanismKind.MBFS, agent)
+    with pytest.raises(ValueError, match="best responses need an agent-side profile"):
+        best_response_exhaustive(isolated, MechanismKind.MBFS, 1,
+                                 others=truthful_profile(isolated, TASKS))
 
 
 def test_worst_equilibrium_verifies_on_random_markets():
@@ -322,6 +334,21 @@ def test_deviations_need_a_deterministic_mechanism():
         audit_task_truthfulness(inst, MechanismKind.MRBFS)
     with pytest.raises(ValueError, match=message):
         verify_nash(truthful_profile(inst), MechanismKind.MRBFS)
+    with pytest.raises(ValueError, match=message):
+        enumerate_pure_nash(inst, MechanismKind.MRBFS)
+    with pytest.raises(ValueError, match=message):
+        find_agent_coalition(inst, MechanismKind.MRBFS)
+    with pytest.raises(ValueError, match=message):
+        find_task_coalition(inst, MechanismKind.MRBFS)
+
+
+def test_gain_ratio_and_nash_check_name_bad_inputs():
+    inst = epsilon_gap_instance(0.5)
+    with pytest.raises(ValueError, match="verify_nash needs an agent-side profile"):
+        verify_nash(truthful_profile(inst, TASKS), MechanismKind.MBFS)
+    for agent in (5, 2, -1):
+        with pytest.raises(ValueError, match=f"unknown agent id {agent}"):
+            utility_gain_ratio(inst, MechanismKind.MBFS, agent, TopB())
 
 
 def _counting_runs(monkeypatch):
