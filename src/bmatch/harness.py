@@ -97,6 +97,9 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if any(k < 0 for k in self.orders):
             raise ValueError(f"orders must be non-negative, got {list(self.orders)}")
+        # the generator's checks, up front for every cell, not per job
+        for n, m, p, (low, high) in self.cells():
+            GenConfig(n, m, p, low, high)
         if self.kind == "mpug-curve" and not self.thresholds:
             raise ValueError("thresholds must be non-empty")
         if self.kind == "randomized-vs-deterministic" and not self.orders:

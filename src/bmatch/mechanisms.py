@@ -13,7 +13,12 @@ market and solves it:
   A Monte Carlo probe (``randomized_utility_samples``) draws the
   substreams and orders of all its trials at once; trial ``k``'s order
   is still the one ``sample_agent_order`` draws from ``derive_rng(seed,
-  k)``, the definition of that trial's stream.
+  k)``, the definition of that trial's stream.  It then solves all the
+  orders at once (``solver._solve_orders``): one pass over the ranks
+  for every trial while its searches end at depth 1, and ``MBFS`` on
+  the solver's state machine for each trial from its first longer
+  search on.  Row ``k`` is the owner tuple ``solve_mvbm`` gives for
+  trial ``k``'s order.
 
 The first-come-first-served (FCFS) recursion gives each agent, in
 priority order, the best remaining tasks it is adjacent to, up to its
@@ -31,7 +36,7 @@ import numpy as np
 
 from .core import Instance, _parse_finite, _parse_integral, _with_reports
 from .seeds import derive_rng, substream_doubles
-from .solver import Traversal, solve_ap, solve_mvbm
+from .solver import Traversal, _solve_orders, solve_ap, solve_mvbm
 
 __all__ = [
     "AGENTS",
@@ -315,10 +320,10 @@ def sample_agent_order(inst: Instance, rng: np.random.Generator) -> tuple[int, .
     """
     weights = lottery_weights(inst)
     rounds = sum(1 for w in weights if w > 0.0)
-    return tuple(_draw_orders(weights, rng.random(rounds)[None])[0])
+    return tuple(_draw_orders(weights, rng.random(rounds)[None])[0].tolist())
 
 
-def _draw_orders(weights: Sequence[float], doubles: np.ndarray) -> list[list[int]]:
+def _draw_orders(weights: Sequence[float], doubles: np.ndarray) -> np.ndarray:
     """The draw of ``sample_agent_order``, once per row of ``doubles``.
 
     ``doubles`` has one row per order and one column per round, that is
@@ -348,7 +353,7 @@ def _draw_orders(weights: Sequence[float], doubles: np.ndarray) -> list[list[int
         orders[:, r] = col
         live[row, col] = 0.0
     orders[:, rounds:] = [a for a, w in enumerate(weights) if w <= 0.0]
-    return orders.tolist()
+    return orders
 
 
 def randomized_utility_samples(
@@ -359,27 +364,26 @@ def randomized_utility_samples(
     Returns a (trials, n) array.  Trial ``k`` uses the substream
     ``(seed, k)``, so results are independent of execution order and
     identical for identical seeds.  The doubles and orders of all trials
-    are drawn at once (``substream_doubles``, ``_draw_orders``); row
-    ``k`` is the trial ``sample_agent_order(effective, derive_rng(seed,
-    k))`` would give.
+    are drawn at once (``substream_doubles``, ``_draw_orders``) and
+    solved at once (``solver._solve_orders``); row ``k`` is the trial
+    ``sample_agent_order(effective, derive_rng(seed, k))`` and
+    ``solve_mvbm`` would give.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     effective = build_effective_instance(profile)
-    values = effective.values
     n = effective.n
     weights = lottery_weights(effective)
     rounds = sum(1 for w in weights if w > 0.0)
     orders = _draw_orders(weights, substream_doubles(seed, trials, rounds))
-    samples = np.empty((trials, n), dtype=np.float64)
-    for k, order in enumerate(orders):
-        owner = solve_mvbm(effective, Traversal.BREADTH_FIRST, order)
-        row = [0.0] * n
-        for t, a in enumerate(owner):
-            if a != -1:
-                row[a] += values[t]
-        samples[k] = row
-    return samples
+    owner = _solve_orders(effective, orders)
+    # owner -1 indexes the extra last column, which collects the values
+    # of unmatched tasks; each agent's sum runs left to right by task id
+    samples = np.zeros((trials, n + 1), dtype=np.float64)
+    rows = np.arange(trials)
+    for t, value in enumerate(effective.values):
+        samples[rows, owner[:, t]] += value
+    return samples[:, :n].copy()
 
 
 def run_randomized_bfs(profile: Profile, trials: int, seed: int) -> np.ndarray:

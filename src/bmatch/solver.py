@@ -67,6 +67,26 @@ it from one agent to another, so a matched task stays matched; an
 unmatched task is searched from once, at its rank, and a failed search
 changes no assignment.  So a solve that only needs to know whether task
 ``j`` is matched can stop after the step of ``j``'s rank (``_resume``).
+
+A probe of the order lottery solves one market under many agent orders
+(``_solve_orders``).  A breadth-first solve is given by its owner array
+alone until it meets a task that has agents, all of them saturated.  Up
+to that task every search has ended at depth 1, so none has failed and
+no agent is dead, and a new epoch has visited no agent.  The depth-1
+loop of ``search_bfs`` then returns the first unsaturated agent in the
+start task's priority list, which is the unsaturated adjacent agent of
+lowest position, and flipping that length-1 path only matches the start
+task.  So the loads are the counts of the owner array, and each agent's
+matched tasks in rank order are the ``agent_tasks`` of the solve.  All
+orders take these steps together: per task, one minimum of the agents'
+positions, read as ``n`` for a saturated agent, and the order gives the
+agent at that position.  An order whose task of rank ``r`` has only
+saturated agents leaves that pass.  ``seed_matching`` loads its owner
+array into a fresh ``_State``, which is then the state of the full
+solve before rank ``r``: it has no dead marks, and old visit stamps and
+parent pointers are never read.  ``run`` goes on from rank ``r``.
+Depth-first search cannot share the pass, because at depth 1 it dives
+into the first saturated agent before it tries the next one.
 """
 
 from __future__ import annotations
@@ -76,6 +96,8 @@ import enum
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
+
+import numpy as np
 
 from .core import InfeasibleMatchingError, Instance, is_feasible_matching
 
@@ -191,11 +213,14 @@ class _State:
         self.retired: list[int] = []
 
     def seed_matching(self, owner: Sequence[int]) -> None:
-        for t, a in enumerate(owner):
+        """Load the matching ``owner`` into a fresh state.  One pass in
+        process order appends each agent's tasks already sorted by rank."""
+        for t in self.task_order:
+            a = owner[t]
             if a != -1:
                 self.owner[t] = a
                 self.load[a] += 1
-                bisect.insort(self.agent_tasks[a], t, key=self.rank.__getitem__)
+                self.agent_tasks[a].append(t)
 
     def search_bfs(self, start: int) -> int:
         """Return the terminal agent of a shortest augmenting path from
@@ -444,6 +469,55 @@ def solve_mvbm(
     distributed among the agents.
     """
     return _State(inst, order).run(traversal)
+
+
+def _solve_orders(inst: Instance, orders: np.ndarray) -> np.ndarray:
+    """``solve_mvbm(inst, Traversal.BREADTH_FIRST, orders[k])`` as row
+    ``k`` of a (trials, m) owner array, for every row of ``orders``.
+
+    All trials walk the ranks together while their searches end at depth
+    1: per task, the unsaturated adjacent agent of lowest position takes
+    it.  A trial leaves this pass at the first task that has agents, all
+    of them saturated, and finishes on ``_State`` from its owner row (see
+    the module docstring).
+    """
+    trials, n = orders.shape
+    result = np.empty((trials, inst.m), dtype=np.intp)
+    owner = np.full((trials, inst.m), -1, dtype=np.intp)
+    # an agent's position in the trial's order, or n once it is saturated
+    key = np.empty((trials, n), dtype=np.intp)
+    key[np.arange(trials)[:, None], orders] = np.arange(n)
+    room = np.tile(np.asarray(inst.capacities, dtype=np.intp), (trials, 1))
+    # the trial of each row still in the pass, and the row's first cell
+    live = np.arange(trials)
+    base = live * n
+    for r, t in enumerate(inst.task_order):
+        if not live.size:
+            break
+        if not inst.task_adj[t]:
+            continue
+        best = key[:, inst.task_adj[t]].min(axis=1)
+        stuck = best == n
+        if stuck.any():
+            for row in np.flatnonzero(stuck).tolist():
+                state = _State(inst, orders[row].tolist())
+                state.seed_matching(owner[row].tolist())
+                result[live[row]] = state.run(Traversal.BREADTH_FIRST, r)
+            keep = ~stuck
+            owner, key, room, orders, live, best = (
+                owner[keep], key[keep], room[keep], orders[keep], live[keep], best[keep]
+            )
+            base = np.arange(live.size) * n
+        # the agent at position ``best`` takes the task; ``key`` and
+        # ``room`` are C-contiguous, so their ``ravel`` views write through
+        terminal = orders.ravel()[base + best]
+        owner[:, t] = terminal
+        cell = base + terminal
+        free = room.ravel()
+        free[cell] -= 1
+        key.ravel()[cell[free[cell] == 0]] = n
+    result[live] = owner
+    return result
 
 
 def solve_ap(inst: Instance) -> tuple[int, ...]:

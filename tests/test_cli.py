@@ -293,6 +293,14 @@ def _assert_one_error_line(capsys, message):
         # rejected up front: numpy and KOrder would fail later, unnamed
         (dict(_CONFIG, seed=-5), "seed must be non-negative, got -5"),
         (dict(_CONFIG, orders=[2, -1]), "orders must be non-negative, got [2, -1]"),
+        # the generator's checks run for every cell before any cell runs
+        (dict(_CONFIG, n=[2, -1]), "n and m must be non-negative"),
+        (dict(_CONFIG, m=[-3]), "n and m must be non-negative"),
+        (dict(_CONFIG, p=[0.8, 1.5]), "connection probability must be in [0, 1]"),
+        (dict(_CONFIG, capacities=[[1, 2], [0, 2]]),
+         "capacity bounds must satisfy 1 <= low <= high"),
+        (dict(_CONFIG, capacities=[[3, 2]]),
+         "capacity bounds must satisfy 1 <= low <= high"),
     ],
 )
 def test_experiment_rejects_malformed_configs(tmp_path, capsys, payload, message):
@@ -321,6 +329,17 @@ def test_gen_rejects_negative_count_and_seed(tmp_path, capsys, flags, message):
     assert code == 2
     _assert_one_error_line(capsys, message)
     assert not out_dir.exists()
+
+
+def test_experiment_with_a_bad_cell_writes_no_csv(tmp_path, capsys):
+    out_csv = tmp_path / "named.csv"
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(dict(_CONFIG, n=[2, -1], out_csv=str(out_csv))))
+    code = main(["experiment", "--config", str(config_path),
+                 "--out-dir", str(tmp_path / "results"), "--workers", "1"])
+    assert code == 2
+    _assert_one_error_line(capsys, "n and m must be non-negative")
+    assert not out_csv.exists()
 
 
 def test_experiment_rejects_empty_orders(tmp_path, capsys):

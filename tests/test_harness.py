@@ -47,6 +47,20 @@ def test_config_validation():
         tiny_config("pma-pmi", iterations=0)
 
 
+def test_config_checks_every_cell_up_front(monkeypatch):
+    # a config with one bad cell fails when it is built, so no job runs
+    def no_job(job):
+        raise AssertionError("a job ran")
+
+    monkeypatch.setattr(harness, "_run_chunk", no_job)
+    for overrides in (dict(n_values=(3, -1)), dict(m_values=(-4,)),
+                      dict(p_values=(0.6, 1.5)), dict(p_values=(-0.1,)),
+                      dict(capacity_ranges=((1, 2), (0, 2))),
+                      dict(capacity_ranges=((3, 2),))):
+        with pytest.raises(ValueError):
+            run_experiment(tiny_config("pma-pmi", **overrides), workers=1)
+
+
 def test_config_json_round_trip():
     cfg = tiny_config("pma-pmi")
     assert ExperimentConfig.from_json_dict(cfg.to_json_dict()) == cfg

@@ -310,7 +310,7 @@ def _assert_rows_match_the_scalar_draw(weights, seed, keys):
     gives, row by row, the scalar draw of the stream ``(seed, k)``."""
     rounds = sum(1 for w in weights if w > 0.0)
     doubles = np.stack([derive_rng(seed, k).random(rounds) for k in keys])
-    for k, order in zip(keys, _draw_orders(weights, doubles)):
+    for k, order in zip(keys, _draw_orders(weights, doubles).tolist()):
         assert tuple(order) == _scalar_draw_order(weights, derive_rng(seed, k)), k
 
 
@@ -323,7 +323,7 @@ def test_batched_draw_equals_the_scalar_draw():
         _assert_rows_match_the_scalar_draw(w, 43, range(i, 3000, len(weights)))
     zeros = [0.0, 0.5, 0.0, 0.25, 0.25, 0.0, 1e-300]
     _assert_rows_match_the_scalar_draw(zeros, 44, range(200))
-    assert _draw_orders([0.0, 0.0], np.empty((3, 0))) == [[0, 1]] * 3
+    assert _draw_orders([0.0, 0.0], np.empty((3, 0))).tolist() == [[0, 1]] * 3
     market = generate_instance(GenConfig(200, 2000, 0.01, 1, 3, seed=46), 0)
     _assert_rows_match_the_scalar_draw(lottery_weights(market), 47, range(5))
 
@@ -346,7 +346,7 @@ def test_draw_falls_back_to_the_last_remaining_agent():
     weights = [5e-324, 0.0, 5e-324, 5e-324]
     assert 0.95 * 1.5e-323 == 1.5e-323
     assert _scalar_draw_order(weights, _FixedRng([0.95] * 3)) == (3, 2, 0, 1)
-    assert _draw_orders(weights, np.full((2, 3), 0.95)) == [[3, 2, 0, 1]] * 2
+    assert _draw_orders(weights, np.full((2, 3), 0.95)).tolist() == [[3, 2, 0, 1]] * 2
     # task values near the largest double give subnormal weights, whose
     # totals the largest double below 1 cannot shrink
     inst = Instance([1, 1, 1], [1.7e308, 1.6e308], [(0, 0), (1, 1), (2, 0)])
@@ -356,23 +356,34 @@ def test_draw_falls_back_to_the_last_remaining_agent():
     assert _scalar_draw_order(weights, _FixedRng([u] * 3)) == (2, 1, 0)
     assert sample_agent_order(inst, _FixedRng([u] * 3)) == (2, 1, 0)
     rows = [[u, 0.5, u], [0.0, u, 0.0], [0.5, 0.0, u]]
-    assert _draw_orders(weights, np.array(rows)) == [
+    assert _draw_orders(weights, np.array(rows)).tolist() == [
         list(_scalar_draw_order(weights, _FixedRng(row))) for row in rows
     ]
 
 
 def test_sampler_rows_equal_single_order_draws():
-    # c11's shape with one agent withdrawn, so one weight is zero
-    inst = generate_instance(GenConfig(20, 25, 0.2, 3, 3, seed=48), 0)
-    withdrawn = next(a for a in range(inst.n) if inst.agent_adj[a])
-    profile = truthful_profile(inst).with_report(withdrawn, AgentReport(edges=()))
-    effective = build_effective_instance(profile)
-    samples = randomized_utility_samples(profile, 250, 49)
-    for k, row in enumerate(samples):
-        order = sample_agent_order(effective, derive_rng(49, k))
-        owner = solve_mvbm(effective, Traversal.BREADTH_FIRST, order)
-        expected = [agent_utility(effective, owner, a) for a in range(inst.n)]
-        assert row.tolist() == expected, k
+    # c11's shape: the truthful profile, one agent withdrawn (so one
+    # weight is zero) and one agent hiding an edge; byte for byte
+    cfg = GenConfig(20, 25, 0.2, 3, 3, seed=48)
+    for i in range(3):
+        inst = generate_instance(cfg, i)
+        truthful = truthful_profile(inst)
+        withdrawn = next(a for a in range(inst.n) if inst.agent_adj[a])
+        hider = max(range(inst.n), key=lambda a: len(inst.agent_adj[a]))
+        hidden = AgentReport(edges=inst.agent_adj[hider][1:])
+        for profile in (
+            truthful,
+            truthful.with_report(withdrawn, AgentReport(edges=())),
+            truthful.with_report(hider, hidden),
+        ):
+            effective = build_effective_instance(profile)
+            samples = randomized_utility_samples(profile, 250, 49 + i)
+            expected = np.empty_like(samples)
+            for k in range(250):
+                order = sample_agent_order(effective, derive_rng(49 + i, k))
+                owner = solve_mvbm(effective, Traversal.BREADTH_FIRST, order)
+                expected[k] = [agent_utility(effective, owner, a) for a in range(inst.n)]
+            assert samples.tobytes() == expected.tobytes(), (i, profile.reports)
 
 
 def test_single_agent_order_is_identity():

@@ -25,10 +25,12 @@ from bmatch.solver import (
     _State,
     _resume,
     _solve_journaled,
+    _solve_orders,
     find_augmenting_path,
     solve_ap,
     solve_mvbm,
 )
+from bmatch import solver
 from conftest import small_instances
 
 
@@ -542,3 +544,80 @@ def test_a_resume_stops_after_the_watched_tasks_rank(traversal):
             assert (owner[j] == -1) == (full[j] == -1)
             later = inst.task_order[inst.task_rank[j] + 1:]
             assert [owner[t] for t in later] == [-1] * len(later)
+
+
+class _SeededCount(_State):
+    """Counts the trials ``_solve_orders`` finishes on the state machine."""
+
+    seeded = 0
+
+    def seed_matching(self, owner):
+        _SeededCount.seeded += 1
+        super().seed_matching(owner)
+
+
+def _random_orders(rng, trials, n):
+    return np.argsort(rng.random((trials, n)), axis=1)
+
+
+def _assert_solves_each_order(inst, orders):
+    owners = _solve_orders(inst, orders)
+    assert owners.shape == (len(orders), inst.m)
+    for k, order in enumerate(orders.tolist()):
+        expected = solve_mvbm(inst, Traversal.BREADTH_FIRST, order)
+        assert tuple(owners[k].tolist()) == expected, (k, order)
+
+
+def _solve_and_count_resumes(monkeypatch, inst, orders):
+    monkeypatch.setattr(solver, "_State", _SeededCount)
+    _SeededCount.seeded = 0
+    _assert_solves_each_order(inst, orders)
+    return _SeededCount.seeded
+
+
+def test_batched_orders_solve_as_one_by_one_on_lottery_markets(monkeypatch):
+    # the randomized experiment's shape: most trials end in the vector
+    # pass, the rest meet a task whose agents are all saturated
+    cfg = GenConfig(20, 25, 0.2, 3, 3, seed=107)
+    rng = np.random.default_rng(108)
+    resumed = trials = 0
+    for i in range(24):
+        orders = _random_orders(rng, 60, cfg.n)
+        resumed += _solve_and_count_resumes(monkeypatch, generate_instance(cfg, i), orders)
+        trials += len(orders)
+    assert 0 < resumed < trials
+
+
+def test_batched_orders_solve_as_one_by_one_on_tight_markets(monkeypatch):
+    # unit capacities: searches fail and retire agents after the resume
+    cfg = GenConfig(20, 25, 0.4, 1, 1, seed=109)
+    rng = np.random.default_rng(110)
+    for i in range(8):
+        inst = generate_instance(cfg, i)
+        orders = _random_orders(rng, 40, cfg.n)
+        assert _solve_and_count_resumes(monkeypatch, inst, orders) > 0
+        dead = _State(inst, orders[0].tolist())
+        dead.run(Traversal.BREADTH_FIRST)
+        assert _DEAD in dead.visit_a
+
+
+def test_batched_orders_on_degenerate_markets():
+    rng = np.random.default_rng(111)
+    # task 1 has no agents, agent 2 has no edges (withdrawn)
+    inst = Instance([1, 2, 1], [3.0, 5.0, 2.0, 2.0], [(0, 0), (0, 2), (1, 0), (1, 3)])
+    _assert_solves_each_order(inst, _random_orders(rng, 30, 3))
+    one_agent = Instance([2], [1.0, 3.0, 2.0], [(0, 0), (0, 1), (0, 2)])
+    _assert_solves_each_order(one_agent, _random_orders(rng, 5, 1))
+    _assert_solves_each_order(inst, np.array([[2, 0, 1]]))
+    no_agents = Instance([], [1.0, 2.0], [])
+    _assert_solves_each_order(no_agents, np.empty((3, 0), dtype=np.intp))
+    no_tasks = Instance([1, 2], [], [])
+    _assert_solves_each_order(no_tasks, _random_orders(rng, 4, 2))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batched_orders_solve_as_one_by_one_property(data):
+    inst = data.draw(_markets())
+    orders = data.draw(st.lists(st.permutations(range(inst.n)), min_size=1, max_size=6))
+    _assert_solves_each_order(inst, np.array(orders, dtype=np.intp))
