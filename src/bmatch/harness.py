@@ -424,12 +424,15 @@ def _chunk_jobs(cfg: ExperimentConfig, workers: int) -> list[tuple]:
 
 
 def _worker_count(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        return max(1, _parse_integral(env, WORKERS_ENV_VAR))
-    return os.cpu_count() or 1
+    name, count = "workers", explicit
+    if count is None:
+        env = os.environ.get(WORKERS_ENV_VAR)
+        if not env:
+            return os.cpu_count() or 1
+        name, count = WORKERS_ENV_VAR, _parse_integral(env, WORKERS_ENV_VAR)
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+    return count
 
 
 # The process's pool as (process id, worker count, executor), kept

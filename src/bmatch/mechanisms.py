@@ -133,6 +133,9 @@ class Profile:
             )
 
     def with_report(self, index: int, report) -> "Profile":
+        if not 0 <= index < len(self.reports):
+            noun = "agent" if self.side == AGENTS else "task"
+            raise ValueError(f"unknown {noun} id {index}")
         reports = list(self.reports)
         reports[index] = report
         return Profile(self.side, self.base, tuple(reports))

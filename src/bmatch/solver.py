@@ -38,15 +38,19 @@ of rank below ``k``) and their adjacent agents.  Two markets with the
 same capacities and the same task, with the same adjacent agents, at
 every rank below ``r`` therefore take the same first ``r`` steps: the
 same paths are flipped, and the same searches fail and retire the same
-agents.  The ranks from ``r`` on may hold other tasks: a reported task
-value moves only that task in the order.  ``_solve_journaled`` records
-each step of one solve, and ``_resume`` replays the first ``r`` steps
-into the other market and continues there with the same loop.  The
-dead marks carry over: a dead agent is saturated and its matched tasks
-have rank below ``r``, so they have the same adjacent agents in both
-markets, and the reached set is closed in the second market too, by the
-argument above.  The length-1 approximation shares its prefix the same
-way.
+agents.  ``_solve_journaled`` records each step of one solve, and
+``_resume`` replays the first ``r`` steps into the other market and
+continues there with the same loop.  The dead marks carry over: a dead
+agent is saturated and its matched tasks have rank below ``r``, so they
+have the same adjacent agents in both markets, and the reached set is
+closed in the second market too, by the argument above.  The length-1
+approximation shares its prefix the same way.
+
+A new report of one entity gives ``r`` (``_first_change``): for an
+agent, rank 0 for a new capacity, else the lowest rank of a task its
+row gains or loses; for a task, the lower of its ranks in the two
+markets, since a new value moves only that task in the order.
+``_resume`` reads the second rank from the reported market.
 
 An agent that a failed search retires keeps its tasks to the end of the
 solve, since no later path reaches it.  The set the search closed was
@@ -67,6 +71,12 @@ it from one agent to another, so a matched task stays matched; an
 unmatched task is searched from once, at its rank, and a failed search
 changes no assignment.  So a solve that only needs to know whether task
 ``j`` is matched can stop after the step of ``j``'s rank (``_resume``).
+
+So an entity's outcome is final against any report of its own from
+the step that retires an agent, or from ``m`` for a task, whose report
+changes the market at its own rank (``_solve_journaled``).  A report
+whose first change is there or later, ``m`` if it changes nothing,
+needs no solve.
 
 A probe of the order lottery solves one market under many agent orders
 (``_solve_orders``).  A breadth-first solve is given by its owner array
@@ -276,45 +286,37 @@ class _State:
         """Depth-first counterpart of ``search_bfs``."""
         self.epoch += 1
         epoch = self.epoch
-        visit_a, visit_t = self.visit_a, self.visit_t
-        caps, load = self.caps, self.load
+        visit_a, visit_t, from_task = self.visit_a, self.visit_t, self.from_task
+        caps, load, task_agents = self.caps, self.load, self.task_agents
         visit_t[start] = epoch
         # every saturated agent reached, one per agent frame
         reached: list[int] = []
-        # frames: [is_task_frame, node id, sequence, cursor]
-        frames: list[list] = [[True, start, self.task_agents[start], 0]]
+        # (node, neighbours left to try); task and agent frames alternate
+        frames = [(start, iter(task_agents[start]))]
         while frames:
-            frame = frames[-1]
-            is_task, node, seq, i = frame
-            moved = False
-            if is_task:
-                while i < len(seq):
-                    a = seq[i]
-                    i += 1
+            node, rest = frames[-1]
+            if len(frames) % 2:  # a task frame
+                for a in rest:
                     if visit_a[a] >= epoch:
                         continue
                     visit_a[a] = epoch
-                    self.from_task[a] = node
+                    from_task[a] = node
                     if load[a] < caps[a]:
                         return a
                     reached.append(a)
-                    frame[3] = i
-                    frames.append([False, a, self.agent_tasks[a], 0])
-                    moved = True
+                    frames.append((a, iter(self.agent_tasks[a])))
                     break
+                else:
+                    frames.pop()
             else:
-                while i < len(seq):
-                    t2 = seq[i]
-                    i += 1
+                for t2 in rest:
                     if visit_t[t2] == epoch:
                         continue
                     visit_t[t2] = epoch
-                    frame[3] = i
-                    frames.append([True, t2, self.task_agents[t2], 0])
-                    moved = True
+                    frames.append((t2, iter(task_agents[t2])))
                     break
-            if not moved:
-                frames.pop()
+                else:
+                    frames.pop()
         self.retire(reached)
         return -1
 
@@ -531,12 +533,40 @@ def solve_ap(inst: Instance) -> tuple[int, ...]:
 
 
 def _solve_journaled(
-    inst: Instance, traversal: Traversal | None
-) -> tuple[tuple[int, ...], list]:
+    inst: Instance, traversal: Traversal | None, agents: bool
+) -> tuple[tuple[int, ...], list, list[int]]:
     """The owner tuple of ``solve_mvbm(inst, traversal)`` (``solve_ap``
-    for ``None``) and the journal of its steps, one per rank."""
+    for ``None``), the journal of its steps, one per rank, and for each
+    agent (``agents``) or task the step from which its outcome is final:
+    the step that retires the agent, or ``m`` (see the module docstring).
+    """
     journal: list = []
-    return _State(inst, None).run(traversal, 0, journal), journal
+    owner = _State(inst, None).run(traversal, 0, journal)
+    final_at = [inst.m] * (inst.n if agents else inst.m)
+    if agents:
+        # a dead agent is never reached again, so no agent is retired twice
+        for step, (_, retired) in enumerate(journal):
+            for a in retired:
+                final_at[a] = step
+    return owner, journal, final_at
+
+
+def _first_change(
+    before: Instance, agents: bool, entity: int, edges: tuple[int, ...], bound
+) -> int:
+    """The rank from which a re-solve of ``before`` with agent
+    (``agents``) or task ``entity`` reporting ``edges`` and ``bound``
+    must run, or ``m`` when the report changes nothing: an agent's first
+    changed rank, or a task's own rank, which ``_resume`` lowers to the
+    task's rank in the reported market (see the module docstring)."""
+    if agents:
+        if bound != before.capacities[entity]:
+            return 0
+        changed = set(before.agent_adj[entity]).symmetric_difference(edges)
+        return min(map(before.task_rank.__getitem__, changed), default=before.m)
+    if bound != before.values[entity] or before.task_adj[entity] != edges:
+        return before.task_rank[entity]
+    return before.m
 
 
 def _resume(
@@ -549,13 +579,16 @@ def _resume(
 ) -> tuple[int, ...]:
     """An owner tuple of ``inst`` whose entries for the watched agent
     (``agents``) or task ``entity`` are those of a full solve, started
-    at ``rank`` from the journal of a solve of another market.
+    at ``rank`` from the journal of a solve of another market; a watched
+    task's run starts at its rank in ``inst`` if that is lower.
 
     That market must have the capacities of ``inst`` and the same task,
-    with the same adjacent agents, at every rank below ``rank``.  The
+    with the same adjacent agents, at every rank below the start.  The
     run stops once the watched agent is retired, or right after the
     watched task's rank; the module docstring gives why.
     """
+    if not agents:
+        rank = min(rank, inst.task_rank[entity])
     state = _State(inst, None)
     state.replay(journal, rank)
     if agents:

@@ -19,7 +19,6 @@ maximum).
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from math import inf
@@ -45,7 +44,7 @@ from .mechanisms import (
     build_effective_instance,
     truthful_profile,
 )
-from .solver import _resume, _solve_journaled
+from .solver import _first_change, _resume, _solve_journaled
 
 __all__ = [
     "TLevel",
@@ -189,32 +188,6 @@ def _side_view(inst: Instance, side: str):
     return inst.task_adj, lambda mu, e: float(task_utility(mu, e))
 
 
-def _first_change(
-    before: Instance, agents: bool, entity: int, edges: tuple[int, ...], bound
-) -> int:
-    """The lowest process rank at which ``before`` changes when agent
-    (``agents``) or task ``entity`` reports ``edges`` and ``bound``
-    instead, or the number of tasks when it does not.
-
-    For an agent it is rank 0 when its capacity changes, else the lowest
-    rank of a task its row gains or loses.  A task's value moves only
-    that task in the processing order, so it is the lower of its rank
-    and the position of its new ``(-value, id)`` key.
-    """
-    if agents:
-        if bound != before.capacities[entity]:
-            return 0
-        changed = set(before.agent_adj[entity]).symmetric_difference(edges)
-        return min(map(before.task_rank.__getitem__, changed), default=before.m)
-    rank, values = before.task_rank[entity], before.values
-    if bound != values[entity]:
-        moved = bisect.bisect_left(
-            before.task_order, (-bound, entity), key=lambda j: (-values[j], j)
-        )
-        return min(rank, moved)
-    return rank if before.task_adj[entity] != edges else before.m
-
-
 def _require_deterministic(kind: MechanismKind) -> None:
     if kind not in DETERMINISTIC_KINDS:
         raise ValueError(
@@ -238,15 +211,11 @@ def unilateral_deviations(
     mechanism must be deterministic: ``ValueError`` otherwise.
 
     The profile's solve is journaled once, on the first request.  Each
-    report is checked as ``build_effective_instance`` checks it, and its
-    first changed process rank is read without building anything.  When
-    the entity's outcome is final at a step no later than that rank, the
-    deviant utility is the baseline and nothing is built or solved: an
-    agent retired there keeps its tasks, and a task is final after its
-    own rank, so only its unchanged report skips (see the ``solver``
-    module docstring).  Such a report never reads as a gain and still
-    competes in an argmax.  Any other report resumes the journal at that
-    rank until the entity's outcome is final.  ``MAP`` retires no one.
+    report is checked as ``build_effective_instance`` checks it.  One
+    that changes nothing before the entity's outcome is final keeps the
+    baseline unbuilt and unsolved, so it never reads as a gain and still
+    competes in an argmax; any other resumes the journal (see the
+    ``solver`` module docstring).
     """
     _require_deterministic(kind)
     inst, side = profile.base, profile.side
@@ -254,16 +223,7 @@ def unilateral_deviations(
     adjacency, utility = _side_view(inst, side)
     traversal = _TRAVERSALS.get(kind)  # None: MAP's length-1 solve
     effective = build_effective_instance(profile)
-    mu, journal = _solve_journaled(effective, traversal)
-    if agents:
-        # the step that retires each agent, or m: a dead agent is never
-        # reached again, so no agent is retired twice
-        final_at = [inst.m] * inst.n
-        for step, (_, retired) in enumerate(journal):
-            for a in retired:
-                final_at[a] = step
-    else:
-        final_at = [rank + 1 for rank in effective.task_rank]
+    mu, journal, final_at = _solve_journaled(effective, traversal, agents)
     if entities is None:
         entities = range(len(adjacency))
     for entity in entities:
@@ -273,7 +233,6 @@ def unilateral_deviations(
         for report in candidates(entity, baseline):
             edges, bound = _bounded_report(inst, side, entity, report)
             rank = _first_change(effective, agents, entity, edges, bound)
-            # an unchanged market, rank m, lands here too: final_at <= m
             if final_at[entity] <= rank:
                 deviant = baseline
             else:

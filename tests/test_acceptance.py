@@ -396,3 +396,32 @@ def test_criterion_12_experiment_determinism(
     ok = firsts == seconds
     _report(12, ok, "byte-identical CSV outputs across repeated runs")
     assert firsts == seconds
+
+
+# ---------------------------------------------------------------------------
+# criterion 13: the paper's claim (ii), MBFS is more manipulable when the
+# total capacity equals the number of tasks
+
+
+def _criterion_13_config() -> ExperimentConfig:
+    # ten agents of capacity 3, so the total capacity is 30; a seed no
+    # other measurement of this sweep used
+    return ExperimentConfig(
+        kind="pma-pmi",
+        n_values=(10,),
+        m_values=(15, 30, 45),
+        p_values=(0.3,),
+        capacity_ranges=((3, 3),),
+        iterations=100,
+        seed=SEED + 13,
+    )
+
+
+def test_criterion_13_manipulability_peaks_at_total_capacity():
+    table = run_experiment(_criterion_13_config(), workers=1)
+    pma = {row.m: row.value for row in table.metric_rows("pma_mean")}
+    ok = pma[30] > pma[15] and pma[30] > pma[45]
+    _report(13, ok, "pma_mean " + " ".join(
+        f"m{m}={value:.3f}" for m, value in sorted(pma.items())))
+    assert pma[30] > pma[15]
+    assert pma[30] > pma[45]

@@ -364,3 +364,22 @@ def test_experiment_rejects_non_integer_worker_variable(tmp_path, capsys,
                  "--out-dir", str(tmp_path / "results")])
     assert code == 2
     _assert_one_error_line(capsys, "BMATCH_WORKERS")
+
+
+@pytest.mark.parametrize("flags, env, message", [
+    (["--workers", "-3"], None, "workers must be at least 1, got -3"),
+    (["--workers", "0"], None, "workers must be at least 1, got 0"),
+    ([], "0", "BMATCH_WORKERS must be at least 1, got 0"),
+])
+def test_experiment_rejects_worker_counts_below_one(tmp_path, capsys, monkeypatch,
+                                                    flags, env, message):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(_CONFIG))
+    if env is not None:
+        monkeypatch.setenv("BMATCH_WORKERS", env)
+    out_dir = tmp_path / "results"
+    code = main(["experiment", "--config", str(config_path),
+                 "--out-dir", str(out_dir), *flags])
+    assert code == 2
+    _assert_one_error_line(capsys, message)
+    assert not out_dir.exists()

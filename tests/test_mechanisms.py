@@ -452,6 +452,21 @@ def test_profile_json_round_trip():
     assert restored == profile
 
 
+@pytest.mark.parametrize("index", [-1, 2, 5])
+def test_with_report_rejects_an_unknown_agent_id(index):
+    # a negative index would rewrite agent 1's slot, a large one overflow
+    profile = truthful_profile(tied_optimum_instance())
+    with pytest.raises(ValueError, match=f"unknown agent id {index}"):
+        profile.with_report(index, AgentReport((0,)))
+
+
+@pytest.mark.parametrize("index", [-1, 3, 5])
+def test_with_report_rejects_an_unknown_task_id(index):
+    profile = truthful_profile(tied_optimum_instance(), "tasks")
+    with pytest.raises(ValueError, match=f"unknown task id {index}"):
+        profile.with_report(index, TaskReport((0,)))
+
+
 def test_profile_validates_report_count():
     inst = geometric_cascade_instance()
     with pytest.raises(ValueError):

@@ -465,7 +465,7 @@ def test_replay_restores_the_state_before_each_rank(n, m, p, low, high):
     for i in range(2):
         inst = generate_instance(GenConfig(n, m, p, low, high, seed=104), i)
         for traversal in (*Traversal, None):
-            _, journal = _solve_journaled(inst, traversal)
+            _, journal, _ = _solve_journaled(inst, traversal, True)
             assert len(journal) == inst.m
             retiring = [k + 1 for k, (_, retired) in enumerate(journal) if retired]
             for rank in sorted({0, inst.m, *range(0, inst.m, 7), *retiring}):
@@ -488,7 +488,7 @@ def test_resume_ends_in_the_full_solve_state(n, m, p, low, high):
     for i in range(2):
         inst = generate_instance(GenConfig(n, m, p, low, high, seed=104), i)
         for traversal in (*Traversal, None):
-            _, journal = _solve_journaled(inst, traversal)
+            _, journal, _ = _solve_journaled(inst, traversal, True)
             for agent in range(inst.n):
                 cut = rng.integers(inst.m)
                 hidden = {t for t in inst.agent_adj[agent]
@@ -523,8 +523,12 @@ def test_a_run_stops_once_the_watched_agent_is_retired(traversal):
     assert _State(inst, None).run(traversal) == (0, 1, -1, 2)
     assert _State(inst, None).run(traversal, until_retired=0) == (0, 1, -1, -1)
     assert _State(inst, None).run(traversal, until_retired=2) == (0, 1, -1, 2)
-    _, journal = _solve_journaled(inst, traversal)
+    _, journal, final_at = _solve_journaled(inst, traversal, True)
     assert _resume(inst, traversal, journal, 0, True, 0) == (0, 1, -1, -1)
+    # agents 0 and 1 are final from the step that retires them, agent 2
+    # and every task only from m
+    assert final_at == [2, 2, 4]
+    assert _solve_journaled(inst, traversal, False)[2] == [4] * 4
 
 
 @pytest.mark.parametrize("traversal", [*Traversal, None])
@@ -537,7 +541,7 @@ def test_a_resume_stops_after_the_watched_tasks_rank(traversal):
     assert inst.task_order == (1, 0, 3, 2)
     full = _State(inst, None).run(traversal)
     assert sum(a != -1 for a in full) == 3
-    _, journal = _solve_journaled(inst, traversal)
+    _, journal, _ = _solve_journaled(inst, traversal, False)
     for rank in range(inst.m):
         for j in inst.task_order[rank:]:
             owner = _resume(inst, traversal, journal, rank, False, j)

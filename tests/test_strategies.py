@@ -34,7 +34,6 @@ from bmatch.oracle import (
 )
 from bmatch.solver import solve_ap, solve_mvbm
 from bmatch.strategies import (
-    _first_change,
     _report_candidates,
     ExplicitReport,
     KOrder,
@@ -394,18 +393,35 @@ def test_only_an_unchanged_task_report_skips_the_solve(monkeypatch, kind):
     assert len(calls) == 3
 
 
-def test_a_task_reports_first_change_is_its_earlier_position():
-    # process order 0, 1, 2, 3; a task moved by its value changes the
-    # ranks from the earlier of its two positions on, ties going by id
-    inst = Instance([1], [4.0, 3.0, 2.0, 1.0], [(0, t) for t in range(4)])
+def test_a_task_reports_first_change_is_its_earlier_position(monkeypatch):
+    # task 3 reports 1.0 of its 5.0, so the process order is 0, 1, 2, 3;
+    # a task moved by its value changes the ranks from the earlier of its
+    # two positions on, ties going by id, and its resumed run starts
+    # there; an unchanged report runs none
+    inst = Instance([1], [4.0, 3.0, 2.0, 5.0], [(0, t) for t in range(4)])
+    profile = truthful_profile(inst, TASKS).with_report(3, TaskReport((0,), 1.0))
+    calls = _counting_runs(monkeypatch)
+
+    def resume_start(task, edges, value):
+        calls.clear()
+        report = TaskReport(edges, value)
+        ((_, _, _, deviant),) = unilateral_deviations(
+            MechanismKind.MBFS, profile, lambda j, _: [report], (task,))
+        # the journaled solve, then the resumed run's (traversal, start)
+        start = calls[1][1] if len(calls) == 2 else inst.m
+        assert len(calls) == (1 if start == inst.m else 2)
+        assert deviant == _full_resolve(
+            MechanismKind.MBFS, profile.with_report(task, report), task)
+        return start
+
     column = (0,)
-    assert _first_change(inst, False, 3, column, 1.0) == 4
-    assert _first_change(inst, False, 3, (), 1.0) == 3
-    assert _first_change(inst, False, 1, column, 1.5) == 1
-    assert _first_change(inst, False, 3, column, 2.5) == 2
-    assert _first_change(inst, False, 3, column, 2.0) == 3
-    assert _first_change(inst, False, 3, column, 3.0) == 2
-    assert _first_change(inst, False, 3, column, 5.0) == 0
+    assert resume_start(3, column, 1.0) == 4
+    assert resume_start(3, (), 1.0) == 3
+    assert resume_start(1, column, 1.5) == 1
+    assert resume_start(3, column, 2.5) == 2
+    assert resume_start(3, column, 2.0) == 3
+    assert resume_start(3, column, 3.0) == 2
+    assert resume_start(3, column, 5.0) == 0
 
 
 def _retiring_market():
