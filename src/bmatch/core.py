@@ -174,23 +174,31 @@ class Instance:
         for key in ("agents", "tasks", "edges"):
             if not isinstance(data[key], list):
                 raise ValueError(f"not an instance: {key!r} must be a list")
-        try:
-            capacities = [
-                _parse_integral(entry["capacity"], f"capacity of agent {i}")
-                for i, entry in enumerate(data["agents"])
-            ]
-            values = [
-                _parse_finite(entry["value"], f"value of task {j}")
-                for j, entry in enumerate(data["tasks"])
-            ]
-            edges = sorted(
-                {
-                    (_parse_integral(a, "edge agent"), _parse_integral(t, "edge task"))
-                    for a, t in data["edges"]
-                }
+
+        def field(side, k, entry, key):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ValueError(
+                    f"{side} {k} is not an object with a {key!r}: {entry!r}"
+                )
+            return entry[key]
+
+        def pair(k, entry):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ValueError(f"edge {k} is not an [agent, task] pair: {entry!r}")
+            return (
+                _parse_integral(entry[0], "edge agent"),
+                _parse_integral(entry[1], "edge task"),
             )
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed instance: {exc!r}") from None
+
+        capacities = [
+            _parse_integral(field("agent", i, e, "capacity"), f"capacity of agent {i}")
+            for i, e in enumerate(data["agents"])
+        ]
+        values = [
+            _parse_finite(field("task", j, e, "value"), f"value of task {j}")
+            for j, e in enumerate(data["tasks"])
+        ]
+        edges = sorted({pair(k, e) for k, e in enumerate(data["edges"])})
         return cls(capacities, values, edges)
 
 

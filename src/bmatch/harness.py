@@ -391,36 +391,11 @@ _KINDS = {
     "randomized-vs-deterministic": (_randomized_sample, _randomized_rows),
 }
 
-# Chunks per worker over the whole grid: enough to even out cells and
-# instances of unequal cost, few enough to keep the per-job overhead small.
-_CHUNKS_PER_WORKER = 4
-
-
-def _run_chunk(job: tuple) -> list:
-    """The samples of instances ``lo`` to ``hi - 1`` of one cell."""
-    cfg, cell_index, cell, lo, hi = job
-    gen_cfg = _cell_gen_config(cfg, cell_index, cell)
-    sample = _KINDS[cfg.kind][0]
-    return [
-        sample(cfg, cell_index, i, generate_instance(gen_cfg, i)) for i in range(lo, hi)
-    ]
-
-
-def _chunk_jobs(cfg: ExperimentConfig, workers: int) -> list[tuple]:
-    """The jobs in cell and instance order: one per cell for one worker,
-    else each cell cut into near-equal instance ranges so that the grid
-    gives about ``_CHUNKS_PER_WORKER`` jobs per worker."""
-    cells = cfg.cells()
-    per_cell = 1
-    if workers > 1:
-        target = _CHUNKS_PER_WORKER * workers
-        per_cell = min(cfg.iterations, -(-target // len(cells)))
-    bounds = [cfg.iterations * k // per_cell for k in range(per_cell + 1)]
-    return [
-        (cfg, index, cell, bounds[k], bounds[k + 1])
-        for index, cell in enumerate(cells)
-        for k in range(per_cell)
-    ]
+def _run_instance(job: tuple):
+    """The sample of instance ``i`` of one cell."""
+    cfg, cell_index, cell, i = job
+    inst = generate_instance(_cell_gen_config(cfg, cell_index, cell), i)
+    return _KINDS[cfg.kind][0](cfg, cell_index, i, inst)
 
 
 def _worker_count(explicit: int | None) -> int:
@@ -432,7 +407,7 @@ def _worker_count(explicit: int | None) -> int:
         name, count = WORKERS_ENV_VAR, _parse_integral(env, WORKERS_ENV_VAR)
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count}")
-    return count
+    return min(count, os.cpu_count() or 1)
 
 
 # The process's pool as (process id, worker count, executor), kept
@@ -463,14 +438,14 @@ def _drop_pool() -> None:
 
 
 def _run_jobs(jobs: list[tuple], workers: int) -> list:
-    """The chunks of ``jobs`` in job order, on the shared pool when more
+    """The samples of ``jobs`` in job order, on the shared pool when more
     than one worker is asked for.  A pool that cannot start leaves the
     jobs to this process; a broken one is replaced and the jobs rerun
-    once, which gives the same chunks since a job is a pure function."""
+    once, which gives the same samples since a job is a pure function."""
     if workers > 1:
         for retry in (False, True):
             try:
-                return list(_shared_pool(workers).map(_run_chunk, jobs))
+                return list(_shared_pool(workers).map(_run_instance, jobs))
             except BrokenProcessPool:
                 _drop_pool()
                 if retry:
@@ -478,7 +453,7 @@ def _run_jobs(jobs: list[tuple], workers: int) -> list:
             except OSError:
                 _drop_pool()
                 break
-    return [_run_chunk(job) for job in jobs]
+    return [_run_instance(job) for job in jobs]
 
 
 def run_experiment(
@@ -486,10 +461,11 @@ def run_experiment(
 ) -> ResultsTable:
     """Run every grid cell and merge the rows in cell order.
 
-    ``workers`` (or the environment variable) caps the process count.  A
-    job covers a range of one cell's instances; each cell's samples are
-    joined in instance order and reduced once, so results are identical
-    for any worker count.
+    A job is one instance, listed in cell and instance order and handed
+    out one at a time.  Each cell reduces its contiguous slice of the
+    samples once, so results are identical for any worker count.
+    ``workers`` (or the environment variable) asks for a process count,
+    which is capped at the number of jobs and of CPUs.
 
     The process pool lives as long as the process: it is started at the
     first call that runs more than one worker, reused by every later call
@@ -498,17 +474,15 @@ def run_experiment(
     function patched later is not seen by them.
     """
     count = _worker_count(workers)
-    jobs = _chunk_jobs(cfg, count)
-    chunks = _run_jobs(jobs, min(count, len(jobs)))
     cells = cfg.cells()
-    samples: list[list] = [[] for _ in cells]
-    for (_, cell_index, _, _, _), chunk in zip(jobs, chunks):
-        samples[cell_index].extend(chunk)
+    per_cell = cfg.iterations
+    jobs = [(cfg, k, cell, i) for k, cell in enumerate(cells) for i in range(per_cell)]
+    samples = _run_jobs(jobs, min(count, len(jobs)))
     reduce = _KINDS[cfg.kind][1]
     rows = tuple(
         row
-        for cell, cell_samples in zip(cells, samples)
-        for row in reduce(cfg, cell, cell_samples)
+        for k, cell in enumerate(cells)
+        for row in reduce(cfg, cell, samples[k * per_cell : (k + 1) * per_cell])
     )
     return ResultsTable(cfg.kind, cfg.seed, cfg.to_json_dict(), rows)
 

@@ -9,7 +9,8 @@ market and solves it:
 * ``MBFS`` / ``MDFS``: exact solve with breadth- or depth-first search;
 * ``MAP``: the greedy length-1 approximation (truthful for agents);
 * ``MRBFS``: a lottery orders the agents, then ``MBFS`` runs on the
-  permuted market and the assignment is mapped back to original ids.
+  market as it is, reading each agent's priority from its position in
+  that order; no permuted market is built.
   A Monte Carlo probe (``randomized_utility_samples``) draws the
   substreams and orders of all its trials at once; trial ``k``'s order
   is still the one ``sample_agent_order`` draws from ``derive_rng(seed,

@@ -135,6 +135,9 @@ def test_usage_errors(capsys, instance_path):
     assert main(["--help"]) == 0
 
 
+_ONE_EDGE = {"agents": [{"capacity": 1}], "tasks": [{"value": 1.0}], "edges": [[0, 0]]}
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
@@ -143,6 +146,18 @@ def test_usage_errors(capsys, instance_path):
           "edges": [[0, 0]]}, "non-finite value of task 0"),
         ({"agents": [{"capacity": 2.7}], "tasks": [{"value": 1.0}],
           "edges": [[0, 0]]}, "non-integral capacity of agent 0"),
+        # each entry of the wrong shape is named, with its index
+        (dict(_ONE_EDGE, edges=[[0, 0, 1]]),
+         "edge 0 is not an [agent, task] pair: [0, 0, 1]"),
+        (dict(_ONE_EDGE, edges=[[0, 0], [0]]),
+         "edge 1 is not an [agent, task] pair: [0]"),
+        (dict(_ONE_EDGE, edges=[5]), "edge 0 is not an [agent, task] pair: 5"),
+        (dict(_ONE_EDGE, agents=[5]),
+         "agent 0 is not an object with a 'capacity': 5"),
+        (dict(_ONE_EDGE, agents=[{"capacity": 1}, {}]),
+         "agent 1 is not an object with a 'capacity': {}"),
+        (dict(_ONE_EDGE, tasks=[[1.0]]),
+         "task 0 is not an object with a 'value': [1.0]"),
     ],
 )
 def test_solve_rejects_malformed_instances(tmp_path, capsys, payload, message):
@@ -154,9 +169,6 @@ def test_solve_rejects_malformed_instances(tmp_path, capsys, payload, message):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and message in lines[0]
-
-
-_ONE_EDGE = {"agents": [{"capacity": 1}], "tasks": [{"value": 1.0}], "edges": [[0, 0]]}
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from bmatch.harness import (
     export_results,
     render_plot,
     results_from_json_dict,
-    _chunk_jobs,
     run_experiment,
 )
 
@@ -52,7 +51,7 @@ def test_config_checks_every_cell_up_front(monkeypatch):
     def no_job(job):
         raise AssertionError("a job ran")
 
-    monkeypatch.setattr(harness, "_run_chunk", no_job)
+    monkeypatch.setattr(harness, "_run_instance", no_job)
     for overrides in (dict(n_values=(3, -1)), dict(m_values=(-4,)),
                       dict(p_values=(0.6, 1.5)), dict(p_values=(-0.1,)),
                       dict(capacity_ranges=((1, 2), (0, 2))),
@@ -197,33 +196,20 @@ def test_worker_count_does_not_change_the_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
-def test_chunked_cell_gives_the_same_bytes_at_every_worker_count(kind, tmp_path):
-    # one cell of seven instances, so two and three workers split it
+def test_chunked_cell_gives_the_same_bytes_at_every_worker_count(kind, fresh_pool,
+                                                                 monkeypatch, tmp_path):
+    # one cell of seven instances, handed out one at a time at two and at
+    # three workers; the bytes pin each cell's samples to instance order
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfg = tiny_config(kind, iterations=7, mc_trials=8)
-    assert [job[3:] for job in _chunk_jobs(cfg, 1)] == [(0, 7)]
-    assert len(_chunk_jobs(cfg, 2)) > 1 and len(_chunk_jobs(cfg, 3)) > 1
     outputs = []
     for workers in (1, 2, 3):
         path = tmp_path / f"w{workers}.csv"
         export_results(run_experiment(cfg, workers=workers), "csv", str(path))
         outputs.append(path.read_bytes())
+        if workers > 1:
+            assert harness._pool[1] == workers
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-
-
-def test_chunks_cover_each_cell_in_instance_order():
-    for iterations in (1, 2, 7, 50):
-        cfg = tiny_config("pma-pmi", n_values=(2, 3), m_values=(2, 3, 4),
-                          iterations=iterations)
-        for workers in (1, 2, 3, 8):
-            jobs = _chunk_jobs(cfg, workers)
-            for index, cell in enumerate(cfg.cells()):
-                ranges = [(lo, hi) for _, i, c, lo, hi in jobs if i == index]
-                assert all(c == cell for _, i, c, _, _ in jobs if i == index)
-                covered = [k for lo, hi in ranges for k in range(lo, hi)]
-                assert covered == list(range(iterations)), (iterations, workers)
-                assert all(lo < hi for lo, hi in ranges)
-            if workers == 1:
-                assert len(jobs) == len(cfg.cells())
 
 
 def test_worker_count_does_not_change_the_plot(tmp_path):
@@ -247,8 +233,11 @@ def _csv(table, path) -> bytes:
     return path.read_bytes()
 
 
-def test_reused_and_replaced_pools_give_the_serial_bytes(fresh_pool, tmp_path):
-    # one cell of seven instances: seven jobs at two and at three workers
+def test_reused_and_replaced_pools_give_the_serial_bytes(fresh_pool, monkeypatch,
+                                                        tmp_path):
+    # one cell of seven instances: seven jobs at two and at three workers;
+    # three CPUs, so that three workers is a new count on a smaller host
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfg = tiny_config("pma-pmi", iterations=7)
     serial = _csv(run_experiment(cfg, workers=1), tmp_path / "serial.csv")
     assert harness._pool is None
@@ -283,6 +272,36 @@ def test_a_pool_that_cannot_start_runs_serially(fresh_pool, monkeypatch, tmp_pat
     serial = _csv(run_experiment(cfg, workers=1), tmp_path / "serial.csv")
     assert _csv(run_experiment(cfg, workers=2), tmp_path / "w2.csv") == serial
     assert harness._pool is None
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8, None])
+def test_the_pool_never_outgrows_the_cpus(fresh_pool, monkeypatch, tmp_path,
+                                          cpus):
+    sizes = []
+
+    class CountingPool:
+        """A stand-in executor: records the size asked for, starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = tiny_config("pma-pmi", iterations=7)
+    serial = _csv(run_experiment(cfg, workers=1), tmp_path / "serial.csv")
+    monkeypatch.setenv(harness.WORKERS_ENV_VAR, "100000")
+    for workers in (100000, None):
+        path = tmp_path / f"{workers}.csv"
+        assert _csv(run_experiment(cfg, workers=workers), path) == serial
+    # seven jobs; one CPU, or an unknown count, runs in this process
+    size = min(cpus or 1, 7)
+    assert sizes == ([size] if size > 1 else [])
 
 
 _POOL_SCRIPT = """

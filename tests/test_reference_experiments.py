@@ -14,18 +14,18 @@ against the definitions, not only against an earlier output.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from bmatch import solver
+from bmatch import harness, solver
 from bmatch.core import WEIGHT_TOL, agent_utility
 from bmatch.gen import GenConfig, generate_instance
 from bmatch.harness import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
-    _chunk_jobs,
     export_results,
     run_experiment,
 )
@@ -39,7 +39,7 @@ SEED = 31
 
 # Fixed before the first run.  Capacities of 1-3 against up to 20 tasks
 # leave agents saturated, so searches fail and lottery trials leave the
-# depth-1 pass; four cells per kind give two jobs per cell at two workers.
+# depth-1 pass; at two workers each instance is its own job.
 GRIDS = {
     "compare-first-agent": dict(
         n_values=(3, 6), m_values=(5, 12), p_values=(0.6,),
@@ -259,6 +259,8 @@ def test_experiment_rows_follow_their_definitions(kind, tmp_path, monkeypatch):
     if kind == "randomized-vs-deterministic":
         assert counts["seed_matching"] > 0
     assert serial == expected
-    jobs_per_cell = Counter(job[1] for job in _chunk_jobs(cfg, 2))
-    assert min(jobs_per_cell.values()) > 1
+    # the two-worker run starts a pool of two, even on a one-CPU host
+    harness._drop_pool()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert _csv(run_experiment(cfg, workers=2), tmp_path / "two.csv") == expected
+    assert harness._pool[:2] == (os.getpid(), 2)
