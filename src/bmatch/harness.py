@@ -93,6 +93,9 @@ class ExperimentConfig:
             raise ValueError("iterations must be at least 1")
         if self.mc_trials < 1:
             raise ValueError("mc_trials must be at least 1")
+        # a trial's key must fit one 32-bit word (``substream_doubles``)
+        if self.mc_trials > 1 << 32:
+            raise ValueError(f"mc_trials must be at most 2**32, got {self.mc_trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if any(k < 0 for k in self.orders):

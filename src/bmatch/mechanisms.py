@@ -16,10 +16,10 @@ market and solves it:
   is still the one ``sample_agent_order`` draws from ``derive_rng(seed,
   k)``, the definition of that trial's stream.  It then solves all the
   orders at once (``solver._solve_orders``): one pass over the ranks
-  for every trial while its searches end at depth 1, and ``MBFS`` on
-  the solver's state machine for each trial from its first longer
-  search on.  Row ``k`` is the owner tuple ``solve_mvbm`` gives for
-  trial ``k``'s order.
+  for every trial while its searches end at depth 1 or 2, and ``MBFS``
+  on the solver's state machine for each trial from its first search
+  that fails or goes deeper than two on.  Row ``k`` is the owner tuple
+  ``solve_mvbm`` gives for trial ``k``'s order.
 
 The first-come-first-served (FCFS) recursion gives each agent, in
 priority order, the best remaining tasks it is adjacent to, up to its

@@ -12,6 +12,17 @@ same PCG64 states as ``derive_rng`` for every trial key, by numpy's own
 ``SeedSequence`` or a ``PCG64`` per key.  A reference test compares the
 two bit for bit, so a numpy that seeds differently fails that test
 instead of silently changing a table.
+
+PCG64 (O'Neill 2014) steps a 128-bit LCG, ``s -> M s + inc mod 2^128``,
+so ``c`` steps are one affine map (Brown 1994, arbitrary strides):
+
+    s_c = M^c s + (M^(c-1) + ... + M + 1) inc  (mod 2^128)
+
+``substream_doubles`` takes every (trial, round) state at once from the
+seeding step's state by this formula, on uint64 limbs, and reads the
+double as ``Generator.random`` does: the XSL-RR output
+``rotr(hi ^ lo, hi >> 58)`` of the state, shifted right by 11 and
+scaled by 2^-53.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = (1 << 32) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
@@ -89,20 +101,68 @@ def substream_doubles(seed: int, trials: int, count: int) -> np.ndarray:
     for i in range(8):
         hashed, hash_const = _hash_words(mixed[i % 4], hash_const, _MULT_B)
         state.append(hashed.astype(np.uint64))
-    words64 = np.stack([state[j] | state[j + 1] << 32 for j in (0, 2, 4, 6)], axis=1)
-    out = np.empty((trials, count), dtype=np.float64)
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(words64.tolist()):
-        # PCG64 seeding: inc = (initseq << 1) | 1, then two LCG steps
-        # around adding initstate
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        st = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": st, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.random(out=out[k])
-    return out
+    s_hi, s_lo, i_hi, i_lo = (
+        (state[j] | state[j + 1] << 32)[:, None] for j in (0, 2, 4, 6)
+    )
+    # PCG64 seeding: inc = (initseq << 1) | 1, one LCG step from 0 to inc,
+    # then initstate is added; the double of round c is the output of the
+    # state c + 2 steps later.  Every operand is an array, which wraps
+    # silently, and there is one state per (trial, round) cell.
+    inc_hi = i_hi << 1 | i_lo >> 63
+    inc_lo = i_lo << 1 | 1
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < s_lo)
+    mult, total = _jump_table(range(2, count + 2))
+    a_hi, a_lo = _mul128(hi, lo, mult)
+    b_hi, b_lo = _mul128(inc_hi, inc_lo, total)
+    lo = a_lo + b_lo
+    hi = a_hi + b_hi + (lo < a_lo)
+    # XSL-RR output, then numpy's 53-bit double
+    rot = hi >> 58
+    word = hi ^ lo
+    word = word >> rot | word << (64 - rot & 63)
+    return (word >> 11).astype(np.float64) * 2.0**-53
+
+
+def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit ints as their high and low uint64 limbs."""
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & _MASK64 for v in values], dtype=np.uint64),
+    )
+
+
+def _jump_table(steps: range) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The limbs of ``M^k`` and of ``M^(k-1) + ... + M + 1`` mod 2^128 for
+    each ``k`` in ``steps``: ``k`` LCG steps take a state ``s`` to
+    ``M^k s + (M^(k-1) + ... + M + 1) inc``."""
+    mult, total = [], []
+    power, partial = 1, 0
+    for k in range(steps.stop):
+        if k in steps:
+            mult.append(power)
+            total.append(partial)
+        partial = partial + power & _MASK128
+        power = power * _PCG64_MULT & _MASK128
+    return _limbs(mult), _limbs(total)
+
+
+def _mul128(
+    x_hi: np.ndarray, x_lo: np.ndarray, y: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``x * y mod 2^128`` on uint64 limbs, broadcast.  The high word of
+    ``x_lo * y_lo`` is summed from the products of 32-bit halves, and no
+    partial sum exceeds 64 bits (Warren, Hacker's Delight, 8-2)."""
+    y_hi, y_lo = y
+    x0, x1 = x_lo & _MASK32, x_lo >> 32
+    y0, y1 = y_lo & _MASK32, y_lo >> 32
+    mid = x1 * y0
+    mid += x0 * y0 >> 32
+    mid2 = x0 * y1
+    mid2 += mid & _MASK32
+    hi = x1 * y1
+    hi += mid >> 32
+    hi += mid2 >> 32
+    hi += x_hi * y_lo
+    hi += x_lo * y_hi
+    return hi, x_lo * y_lo

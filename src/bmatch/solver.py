@@ -80,21 +80,38 @@ needs no solve.
 
 A probe of the order lottery solves one market under many agent orders
 (``_solve_orders``).  A breadth-first solve is given by its owner array
-alone until it meets a task that has agents, all of them saturated.  Up
-to that task every search has ended at depth 1, so none has failed and
-no agent is dead, and a new epoch has visited no agent.  The depth-1
-loop of ``search_bfs`` then returns the first unsaturated agent in the
-start task's priority list, which is the unsaturated adjacent agent of
-lowest position, and flipping that length-1 path only matches the start
-task.  So the loads are the counts of the owner array, and each agent's
-matched tasks in rank order are the ``agent_tasks`` of the solve.  All
-orders take these steps together: per task, one minimum of the agents'
+alone until its first failed search.  Before that no agent is dead, a
+new epoch has visited no agent, and old parent pointers are never read;
+the loads are the counts of the owner array, and each agent's matched
+tasks in rank order are the ``agent_tasks`` of the solve.  So all orders
+walk the ranks together, one task at a time, while each search ends at
+depth 1 or 2.
+
+At depth 1, the loop of ``search_bfs`` returns the first unsaturated
+agent in the start task's priority list, which is the unsaturated
+adjacent agent of lowest position, and flipping that length-1 path only
+matches the start task.  Per task this is one minimum of the agents'
 positions, read as ``n`` for a saturated agent, and the order gives the
-agent at that position.  An order whose task of rank ``r`` has only
-saturated agents leaves that pass.  ``seed_matching`` loads its owner
-array into a fresh ``_State``, which is then the state of the full
-solve before rank ``r``: it has no dead marks, and old visit stamps and
-parent pointers are never read.  ``run`` goes on from rank ``r``.
+agent at that position.
+
+When the start task has agents, all of them saturated, the search
+reaches them all at depth 1 and goes on from them
+(``_flip_depth_two``).  The frontier is the tasks they own, listed agent
+by agent in priority order and each agent's tasks by rank, so in the
+order (owner's position, rank); the start task is unmatched and not
+among them.  The level visits each frontier task's agents in that
+order, and an agent takes as parent the first frontier task it is
+adjacent to.  The terminal is the unsaturated agent of lowest position
+among all the agents it reaches, which excludes the start task's agents.
+The flip gives the parent task to the terminal and the start task to
+the parent's old owner, whose load stays the same: again a new owner
+array, with the terminal's load one higher.  So the pass goes on.
+
+An order whose search from the task of rank ``r`` reaches no unsaturated
+agent at depth 2, because the search fails or needs depth 3 or more,
+leaves the pass.  ``seed_matching`` loads its owner array into a fresh
+``_State``, which is then the state of the full solve before rank ``r``,
+and ``run`` goes on from rank ``r``.
 Depth-first search cannot share the pass, because at depth 1 it dives
 into the first saturated agent before it tries the next one.
 """
@@ -104,7 +121,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -478,18 +495,27 @@ def _solve_orders(inst: Instance, orders: np.ndarray) -> np.ndarray:
     ``k`` of a (trials, m) owner array, for every row of ``orders``.
 
     All trials walk the ranks together while their searches end at depth
-    1: per task, the unsaturated adjacent agent of lowest position takes
-    it.  A trial leaves this pass at the first task that has agents, all
-    of them saturated, and finishes on ``_State`` from its owner row (see
-    the module docstring).
+    1 or 2: per task, the unsaturated adjacent agent of lowest position
+    takes it, and a trial whose task has agents, all of them saturated,
+    takes the depth-2 step (``_flip_depth_two``).  A trial leaves this
+    pass at its first search that fails or goes deeper, and finishes on
+    ``_State`` from its owner row (see the module docstring).
     """
     trials, n = orders.shape
     result = np.empty((trials, inst.m), dtype=np.intp)
     owner = np.full((trials, inst.m), -1, dtype=np.intp)
-    # an agent's position in the trial's order, or n once it is saturated
-    key = np.empty((trials, n), dtype=np.intp)
-    key[np.arange(trials)[:, None], orders] = np.arange(n)
+    # an agent's position in the trial's order, and the same read as n
+    # once the agent is saturated
+    pos = np.empty((trials, n), dtype=np.intp)
+    pos[np.arange(trials)[:, None], orders] = np.arange(n)
+    key = pos.copy()
     room = np.tile(np.asarray(inst.capacities, dtype=np.intp), (trials, 1))
+    # 1.0 where a task and an agent are adjacent
+    adjacent = np.zeros((inst.m, n))
+    degrees = [len(agents) for agents in inst.task_adj]
+    adjacent[
+        np.repeat(np.arange(inst.m), degrees), list(chain.from_iterable(inst.task_adj))
+    ] = 1.0
     # the trial of each row still in the pass, and the row's first cell
     live = np.arange(trials)
     base = live * n
@@ -499,27 +525,82 @@ def _solve_orders(inst: Instance, orders: np.ndarray) -> np.ndarray:
         if not inst.task_adj[t]:
             continue
         best = key[:, inst.task_adj[t]].min(axis=1)
+        # the rows whose search ends at depth 1
+        first = slice(None)
         stuck = best == n
         if stuck.any():
-            for row in np.flatnonzero(stuck).tolist():
+            left = _flip_depth_two(
+                inst, t, np.flatnonzero(stuck), pos, owner, key, room, adjacent
+            )
+            for row in left.tolist():
                 state = _State(inst, orders[row].tolist())
                 state.seed_matching(owner[row].tolist())
                 result[live[row]] = state.run(Traversal.BREADTH_FIRST, r)
-            keep = ~stuck
-            owner, key, room, orders, live, best = (
-                owner[keep], key[keep], room[keep], orders[keep], live[keep], best[keep]
-            )
-            base = np.arange(live.size) * n
+            if left.size:
+                keep = np.ones(live.size, dtype=bool)
+                keep[left] = False
+                owner, pos, key, room, orders, live, best, stuck = (
+                    owner[keep], pos[keep], key[keep], room[keep],
+                    orders[keep], live[keep], best[keep], stuck[keep],
+                )
+                base = np.arange(live.size) * n
+            first = ~stuck
         # the agent at position ``best`` takes the task; ``key`` and
         # ``room`` are C-contiguous, so their ``ravel`` views write through
-        terminal = orders.ravel()[base + best]
-        owner[:, t] = terminal
-        cell = base + terminal
+        terminal = orders.ravel()[base[first] + best[first]]
+        owner[first, t] = terminal
+        cell = base[first] + terminal
         free = room.ravel()
         free[cell] -= 1
         key.ravel()[cell[free[cell] == 0]] = n
     result[live] = owner
     return result
+
+
+def _flip_depth_two(
+    inst: Instance,
+    start: int,
+    rows: np.ndarray,
+    pos: np.ndarray,
+    owner: np.ndarray,
+    key: np.ndarray,
+    room: np.ndarray,
+    adjacent: np.ndarray,
+) -> np.ndarray:
+    """The depth-2 level of ``search_bfs`` from ``start``, and the flip
+    of the path it finds, for those ``rows`` of ``_solve_orders``' pass
+    that have a depth-2 terminal; ``start``'s agents are saturated in
+    every row.  Updates ``owner``, ``key`` and ``room`` of these rows and
+    returns the other rows (see the module docstring).
+    """
+    n = pos.shape[1]
+    # the frontier: 1.0 for the tasks that the start task's agents own;
+    # owner -1 reads the last entry, 0.0
+    starts = np.zeros(n + 1)
+    starts[list(inst.task_adj[start])] = 1.0
+    frontier = starts[owner[rows]]
+    # the terminal: the unsaturated agent of lowest position that is
+    # adjacent to a frontier task
+    reach = np.where(frontier @ adjacent > 0.0, key[rows], n)
+    found = reach.min(axis=1) < n
+    left = rows[~found]
+    rows, frontier = rows[found], frontier[found]
+    terminal = reach[found].argmin(axis=1)
+    # its parent: the first frontier task adjacent to it, in the order
+    # (owner's position, rank) that the frontier is built in; owner -1
+    # reads another cell, and that task is not a candidate
+    ahead = pos.ravel()[(rows * n)[:, None] + owner[rows]] * inst.m
+    ahead += np.asarray(inst.task_rank)
+    candidate = frontier * adjacent.T[terminal] > 0.0
+    parent = np.where(candidate, ahead, n * inst.m).argmin(axis=1)
+    # the flip: the parent task to the terminal, the start task to the
+    # parent's old owner, whose load stays the same
+    owner[rows, start] = owner[rows, parent]
+    owner[rows, parent] = terminal
+    room[rows, terminal] -= 1
+    full = room[rows, terminal] == 0
+    key[rows[full], terminal[full]] = n
+    return left
 
 
 def solve_ap(inst: Instance) -> tuple[int, ...]:

@@ -313,6 +313,9 @@ def _assert_one_error_line(capsys, message):
          "capacity bounds must satisfy 1 <= low <= high"),
         (dict(_CONFIG, capacities=[[3, 2]]),
          "capacity bounds must satisfy 1 <= low <= high"),
+        # trial keys are one 32-bit word; checked before any cell runs
+        (dict(_CONFIG, mc_trials=2**32 + 1),
+         "mc_trials must be at most 2**32, got 4294967297"),
     ],
 )
 def test_experiment_rejects_malformed_configs(tmp_path, capsys, payload, message):

@@ -39,7 +39,7 @@ SEED = 31
 
 # Fixed before the first run.  Capacities of 1-3 against up to 20 tasks
 # leave agents saturated, so searches fail and lottery trials leave the
-# depth-1 pass; at two workers each instance is its own job.
+# vector pass; at two workers each instance is its own job.
 GRIDS = {
     "compare-first-agent": dict(
         n_values=(3, 6), m_values=(5, 12), p_values=(0.6,),
@@ -244,6 +244,17 @@ def _count_calls(patch, cls, name, counts):
     patch.setattr(cls, name, counting)
 
 
+def _count_depth_two(patch, counts):
+    flip = solver._flip_depth_two
+
+    def counting(inst, start, rows, *arrays):
+        left = flip(inst, start, rows, *arrays)
+        counts["depth_two"] += rows.size - left.size
+        return left
+
+    patch.setattr(solver, "_flip_depth_two", counting)
+
+
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
 def test_experiment_rows_follow_their_definitions(kind, tmp_path, monkeypatch):
     cfg = ExperimentConfig(kind=kind, seed=SEED, **GRIDS[kind])
@@ -251,13 +262,16 @@ def test_experiment_rows_follow_their_definitions(kind, tmp_path, monkeypatch):
     counts = Counter()
     with monkeypatch.context() as patch:
         # a failed search retires the agents it reached; a lottery trial
-        # that leaves the depth-1 pass is seeded into a state machine
+        # takes depth-2 searches in the vector pass and is seeded into a
+        # state machine at its first search that fails or goes deeper
         _count_calls(patch, solver._State, "retire", counts)
         _count_calls(patch, solver._State, "seed_matching", counts)
+        _count_depth_two(patch, counts)
         serial = _csv(run_experiment(cfg, workers=1), tmp_path / "serial.csv")
     assert counts["retire"] > 0
     if kind == "randomized-vs-deterministic":
         assert counts["seed_matching"] > 0
+        assert counts["depth_two"] > 0
     assert serial == expected
     # the two-worker run starts a pool of two, even on a one-CPU host
     harness._drop_pool()

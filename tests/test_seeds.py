@@ -3,9 +3,10 @@ import pytest
 
 from bmatch.seeds import derive_rng, substream_doubles
 
-# one-word, two-word and four-word seeds, and one wider than numpy's
-# four-word SeedSequence pool
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**200 + 12345]
+# seeds of one, two, four, five, seven and nine 32-bit words: narrower
+# than numpy's four-word SeedSequence pool, as wide, and wider
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**200 + 12345,
+         987654321, 2**96 + 1, 2**128 + 1, 2**256 + 1]
 
 
 def _reference(seed, trials, count):
@@ -22,11 +23,20 @@ def test_batched_substreams_equal_derive_rng(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("trials, count", [(1, 5), (4, 0), (4, 1), (1, 0)])
+# 2, 64 and 300 rounds jump the PCG64 state up to 301 steps past seeding
+@pytest.mark.parametrize(
+    "trials, count", [(1, 5), (4, 0), (4, 1), (1, 0), (3, 2), (2, 64), (2, 300)]
+)
 def test_batched_substreams_at_the_edges(seed, trials, count):
     batch = substream_doubles(seed, trials, count)
     assert batch.shape == (trials, count)
     assert batch.tobytes() == _reference(seed, trials, count).tobytes()
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_no_trials_give_no_rows(count):
+    batch = substream_doubles(7, 0, count)
+    assert batch.shape == (0, count) and batch.dtype == np.float64
 
 
 def test_negative_seed_is_rejected():

@@ -23,6 +23,7 @@ from bmatch.solver import (
     AugmentingPath,
     Traversal,
     _State,
+    _flip_depth_two,
     _resume,
     _solve_journaled,
     _solve_orders,
@@ -551,13 +552,21 @@ def test_a_resume_stops_after_the_watched_tasks_rank(traversal):
 
 
 class _SeededCount(_State):
-    """Counts the trials ``_solve_orders`` finishes on the state machine."""
+    """Counts the trials ``_solve_orders`` finishes on the state machine,
+    and the rows its depth-2 step moves."""
 
     seeded = 0
+    moved = 0
 
     def seed_matching(self, owner):
         _SeededCount.seeded += 1
         super().seed_matching(owner)
+
+
+def _counted_depth_two(inst, start, rows, *arrays):
+    left = _flip_depth_two(inst, start, rows, *arrays)
+    _SeededCount.moved += rows.size - left.size
+    return left
 
 
 def _random_orders(rng, trials, n):
@@ -573,23 +582,65 @@ def _assert_solves_each_order(inst, orders):
 
 
 def _solve_and_count_resumes(monkeypatch, inst, orders):
+    """Checks every row against ``solve_mvbm`` and returns the resumed
+    trials; ``_SeededCount.moved`` then holds the depth-2 flips."""
     monkeypatch.setattr(solver, "_State", _SeededCount)
-    _SeededCount.seeded = 0
+    monkeypatch.setattr(solver, "_flip_depth_two", _counted_depth_two)
+    _SeededCount.seeded = _SeededCount.moved = 0
     _assert_solves_each_order(inst, orders)
     return _SeededCount.seeded
 
 
 def test_batched_orders_solve_as_one_by_one_on_lottery_markets(monkeypatch):
-    # the randomized experiment's shape: most trials end in the vector
-    # pass, the rest meet a task whose agents are all saturated
+    # the randomized experiment's shape: most trials end every search at
+    # depth 1, the rest also meet tasks whose agents are all saturated and
+    # take the depth-2 step
     cfg = GenConfig(20, 25, 0.2, 3, 3, seed=107)
     rng = np.random.default_rng(108)
-    resumed = trials = 0
+    moved = trials = 0
     for i in range(24):
         orders = _random_orders(rng, 60, cfg.n)
-        resumed += _solve_and_count_resumes(monkeypatch, generate_instance(cfg, i), orders)
+        _solve_and_count_resumes(monkeypatch, generate_instance(cfg, i), orders)
+        moved += _SeededCount.moved
         trials += len(orders)
-    assert 0 < resumed < trials
+    assert 0 < moved < trials
+
+
+def test_batched_orders_take_the_depth_two_step_and_resume(monkeypatch):
+    # unit and double capacities on small dense markets: searches end at
+    # depth 2, fail, or go deeper, so both the step and the resume run
+    cfg = GenConfig(6, 10, 0.5, 1, 2, seed=112)
+    rng = np.random.default_rng(113)
+    resumed = moved = 0
+    for i in range(8):
+        orders = _random_orders(rng, 60, cfg.n)
+        resumed += _solve_and_count_resumes(monkeypatch, generate_instance(cfg, i), orders)
+        moved += _SeededCount.moved
+    assert resumed > 0 and moved > 0
+
+
+def test_depth_two_step_follows_the_frontier_order(monkeypatch):
+    # Tasks Z=1, X=2, Y=0, start=3 and W=4 come in that rank order, and
+    # the order puts agents 1, 2, 3, 4, 0.  Depth 1 gives Z to 3, X to 2
+    # and Y to 1, which saturates the start task's agents 1, 2 and 3.
+    # The frontier is their tasks by (owner's position, rank): Y, X, Z,
+    # which is neither id order (Y, Z, X) nor rank order (Z, X, Y).
+    # Agent 4 comes before agent 0 in the order, so it is the terminal;
+    # Y does not reach it, and X is the first frontier task next to it,
+    # though Z, next to it too, has the lower id and rank.  The flip
+    # gives X to agent 4 and the start task to X's old owner 2; agent 4
+    # is then saturated, so W goes to agent 0.
+    inst = Instance(
+        [1, 1, 1, 1, 1],
+        [3.0, 5.0, 4.0, 2.0, 1.0],
+        [(3, 1), (4, 1), (0, 1), (2, 2), (4, 2), (1, 0),
+         (1, 3), (2, 3), (3, 3), (4, 4), (0, 4)],
+    )
+    order = [1, 2, 3, 4, 0]
+    expected = (1, 3, 4, 2, 0)
+    assert solve_mvbm(inst, Traversal.BREADTH_FIRST, order) == expected
+    assert _solve_and_count_resumes(monkeypatch, inst, np.array([order])) == 0
+    assert _SeededCount.moved == 1
 
 
 def test_batched_orders_solve_as_one_by_one_on_tight_markets(monkeypatch):
