@@ -256,6 +256,32 @@ def _with_reports(
     return inst
 
 
+def _with_rows(
+    base: Instance, agents: bool, rows: Sequence[tuple[int, ...]]
+) -> Instance:
+    """``base`` with the rows of one side (the agents' tasks when
+    ``agents``, else the tasks' agents) replaced by ``rows``, built
+    without the constructor's checks.
+
+    Every row must be a sorted subset of the true row.  The other side's
+    rows are rebuilt in one pass over ``rows`` in id order, so they come
+    out sorted; capacities, values and the task order are shared with
+    ``base``.
+    """
+    cols: list[list[int]] = [[] for _ in range(base.m if agents else base.n)]
+    for e, row in enumerate(rows):
+        for p in row:
+            cols[p].append(e)
+    inst = object.__new__(Instance)
+    inst.capacities, inst.values = base.capacities, base.values
+    inst.task_order, inst.task_rank = base.task_order, base.task_rank
+    if agents:
+        inst.agent_adj, inst.task_adj = tuple(rows), tuple(map(tuple, cols))
+    else:
+        inst.agent_adj, inst.task_adj = tuple(map(tuple, cols)), tuple(rows)
+    return inst
+
+
 def _parse_number(raw, what: str) -> float:
     """``raw`` as a float; a JSON boolean is not a number."""
     if not isinstance(raw, bool):

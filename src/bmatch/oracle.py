@@ -9,8 +9,11 @@ small group, and equilibria are enumerated over full pure-strategy
 profiles.
 
 Coalition searches and equilibrium enumeration share one joint-report
-loop, ``_joint_outcomes``: after the mechanism and cap checks it builds
-each joint profile in one step and runs the mechanism once on it.
+loop, ``_joint_outcomes``.  After the mechanism and cap checks it checks
+each player's options once, then builds each joint market from the
+chosen option rows (``core._with_rows``) and solves it; no ``Profile``
+is built per joint report.  A ``Profile`` is made only for an
+equilibrium that is returned, and a coalition returns its reports.
 """
 
 from __future__ import annotations
@@ -21,23 +24,26 @@ from dataclasses import dataclass
 from math import inf
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .core import (
     Instance,
     SizeCapExceededError,
     WEIGHT_TOL,
-    agent_utility,
+    _with_rows,
     matching_weight,
 )
 from .mechanisms import (
+    _TRAVERSALS,
     AGENTS,
     MechanismKind,
     Profile,
     TASKS,
-    run_mechanism,
+    _bounded_report,
     truthful_profile,
     worst_ne_profile,
 )
-from .solver import Traversal, solve_mvbm
+from .solver import Traversal, solve_ap, solve_mvbm
 from .strategies import (
     ProfitableDeviation,
     _report_candidates,
@@ -181,24 +187,43 @@ class CoalitionDeviation:
 
 def _joint_outcomes(
     inst: Instance, kind: MechanismKind, side: str, entities: Sequence[int], cap: int
-) -> Iterator[tuple[tuple[int, ...], Profile, tuple[int, ...]]]:
+) -> tuple[list[list], Iterator[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Run a deterministic mechanism on every joint ``ems`` report of
-    ``entities``, the others truthful, at most ``cap`` of them.  Yields
-    ``(key, profile, owner)`` with ``key`` the option indices, in
-    product order."""
+    ``entities``, the others truthful, at most ``cap`` of them.
+
+    Returns each entity's options and an iterator over ``(key, owner)``
+    with ``key`` the option indices, in product order.  The mechanism,
+    the degree and the cap are checked, and each option once with
+    ``_bounded_report``, before the first solve.  Each joint market is
+    the base with the chosen option rows in place of the entities' rows
+    (``_with_rows``): an ``ems`` report changes no capacity or value.
+    """
     _require_deterministic(kind)
-    option_sets = [_report_candidates(inst, side, e, "ems") for e in entities]
-    count = math.prod(len(options) for options in option_sets)
+    options = [_report_candidates(inst, side, e, "ems") for e in entities]
+    count = math.prod(len(o) for o in options)
     if count > cap:
         raise SizeCapExceededError(
             f"{count} joint reports of {side} {tuple(entities)} exceed the cap {cap}"
         )
-    reports: list[object] = [None] * (inst.n if side == AGENTS else inst.m)
-    for key in itertools.product(*(range(len(options)) for options in option_sets)):
-        for e, options, choice in zip(entities, option_sets, key):
-            reports[e] = options[choice]
-        profile = Profile(side, inst, tuple(reports))
-        yield key, profile, run_mechanism(kind, profile)
+    option_rows = [
+        [_bounded_report(inst, side, e, report)[0] for report in o]
+        for e, o in zip(entities, options)
+    ]
+    agents = side == AGENTS
+    traversal = _TRAVERSALS.get(kind)  # None: MAP's length-1 solve
+
+    def outcomes():
+        rows = list(inst.agent_adj if agents else inst.task_adj)
+        for key in itertools.product(*(range(len(o)) for o in options)):
+            for e, choices, choice in zip(entities, option_rows, key):
+                rows[e] = choices[choice]
+            market = _with_rows(inst, agents, rows)
+            if traversal is None:
+                yield key, solve_ap(market)
+            else:
+                yield key, solve_mvbm(market, traversal)
+
+    return options, outcomes()
 
 
 def _find_coalition(
@@ -208,19 +233,20 @@ def _find_coalition(
     size and then lexicographically, with a joint edge-hiding report
     under which no member loses and one strictly gains."""
     adjacency, utility = _side_view(inst, side)
-    # the empty coalition's one joint report is the truthful profile
-    ((_, _, mu),) = _joint_outcomes(inst, kind, side, (), cap)
+    # the empty coalition's one joint report is the truthful market
+    ((_, mu),) = _joint_outcomes(inst, kind, side, (), cap)[1]
     baseline = [utility(mu, e) for e in range(len(adjacency))]
     eligible = [e for e, adj in enumerate(adjacency) if adj]
     for size in range(1, max_size + 1):
         for coalition in itertools.combinations(eligible, size):
             old = tuple(baseline[e] for e in coalition)
-            for _, profile, owner in _joint_outcomes(inst, kind, side, coalition, cap):
+            options, outcomes = _joint_outcomes(inst, kind, side, coalition, cap)
+            for key, owner in outcomes:
                 new = tuple(utility(owner, e) for e in coalition)
                 no_loss = all(u >= o - WEIGHT_TOL for u, o in zip(new, old))
                 strict = any(u > o + WEIGHT_TOL for u, o in zip(new, old))
                 if no_loss and strict:
-                    joint = tuple(profile.reports[e] for e in coalition)
+                    joint = tuple(o[c] for o, c in zip(options, key))
                     return CoalitionDeviation(coalition, joint, old, new)
     return None
 
@@ -256,31 +282,45 @@ def enumerate_pure_nash(
 
     Agents without edges have no strategies and are held at a truthful
     (empty) report.  Raises when the profile space exceeds the cap.
+
+    Every joint report is solved once (``_joint_outcomes``) and scored in
+    one pass over its owner tuple, each agent's utility summed left to
+    right by task id as ``agent_utility`` sums it.  A profile is stable
+    iff for every player the best utility along the player's axis of the
+    ``(options..., n)`` utility table is not above its own plus
+    ``WEIGHT_TOL``; the player's own option never is.  A ``Profile`` is
+    built only for a stable one.
     """
-    players = [a for a in range(inst.n) if inst.agent_adj[a]]
-    runs = _joint_outcomes(inst, kind, AGENTS, players, NASH_PROFILE_CAP)
-    outcomes = {
-        key: (profile, tuple(agent_utility(inst, owner, a) for a in range(inst.n)))
-        for key, profile, owner in runs
-    }
-    # the last key in product order holds each player's last option
-    option_counts = [choice + 1 for choice in next(reversed(outcomes))]
+    n, values = inst.n, inst.values
+    players = [a for a in range(n) if inst.agent_adj[a]]
+    options, outcomes = _joint_outcomes(inst, kind, AGENTS, players, NASH_PROFILE_CAP)
+    keys, utils = [], []
+    for key, owner in outcomes:
+        u = [0.0] * n
+        for t, a in enumerate(owner):
+            if a != -1:
+                u[a] += values[t]
+        keys.append(key)
+        utils.append(u)
+    shape = tuple(len(o) for o in options)
+    table = np.array(utils, dtype=np.float64).reshape(*shape, n)
+    stable = np.ones(shape, dtype=bool)
+    for axis, player in enumerate(players):
+        own = table[..., player]
+        stable &= own.max(axis=axis, keepdims=True) <= own + WEIGHT_TOL
 
     equilibria: list[tuple[Profile, float]] = []
-    for key, (profile, utils) in outcomes.items():
-        improvable = any(
-            outcomes[key[:idx] + (alt,) + key[idx + 1 :]][1][player]
-            > utils[player] + WEIGHT_TOL
-            for idx, player in enumerate(players)
-            for alt in range(option_counts[idx])
-            if alt != key[idx]
-        )
-        if not improvable:
+    # keys run in product order, which is the table's row-major order
+    for key, u, ok in zip(keys, utils, stable.ravel().tolist()):
+        if ok:
+            reports: list[object] = [None] * n
+            for player, o, choice in zip(players, options, key):
+                reports[player] = o[choice]
             # left to right: builtin sum() compensates from Python 3.12 on
             welfare = 0.0
-            for u in utils:
-                welfare += u
-            equilibria.append((profile, welfare))
+            for x in u:
+                welfare += x
+            equilibria.append((Profile(AGENTS, inst, tuple(reports)), welfare))
     return equilibria
 
 

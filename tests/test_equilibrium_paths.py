@@ -2,19 +2,22 @@
 per-agent best responses and chained ``with_report`` profiles.
 
 ``verify_nash`` runs one deviation pass over the profile, and the oracle
-runs every joint report through one loop that builds each profile in one
-step.  The references below answer the same questions the long way: a
-``run_mechanism`` baseline with one best-response search per agent, and
-joint profiles built one ``with_report`` at a time.
+runs every joint report through one loop that builds each market from
+the players' option rows, without a ``Profile``.  The references below
+answer the same questions the long way: a ``run_mechanism`` baseline
+with one best-response search per agent, and joint profiles built one
+``with_report`` at a time.
 """
 
 import itertools
 import random
+from collections import Counter
+from math import inf
 
 import pytest
 
-from bmatch import strategies
-from bmatch.core import WEIGHT_TOL, agent_utility, task_utility
+from bmatch import mechanisms, oracle, strategies
+from bmatch.core import WEIGHT_TOL, Instance, agent_utility, task_utility
 from bmatch.fixtures import complete_three_agent_instance
 from bmatch.mechanisms import (
     AGENTS,
@@ -22,6 +25,7 @@ from bmatch.mechanisms import (
     AgentReport,
     MechanismKind,
     Profile,
+    build_effective_instance,
     run_mechanism,
     truthful_profile,
     worst_ne_profile,
@@ -184,3 +188,91 @@ def test_verify_nash_journals_one_solve(monkeypatch, kind):
     ok, _ = verify_nash(profile, kind)
     assert ok
     assert len(calls) == 1
+
+
+def _joint_groups(inst, side):
+    """Every coalition of one or two entities with edges, and all of them."""
+    adjacency = inst.agent_adj if side == AGENTS else inst.task_adj
+    eligible = [e for e, adj in enumerate(adjacency) if adj]
+    small = [c for size in (1, 2) for c in itertools.combinations(eligible, size)]
+    return len(adjacency), small + [tuple(eligible)]
+
+
+@pytest.mark.parametrize("kind", [MechanismKind.MBFS, MechanismKind.MAP])
+def test_joint_markets_equal_built_profiles(monkeypatch, kind):
+    # capture every market the loop hands to a solver
+    solved = []
+    for name in ("solve_mvbm", "solve_ap"):
+        def capture(market, *args, solve=getattr(oracle, name)):
+            solved.append(market)
+            return solve(market, *args)
+
+        monkeypatch.setattr(oracle, name, capture)
+    fields = ("capacities", "values", "agent_adj", "task_adj", "task_order", "task_rank")
+    compared = 0
+    for inst in _markets(24, seed=5151):
+        for side in (AGENTS, TASKS):
+            count, groups = _joint_groups(inst, side)
+            for entities in groups:
+                options, outcomes = oracle._joint_outcomes(
+                    inst, kind, side, entities, oracle.NASH_PROFILE_CAP)
+                for key, _ in outcomes:
+                    reports = [None] * count
+                    for e, o, choice in zip(entities, options, key):
+                        reports[e] = o[choice]
+                    expected = build_effective_instance(
+                        Profile(side, inst, tuple(reports)))
+                    [market] = solved
+                    solved.clear()
+                    for field in fields:
+                        assert getattr(market, field) == getattr(expected, field), (
+                            inst, side, reports, field)
+                    compared += 1
+    assert compared > 1000
+
+
+def test_oracle_checks_each_option_once_and_builds_no_profile(monkeypatch):
+    # options are checked once per joint-report loop; no loop builds a
+    # market through build_effective_instance
+    built, checked = [], []
+    build, bounded = mechanisms.build_effective_instance, oracle._bounded_report
+
+    def counting_build(profile):
+        built.append(profile)
+        return build(profile)
+
+    def counting_check(base, side, e, report):
+        checked.append((side, e, report))
+        return bounded(base, side, e, report)
+
+    for module in (mechanisms, strategies):
+        monkeypatch.setattr(module, "build_effective_instance", counting_build)
+    monkeypatch.setattr(oracle, "_bounded_report", counting_check)
+    inst = complete_three_agent_instance()
+    candidates = [_report_candidates(inst, AGENTS, a, "ems") for a in range(inst.n)]
+
+    enumerate_pure_nash(inst, MechanismKind.MBFS)
+    assert Counter(checked) == Counter(
+        (AGENTS, a, r) for a in range(inst.n) for r in candidates[a])
+
+    checked.clear()
+    found = find_agent_coalition(inst, MechanismKind.MBFS, max_size=2)
+    expected = Counter()
+    for coalition in itertools.chain.from_iterable(
+            itertools.combinations(range(inst.n), size) for size in (1, 2)):
+        expected.update((AGENTS, a, r) for a in coalition for r in candidates[a])
+        if found is not None and coalition == found.entities:
+            break
+    assert Counter(checked) == expected
+    assert built == []
+
+
+@pytest.mark.parametrize("values", [(inf, 1.0, inf), (1.0, 1.0 + 1e-12, 1.0)],
+                         ids=["infinite", "within-tolerance"])
+@pytest.mark.parametrize("kind", [MechanismKind.MBFS, MechanismKind.MDFS])
+def test_pure_nash_at_extreme_values(kind, values):
+    # the constructor accepts an infinite value; a utility less than
+    # WEIGHT_TOL above another is no improvement
+    inst = Instance([1, 2], values, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
+    equilibria = enumerate_pure_nash(inst, kind)
+    assert equilibria and equilibria == _reference_pure_nash(inst, kind)

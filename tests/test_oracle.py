@@ -1,5 +1,6 @@
 import pytest
 
+from bmatch import oracle
 from bmatch.core import Instance, SizeCapExceededError, agent_utility
 from bmatch.fixtures import (
     epsilon_gap_instance,
@@ -147,6 +148,17 @@ def test_equilibrium_welfare_adds_left_to_right():
     assert welfare == 1.0
 
 
+@pytest.mark.parametrize("inst", [
+    Instance([1, 2], [1.0, 2.0], []),
+    Instance([], [1.0, 2.0], []),
+    Instance([1, 2], [], []),
+], ids=["no-edges", "no-agents", "no-tasks"])
+@pytest.mark.parametrize("kind", [MechanismKind.MBFS, MechanismKind.MDFS, MechanismKind.MAP])
+def test_pure_nash_without_players_is_the_truthful_profile(inst, kind):
+    # no agent has a strategy, so the one joint report is the truthful one
+    assert enumerate_pure_nash(inst, kind) == [(truthful_profile(inst), 0.0)]
+
+
 def test_efficiency_ratios_on_epsilon_market():
     inst = epsilon_gap_instance(1e-3)
     expected = (2 + 1e-3) / (1 + 1e-3)
@@ -179,3 +191,15 @@ def test_joint_report_cap_names_the_entities():
                        match=r"9 joint reports of agents \(0, 1\) exceed the cap 8"):
         find_agent_coalition(inst, MechanismKind.MBFS, max_size=2, joint_cap=8)
     assert find_agent_coalition(inst, MechanismKind.MBFS, max_size=2, joint_cap=9) is None
+
+
+def test_pure_nash_cap_is_checked_before_any_solve(monkeypatch):
+    # 127 reports per agent, 127**3 joint reports: over the cap
+    inst = Instance([1, 1, 1], [1.0] * 7, [(a, t) for a in range(3) for t in range(7)])
+
+    def no_solve(*args):
+        raise AssertionError("solved before the cap check")
+
+    monkeypatch.setattr(oracle, "solve_mvbm", no_solve)
+    with pytest.raises(SizeCapExceededError, match="2048383 joint reports of agents"):
+        enumerate_pure_nash(inst, MechanismKind.MBFS)
