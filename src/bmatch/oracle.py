@@ -9,11 +9,14 @@ small group, and equilibria are enumerated over full pure-strategy
 profiles.
 
 Coalition searches and equilibrium enumeration share one joint-report
-loop, ``_joint_outcomes``.  After the mechanism and cap checks it checks
-each player's options once, then builds each joint market from the
-chosen option rows (``core._with_rows``) and solves it; no ``Profile``
-is built per joint report.  A ``Profile`` is made only for an
-equilibrium that is returned, and a coalition returns its reports.
+solve, ``_joint_outcomes``.  After the mechanism and cap checks it
+checks each player's options once and stacks the joint markets' bool
+adjacencies in product order, each player's option masks broadcast
+along its own axis.  An ``ems`` report changes no capacity or value, so
+the joint markets differ only in their rows, and one vector pass
+(``solver._solve_rows``) solves them all; no ``Profile`` or market is
+built per joint report.  A ``Profile`` is made only for an equilibrium
+that is returned, and a coalition returns its reports.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import inf
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +33,6 @@ from .core import (
     Instance,
     SizeCapExceededError,
     WEIGHT_TOL,
-    _with_rows,
     matching_weight,
 )
 from .mechanisms import (
@@ -43,7 +45,7 @@ from .mechanisms import (
     truthful_profile,
     worst_ne_profile,
 )
-from .solver import Traversal, solve_ap, solve_mvbm
+from .solver import Traversal, _adjacency, _solve_rows, solve_mvbm
 from .strategies import (
     ProfitableDeviation,
     _report_candidates,
@@ -187,43 +189,44 @@ class CoalitionDeviation:
 
 def _joint_outcomes(
     inst: Instance, kind: MechanismKind, side: str, entities: Sequence[int], cap: int
-) -> tuple[list[list], Iterator[tuple[tuple[int, ...], tuple[int, ...]]]]:
+) -> tuple[list[list], np.ndarray]:
     """Run a deterministic mechanism on every joint ``ems`` report of
     ``entities``, the others truthful, at most ``cap`` of them.
 
-    Returns each entity's options and an iterator over ``(key, owner)``
-    with ``key`` the option indices, in product order.  The mechanism,
-    the degree and the cap are checked, and each option once with
-    ``_bounded_report``, before the first solve.  Each joint market is
-    the base with the chosen option rows in place of the entities' rows
-    (``_with_rows``): an ``ems`` report changes no capacity or value.
+    Returns each entity's options and the (joint reports, m) owner array
+    of the joint reports in product order of the option indices.  The
+    mechanism, the degree and the cap are checked, and each option once
+    with ``_bounded_report``, before the solve.  Each joint market is the
+    base with the chosen option rows in place of the entities' rows: an
+    ``ems`` report changes no capacity or value, so one ``_solve_rows``
+    call solves them all from their stacked adjacencies.
     """
     _require_deterministic(kind)
     options = [_report_candidates(inst, side, e, "ems") for e in entities]
-    count = math.prod(len(o) for o in options)
+    shape = tuple(len(o) for o in options)
+    count = math.prod(shape)
     if count > cap:
         raise SizeCapExceededError(
             f"{count} joint reports of {side} {tuple(entities)} exceed the cap {cap}"
         )
-    option_rows = [
-        [_bounded_report(inst, side, e, report)[0] for report in o]
-        for e, o in zip(entities, options)
-    ]
     agents = side == AGENTS
+    adjacency = np.empty((*shape, inst.m, inst.n), dtype=bool)
+    adjacency[...] = _adjacency(inst)
+    for axis, (e, o) in enumerate(zip(entities, options)):
+        # one mask per option, broadcast along the other entities' axes
+        masks = np.zeros((len(o), inst.m if agents else inst.n), dtype=bool)
+        for i, report in enumerate(o):
+            masks[i, list(_bounded_report(inst, side, e, report)[0])] = True
+        along = [1] * len(shape)
+        along[axis] = len(o)
+        if agents:
+            adjacency[..., e] = masks.reshape(*along, inst.m)
+        else:
+            adjacency[..., e, :] = masks.reshape(*along, inst.n)
     traversal = _TRAVERSALS.get(kind)  # None: MAP's length-1 solve
-
-    def outcomes():
-        rows = list(inst.agent_adj if agents else inst.task_adj)
-        for key in itertools.product(*(range(len(o)) for o in options)):
-            for e, choices, choice in zip(entities, option_rows, key):
-                rows[e] = choices[choice]
-            market = _with_rows(inst, agents, rows)
-            if traversal is None:
-                yield key, solve_ap(market)
-            else:
-                yield key, solve_mvbm(market, traversal)
-
-    return options, outcomes()
+    return options, _solve_rows(
+        inst, traversal, adjacency.reshape(count, inst.m, inst.n)
+    )
 
 
 def _find_coalition(
@@ -234,18 +237,21 @@ def _find_coalition(
     under which no member loses and one strictly gains."""
     adjacency, utility = _side_view(inst, side)
     # the empty coalition's one joint report is the truthful market
-    ((_, mu),) = _joint_outcomes(inst, kind, side, (), cap)[1]
+    (mu,) = _joint_outcomes(inst, kind, side, (), cap)[1].tolist()
     baseline = [utility(mu, e) for e in range(len(adjacency))]
     eligible = [e for e, adj in enumerate(adjacency) if adj]
     for size in range(1, max_size + 1):
         for coalition in itertools.combinations(eligible, size):
             old = tuple(baseline[e] for e in coalition)
-            options, outcomes = _joint_outcomes(inst, kind, side, coalition, cap)
-            for key, owner in outcomes:
+            options, owners = _joint_outcomes(inst, kind, side, coalition, cap)
+            # the rows run in product order, the first joint report first
+            for index, row in enumerate(owners):
+                owner = row.tolist()
                 new = tuple(utility(owner, e) for e in coalition)
                 no_loss = all(u >= o - WEIGHT_TOL for u, o in zip(new, old))
                 strict = any(u > o + WEIGHT_TOL for u, o in zip(new, old))
                 if no_loss and strict:
+                    key = np.unravel_index(index, tuple(map(len, options)))
                     joint = tuple(o[c] for o, c in zip(options, key))
                     return CoalitionDeviation(coalition, joint, old, new)
     return None
@@ -283,44 +289,41 @@ def enumerate_pure_nash(
     Agents without edges have no strategies and are held at a truthful
     (empty) report.  Raises when the profile space exceeds the cap.
 
-    Every joint report is solved once (``_joint_outcomes``) and scored in
-    one pass over its owner tuple, each agent's utility summed left to
-    right by task id as ``agent_utility`` sums it.  A profile is stable
-    iff for every player the best utility along the player's axis of the
-    ``(options..., n)`` utility table is not above its own plus
-    ``WEIGHT_TOL``; the player's own option never is.  A ``Profile`` is
-    built only for a stable one.
+    Every joint report is solved in one pass (``_joint_outcomes``), and
+    the owner array is scored task by task in id order, so each agent's
+    utility is summed left to right as ``agent_utility`` sums it.  A
+    profile is stable iff for every player the best utility along the
+    player's axis of the ``(options..., n)`` utility table is not above
+    its own plus ``WEIGHT_TOL``; the player's own option never is.  A
+    ``Profile`` is built only for a stable one.
     """
-    n, values = inst.n, inst.values
+    n = inst.n
     players = [a for a in range(n) if inst.agent_adj[a]]
-    options, outcomes = _joint_outcomes(inst, kind, AGENTS, players, NASH_PROFILE_CAP)
-    keys, utils = [], []
-    for key, owner in outcomes:
-        u = [0.0] * n
-        for t, a in enumerate(owner):
-            if a != -1:
-                u[a] += values[t]
-        keys.append(key)
-        utils.append(u)
+    options, owners = _joint_outcomes(inst, kind, AGENTS, players, NASH_PROFILE_CAP)
     shape = tuple(len(o) for o in options)
-    table = np.array(utils, dtype=np.float64).reshape(*shape, n)
+    lines = np.arange(len(owners))
+    # each agent's utility per joint report, added task by task in id
+    # order; owner -1 adds to the last column, which no agent reads
+    utils = np.zeros((len(owners), n + 1))
+    for t, value in enumerate(inst.values):
+        utils[lines, owners[:, t]] += value
+    table = utils[:, :n].reshape(*shape, n)
     stable = np.ones(shape, dtype=bool)
     for axis, player in enumerate(players):
         own = table[..., player]
         stable &= own.max(axis=axis, keepdims=True) <= own + WEIGHT_TOL
 
     equilibria: list[tuple[Profile, float]] = []
-    # keys run in product order, which is the table's row-major order
-    for key, u, ok in zip(keys, utils, stable.ravel().tolist()):
-        if ok:
-            reports: list[object] = [None] * n
-            for player, o, choice in zip(players, options, key):
-                reports[player] = o[choice]
-            # left to right: builtin sum() compensates from Python 3.12 on
-            welfare = 0.0
-            for x in u:
-                welfare += x
-            equilibria.append((Profile(AGENTS, inst, tuple(reports)), welfare))
+    # the table's row-major order is the rows' product order
+    for index in np.flatnonzero(stable).tolist():
+        reports: list[object] = [None] * n
+        for player, o, choice in zip(players, options, np.unravel_index(index, shape)):
+            reports[player] = o[choice]
+        # left to right: builtin sum() compensates from Python 3.12 on
+        welfare = 0.0
+        for x in utils[index, :n].tolist():
+            welfare += x
+        equilibria.append((Profile(AGENTS, inst, tuple(reports)), welfare))
     return equilibria
 
 

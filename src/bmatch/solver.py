@@ -112,8 +112,43 @@ agent at depth 2, because the search fails or needs depth 3 or more,
 leaves the pass.  ``seed_matching`` loads its owner array into a fresh
 ``_State``, which is then the state of the full solve before rank ``r``,
 and ``run`` goes on from rank ``r``.
-Depth-first search cannot share the pass, because at depth 1 it dives
-into the first saturated agent before it tries the next one.
+
+The joint reports of an equilibrium enumeration or a coalition search
+are markets that share capacities, values and task order and differ
+only in their rows, all solved in id order (``_solve_rows``).  They walk
+the ranks together the same way, with positions equal to ids, and with
+two more steps.
+
+A failed search may stay in the pass.  A search from task ``t`` fails
+exactly when the alternating closure of ``t`` (its agents, the tasks
+they hold, the agents of those tasks, and so on) holds no unsaturated
+agent: both traversals reach every agent of the closure before they
+give up, and the agents that dead marks hide lead only to other dead,
+saturated agents.  The failed search changes no assignment, so the owner
+array stays the state; only the dead marks are not kept.  Without them
+every later search is the unpruned one, which by the pruning argument
+above returns the same terminal and flips the same path; the vector
+steps read a dead agent as what it is, a saturated agent whose held
+tasks lead only to saturated agents.  So the pass checks the
+closure (``_reaches_free``) only for a row that no vector step moves,
+and a row whose closure holds an unsaturated agent leaves the pass on a
+fresh ``_State`` with no dead marks, which again runs unpruned searches.
+
+Depth-first search takes the first dive (``_first_dive``).  From ``t``
+it visits ``t``'s first agent ``a1``; nothing else is visited yet.  If
+``a1`` is unsaturated it is the terminal.  Otherwise the search goes
+through ``a1``'s tasks by rank (``t`` is unmatched, so not among them),
+and at each one tries its agents by id, skipping only ``a1``.  So the
+first agent ``b`` other than ``a1`` in the order (rank of ``a1``'s
+task, agent id) decides: unsaturated, it is the terminal, and the flip
+gives that task to ``b`` and ``t`` to ``a1``, whose load stays the same;
+saturated, the search dives deeper and the row leaves the pass.  When
+``a1``'s tasks have no other agent, every frame below ``a1`` runs out
+and the search backs up to ``t``, whose next agent ``a2`` is the next
+one it visits: the terminal if unsaturated, else the search dives on
+and the row leaves.  A dead ``a1`` is saturated and its tasks reach only
+saturated agents, so the row takes ``a2`` or leaves, as the pruned
+search, which skips ``a1``, would take ``a2`` or go on past it.
 """
 
 from __future__ import annotations
@@ -121,12 +156,12 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from typing import Sequence
 
 import numpy as np
 
-from .core import InfeasibleMatchingError, Instance, is_feasible_matching
+from .core import InfeasibleMatchingError, Instance, _with_rows, is_feasible_matching
 
 __all__ = [
     "Traversal",
@@ -510,12 +545,7 @@ def _solve_orders(inst: Instance, orders: np.ndarray) -> np.ndarray:
     pos[np.arange(trials)[:, None], orders] = np.arange(n)
     key = pos.copy()
     room = np.tile(np.asarray(inst.capacities, dtype=np.intp), (trials, 1))
-    # 1.0 where a task and an agent are adjacent
-    adjacent = np.zeros((inst.m, n))
-    degrees = [len(agents) for agents in inst.task_adj]
-    adjacent[
-        np.repeat(np.arange(inst.m), degrees), list(chain.from_iterable(inst.task_adj))
-    ] = 1.0
+    adjacent = _adjacency(inst).astype(float)
     # the trial of each row still in the pass, and the row's first cell
     live = np.arange(trials)
     base = live * n
@@ -557,6 +587,83 @@ def _solve_orders(inst: Instance, orders: np.ndarray) -> np.ndarray:
     return result
 
 
+def _solve_rows(
+    inst: Instance, traversal: Traversal | None, adjacency: np.ndarray
+) -> np.ndarray:
+    """``solve_mvbm(market, traversal)`` (``solve_ap(market)`` for
+    ``None``) as row ``k`` of a (rows, m) owner array, for each market
+    that has ``inst``'s capacities, values and task order and whose task
+    ``t`` is adjacent to agent ``a`` where ``adjacency[k, t, a]``.
+
+    All markets walk the ranks together, in id order (see the module
+    docstring).  Breadth-first search and the length-1 solve take the
+    unsaturated adjacent agent of lowest id, depth-first search only the
+    first adjacent agent, and only when it is unsaturated.  Otherwise
+    breadth-first takes the depth-2 step (``_flip_depth_two``) and
+    depth-first its first dive (``_first_dive``).  A search whose
+    alternating closure holds no unsaturated agent fails and changes
+    nothing (``_reaches_free``).  Any other row leaves the pass and
+    finishes on ``_State`` from its owner row.
+    """
+    count, m, n = adjacency.shape
+    owner = np.full((count, m), -1, dtype=np.intp)
+    ids = np.arange(n)
+    # an agent's id, and the same read as n once the agent is saturated
+    key = np.tile(ids, (count, 1))
+    room = np.tile(np.asarray(inst.capacities, dtype=np.intp), (count, 1))
+    pos = np.broadcast_to(ids, key.shape)
+    lines = np.arange(count)
+    # False for a row that has left the pass
+    live = np.ones(count, dtype=bool)
+    names = range(n)
+    dfs = traversal is Traversal.DEPTH_FIRST
+    for r, t in enumerate(inst.task_order):
+        # a row that has left reads as a task without agents
+        here = adjacency[:, t] & live[:, None]
+        if not here.any():
+            continue
+        if dfs:
+            first = here.argmax(axis=1)
+            best = np.where(here[lines, first], key[lines, first], n)
+        else:
+            best = np.where(here, key, n).min(axis=1)
+        stuck = (best == n) & here.any(axis=1)
+        if traversal is not None and stuck.any():
+            rows = np.flatnonzero(stuck)
+            if dfs:
+                left = _first_dive(
+                    inst, t, rows, first[rows], owner, key, room, adjacency[rows]
+                )
+            else:
+                left = _flip_depth_two(
+                    inst, t, rows, pos, owner, key, room, adjacency[rows]
+                )
+            left = left[_reaches_free(t, owner[left], room[left], adjacency[left])]
+            for row in left.tolist():
+                grid = adjacency[row].tolist()
+                agents = [tuple(compress(names, cells)) for cells in grid]
+                state = _State(_with_rows(inst, False, agents), None)
+                state.seed_matching(owner[row].tolist())
+                owner[row] = state.run(traversal, r)
+            live[left] = False
+        took = np.flatnonzero(best < n)
+        _take(took, t, best[took], owner, key, room)
+    return owner
+
+
+def _take(rows: np.ndarray, task, agents: np.ndarray, owner, key, room) -> None:
+    """Give ``task`` (one task, or one per row) to ``agents[i]`` in row
+    ``rows[i]``, and read an agent that this saturates as ``n`` in
+    ``key``.  ``key`` and ``room`` are C-contiguous, so their ``ravel``
+    views write through."""
+    owner[rows, task] = agents
+    n = key.shape[1]
+    cell = rows * n + agents
+    free = room.ravel()
+    free[cell] -= 1
+    key.ravel()[cell[free[cell] == 0]] = n
+
+
 def _flip_depth_two(
     inst: Instance,
     start: int,
@@ -568,39 +675,113 @@ def _flip_depth_two(
     adjacent: np.ndarray,
 ) -> np.ndarray:
     """The depth-2 level of ``search_bfs`` from ``start``, and the flip
-    of the path it finds, for those ``rows`` of ``_solve_orders``' pass
-    that have a depth-2 terminal; ``start``'s agents are saturated in
-    every row.  Updates ``owner``, ``key`` and ``room`` of these rows and
-    returns the other rows (see the module docstring).
+    of the path it finds, for those ``rows`` of a vector pass that have
+    a depth-2 terminal; ``start``'s agents are saturated in every row.
+    ``adjacent`` is nonzero where a task and an agent are adjacent: one
+    (m, n) array for all rows, or one per row of ``rows``.  Updates
+    ``owner``, ``key`` and ``room`` of these rows and returns the other
+    rows (see the module docstring).
     """
-    n = pos.shape[1]
-    # the frontier: 1.0 for the tasks that the start task's agents own;
-    # owner -1 reads the last entry, 0.0
-    starts = np.zeros(n + 1)
-    starts[list(inst.task_adj[start])] = 1.0
-    frontier = starts[owner[rows]]
+    n, m = key.shape[1], inst.m
+    lines = np.arange(rows.size)
+    held = owner[rows]
+    each = np.broadcast_to(adjacent, (rows.size, m, n))
+    # the frontier: the tasks that the start task's agents own; owner -1
+    # reads the last agent, and an unmatched task is not in it
+    frontier = (each[lines[:, None], start, held] > 0) & (held >= 0)
     # the terminal: the unsaturated agent of lowest position that is
     # adjacent to a frontier task
-    reach = np.where(frontier @ adjacent > 0.0, key[rows], n)
-    found = reach.min(axis=1) < n
-    left = rows[~found]
-    rows, frontier = rows[found], frontier[found]
-    terminal = reach[found].argmin(axis=1)
+    reach = np.where((frontier[:, None] @ adjacent)[:, 0] > 0, key[rows], n)
+    terminal = reach.argmin(axis=1)
+    found = reach[lines, terminal] < n
     # its parent: the first frontier task adjacent to it, in the order
-    # (owner's position, rank) that the frontier is built in; owner -1
-    # reads another cell, and that task is not a candidate
-    ahead = pos.ravel()[(rows * n)[:, None] + owner[rows]] * inst.m
-    ahead += np.asarray(inst.task_rank)
-    candidate = frontier * adjacent.T[terminal] > 0.0
-    parent = np.where(candidate, ahead, n * inst.m).argmin(axis=1)
+    # (owner's position, rank) that the frontier is built in
+    ahead = pos[rows[:, None], held] * m + np.asarray(inst.task_rank)
+    candidate = frontier & (each[lines, :, terminal] > 0)
+    parent = np.where(candidate, ahead, n * m).argmin(axis=1)
+    left = rows[~found]
+    rows, terminal, parent = rows[found], terminal[found], parent[found]
     # the flip: the parent task to the terminal, the start task to the
     # parent's old owner, whose load stays the same
     owner[rows, start] = owner[rows, parent]
-    owner[rows, parent] = terminal
-    room[rows, terminal] -= 1
-    full = room[rows, terminal] == 0
-    key[rows[full], terminal[full]] = n
+    _take(rows, parent, terminal, owner, key, room)
     return left
+
+
+def _first_dive(
+    inst: Instance,
+    start: int,
+    rows: np.ndarray,
+    first: np.ndarray,
+    owner: np.ndarray,
+    key: np.ndarray,
+    room: np.ndarray,
+    adjacent: np.ndarray,
+) -> np.ndarray:
+    """The first dive of ``search_dfs`` from ``start`` in id order, and
+    the flip of the path it finds, for those ``rows`` of ``_solve_rows``'
+    pass where it ends at depth 2; ``first[i]``, the first agent of
+    ``start`` in row ``rows[i]``, is saturated.  ``adjacent`` holds these
+    rows' (m, n) bool adjacencies.
+
+    The dive goes through ``first``'s tasks by rank, and the first agent
+    other than ``first`` that it meets is the terminal if it is
+    unsaturated; when it meets none, the search backs up to ``start``,
+    whose next agent is the one it meets.  Updates ``owner``, ``key`` and
+    ``room`` of these rows and returns the rows where the agent met is
+    saturated or missing (see the module docstring).
+    """
+    n = key.shape[1]
+    lines = np.arange(rows.size)
+    others = adjacent & (np.arange(n) != first[:, None])[:, None]
+    # the tasks of ``first`` with another agent; the dive meets the
+    # first of them by rank, and there its agent of lowest id
+    meets = (owner[rows] == first[:, None]) & others.any(axis=2)
+    via = np.where(meets, np.asarray(inst.task_rank), inst.m).argmin(axis=1)
+    dive = meets[lines, via]
+    # else the search backs up to ``start`` and meets its next agent
+    after = others[:, start]
+    terminal = np.where(dive, others[lines, via].argmax(axis=1), after.argmax(axis=1))
+    found = (dive | after.any(axis=1)) & (key[rows, terminal] < n)
+    left = rows[~found]
+    deep = found & dive
+    back = found & ~dive
+    # the flip: ``via`` to the terminal and the start task to ``first``,
+    # or the start task to the terminal
+    owner[rows[deep], start] = first[deep]
+    _take(rows[deep], via[deep], terminal[deep], owner, key, room)
+    _take(rows[back], start, terminal[back], owner, key, room)
+    return left
+
+
+def _reaches_free(
+    start: int, held: np.ndarray, room: np.ndarray, adjacent: np.ndarray
+) -> np.ndarray:
+    """Whether the alternating closure from the unmatched task ``start``
+    holds an unsaturated agent, per row of the owner rows ``held``, the
+    agents' ``room`` and the (m, n) bool adjacencies ``adjacent``: the
+    agents of ``start``, the tasks they hold, the agents of those tasks,
+    and so on.  A search fails exactly when it does not."""
+    matched = held >= 0
+    reach = adjacent[:, start]
+    while True:
+        # owner -1 reads the last agent, and an unmatched task is not held
+        tasks = np.take_along_axis(reach, held, axis=1) & matched
+        grown = (tasks[:, None] @ adjacent)[:, 0] | reach
+        if np.array_equal(grown, reach):
+            return (reach & (room > 0)).any(axis=1)
+        reach = grown
+
+
+def _adjacency(inst: Instance) -> np.ndarray:
+    """The (m, n) bool adjacency of ``inst``: True where a task and an
+    agent are adjacent."""
+    adjacent = np.zeros((inst.m, inst.n), dtype=bool)
+    degrees = [len(agents) for agents in inst.task_adj]
+    adjacent[
+        np.repeat(np.arange(inst.m), degrees), list(chain.from_iterable(inst.task_adj))
+    ] = True
+    return adjacent
 
 
 def solve_ap(inst: Instance) -> tuple[int, ...]:

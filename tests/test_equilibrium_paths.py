@@ -2,8 +2,8 @@
 per-agent best responses and chained ``with_report`` profiles.
 
 ``verify_nash`` runs one deviation pass over the profile, and the oracle
-runs every joint report through one loop that builds each market from
-the players' option rows, without a ``Profile``.  The references below
+solves every joint report in one vector pass over the players' stacked
+option rows, without a ``Profile``.  The references below
 answer the same questions the long way: a ``run_mechanism`` baseline
 with one best-response search per agent, and joint profiles built one
 ``with_report`` at a time.
@@ -25,7 +25,6 @@ from bmatch.mechanisms import (
     AgentReport,
     MechanismKind,
     Profile,
-    build_effective_instance,
     run_mechanism,
     truthful_profile,
     worst_ne_profile,
@@ -195,39 +194,24 @@ def _joint_groups(inst, side):
     adjacency = inst.agent_adj if side == AGENTS else inst.task_adj
     eligible = [e for e, adj in enumerate(adjacency) if adj]
     small = [c for size in (1, 2) for c in itertools.combinations(eligible, size)]
-    return len(adjacency), small + [tuple(eligible)]
+    return small + [tuple(eligible)]
 
 
-@pytest.mark.parametrize("kind", [MechanismKind.MBFS, MechanismKind.MAP])
-def test_joint_markets_equal_built_profiles(monkeypatch, kind):
-    # capture every market the loop hands to a solver
-    solved = []
-    for name in ("solve_mvbm", "solve_ap"):
-        def capture(market, *args, solve=getattr(oracle, name)):
-            solved.append(market)
-            return solve(market, *args)
-
-        monkeypatch.setattr(oracle, name, capture)
-    fields = ("capacities", "values", "agent_adj", "task_adj", "task_order", "task_rank")
+@pytest.mark.parametrize("kind", _KINDS)
+def test_joint_markets_equal_built_profiles(kind):
+    # every row the loop solves is the mechanism's outcome on the joint
+    # profile chained one ``with_report`` at a time
     compared = 0
     for inst in _markets(24, seed=5151):
         for side in (AGENTS, TASKS):
-            count, groups = _joint_groups(inst, side)
-            for entities in groups:
-                options, outcomes = oracle._joint_outcomes(
+            for entities in _joint_groups(inst, side):
+                _, owners = oracle._joint_outcomes(
                     inst, kind, side, entities, oracle.NASH_PROFILE_CAP)
-                for key, _ in outcomes:
-                    reports = [None] * count
-                    for e, o, choice in zip(entities, options, key):
-                        reports[e] = o[choice]
-                    expected = build_effective_instance(
-                        Profile(side, inst, tuple(reports)))
-                    [market] = solved
-                    solved.clear()
-                    for field in fields:
-                        assert getattr(market, field) == getattr(expected, field), (
-                            inst, side, reports, field)
-                    compared += 1
+                expected = [mu for _, _, mu in _reference_joint_outcomes(
+                    inst, kind, side, entities)]
+                assert list(map(tuple, owners.tolist())) == expected, (
+                    inst, side, entities)
+                compared += len(expected)
     assert compared > 1000
 
 

@@ -200,6 +200,6 @@ def test_pure_nash_cap_is_checked_before_any_solve(monkeypatch):
     def no_solve(*args):
         raise AssertionError("solved before the cap check")
 
-    monkeypatch.setattr(oracle, "solve_mvbm", no_solve)
+    monkeypatch.setattr(oracle, "_solve_rows", no_solve)
     with pytest.raises(SizeCapExceededError, match="2048383 joint reports of agents"):
         enumerate_pure_nash(inst, MechanismKind.MBFS)
