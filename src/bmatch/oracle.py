@@ -10,12 +10,13 @@ profiles.
 
 Coalition searches and equilibrium enumeration share one joint-report
 solve, ``_joint_outcomes``.  After the mechanism and cap checks it
-checks each player's options once and stacks the joint markets' bool
-adjacencies in product order, each player's option masks broadcast
-along its own axis.  An ``ems`` report changes no capacity or value, so
-the joint markets differ only in their rows, and one vector pass
-(``solver._solve_rows``) solves them all; no ``Profile`` or market is
-built per joint report.  A ``Profile`` is made only for an equilibrium
+checks each player's options once.  An ``ems`` report changes no
+capacity or value, so the joint markets differ only in the players'
+rows, and one vector pass (``solver._solve_rows``) solves them all in
+product order, reading each market's player rows from the option rows
+(``solver._Markets``); no joint adjacency is stacked, and no ``Profile``
+or market is built per joint report.  The owner array is scored with
+numpy (``_utilities``).  A ``Profile`` is made only for an equilibrium
 that is returned, and a coalition returns its reports.
 """
 
@@ -45,12 +46,11 @@ from .mechanisms import (
     truthful_profile,
     worst_ne_profile,
 )
-from .solver import Traversal, _adjacency, _solve_rows, solve_mvbm
+from .solver import Traversal, _Markets, _solve_rows, solve_mvbm
 from .strategies import (
     ProfitableDeviation,
     _report_candidates,
     _require_deterministic,
-    _side_view,
     unilateral_deviations,
 )
 
@@ -199,34 +199,42 @@ def _joint_outcomes(
     with ``_bounded_report``, before the solve.  Each joint market is the
     base with the chosen option rows in place of the entities' rows: an
     ``ems`` report changes no capacity or value, so one ``_solve_rows``
-    call solves them all from their stacked adjacencies.
+    call solves them all.
     """
     _require_deterministic(kind)
     options = [_report_candidates(inst, side, e, "ems") for e in entities]
-    shape = tuple(len(o) for o in options)
-    count = math.prod(shape)
+    count = math.prod(len(o) for o in options)
     if count > cap:
         raise SizeCapExceededError(
             f"{count} joint reports of {side} {tuple(entities)} exceed the cap {cap}"
         )
-    agents = side == AGENTS
-    adjacency = np.empty((*shape, inst.m, inst.n), dtype=bool)
-    adjacency[...] = _adjacency(inst)
-    for axis, (e, o) in enumerate(zip(entities, options)):
-        # one mask per option, broadcast along the other entities' axes
-        masks = np.zeros((len(o), inst.m if agents else inst.n), dtype=bool)
-        for i, report in enumerate(o):
-            masks[i, list(_bounded_report(inst, side, e, report)[0])] = True
-        along = [1] * len(shape)
-        along[axis] = len(o)
-        if agents:
-            adjacency[..., e] = masks.reshape(*along, inst.m)
-        else:
-            adjacency[..., e, :] = masks.reshape(*along, inst.n)
+    option_rows = [
+        [_bounded_report(inst, side, e, report)[0] for report in o]
+        for e, o in zip(entities, options)
+    ]
+    markets = _Markets(inst, side == AGENTS, entities, option_rows)
     traversal = _TRAVERSALS.get(kind)  # None: MAP's length-1 solve
-    return options, _solve_rows(
-        inst, traversal, adjacency.reshape(count, inst.m, inst.n)
-    )
+    return options, _solve_rows(markets, traversal)
+
+
+def _utilities(
+    inst: Instance, side: str, owners: np.ndarray, entities: Sequence[int]
+) -> np.ndarray:
+    """Each of ``entities``' utility under each owner row, as a (rows,
+    entities) array.  An agent's values are added task by task in id
+    order, as ``agent_utility`` adds them, so every sum keeps its bits; a
+    task's utility is 1.0 when it is matched."""
+    if side == TASKS:
+        return (owners[:, list(entities)] >= 0).astype(float)
+    # each agent's column, and the spare last column for the others and
+    # for owner -1
+    column = np.full(inst.n + 1, len(entities))
+    column[list(entities)] = range(len(entities))
+    utils = np.zeros((len(owners), len(entities) + 1))
+    lines = np.arange(len(owners))
+    for t, value in enumerate(inst.values):
+        utils[lines, column[owners[:, t]]] += value
+    return utils[:, :-1]
 
 
 def _find_coalition(
@@ -235,25 +243,31 @@ def _find_coalition(
     """The first coalition of ``side`` entities up to ``max_size``, by
     size and then lexicographically, with a joint edge-hiding report
     under which no member loses and one strictly gains."""
-    adjacency, utility = _side_view(inst, side)
-    # the empty coalition's one joint report is the truthful market
-    (mu,) = _joint_outcomes(inst, kind, side, (), cap)[1].tolist()
-    baseline = [utility(mu, e) for e in range(len(adjacency))]
+    _require_deterministic(kind)
+    adjacency = inst.agent_adj if side == AGENTS else inst.task_adj
     eligible = [e for e, adj in enumerate(adjacency) if adj]
+    baseline = None
     for size in range(1, max_size + 1):
         for coalition in itertools.combinations(eligible, size):
-            old = tuple(baseline[e] for e in coalition)
             options, owners = _joint_outcomes(inst, kind, side, coalition, cap)
-            # the rows run in product order, the first joint report first
-            for index, row in enumerate(owners):
-                owner = row.tolist()
-                new = tuple(utility(owner, e) for e in coalition)
-                no_loss = all(u >= o - WEIGHT_TOL for u, o in zip(new, old))
-                strict = any(u > o + WEIGHT_TOL for u, o in zip(new, old))
-                if no_loss and strict:
-                    key = np.unravel_index(index, tuple(map(len, options)))
-                    joint = tuple(o[c] for o, c in zip(options, key))
-                    return CoalitionDeviation(coalition, joint, old, new)
+            if baseline is None:
+                # the first coalition is one entity, whose last option,
+                # its whole row, is the truthful report
+                everyone = range(len(adjacency))
+                (baseline,) = _utilities(inst, side, owners[-1:], everyone)
+            old = baseline[list(coalition)]
+            new = _utilities(inst, side, owners, coalition)
+            gain = (new >= old - WEIGHT_TOL).all(axis=1) & (
+                new > old + WEIGHT_TOL
+            ).any(axis=1)
+            if gain.any():
+                # the rows run in product order, the first joint report first
+                index = int(gain.argmax())
+                key = np.unravel_index(index, tuple(map(len, options)))
+                joint = tuple(o[c] for o, c in zip(options, key))
+                return CoalitionDeviation(
+                    coalition, joint, tuple(old.tolist()), tuple(new[index].tolist())
+                )
     return None
 
 
@@ -301,13 +315,8 @@ def enumerate_pure_nash(
     players = [a for a in range(n) if inst.agent_adj[a]]
     options, owners = _joint_outcomes(inst, kind, AGENTS, players, NASH_PROFILE_CAP)
     shape = tuple(len(o) for o in options)
-    lines = np.arange(len(owners))
-    # each agent's utility per joint report, added task by task in id
-    # order; owner -1 adds to the last column, which no agent reads
-    utils = np.zeros((len(owners), n + 1))
-    for t, value in enumerate(inst.values):
-        utils[lines, owners[:, t]] += value
-    table = utils[:, :n].reshape(*shape, n)
+    utils = _utilities(inst, AGENTS, owners, range(n))
+    table = utils.reshape(*shape, n)
     stable = np.ones(shape, dtype=bool)
     for axis, player in enumerate(players):
         own = table[..., player]
@@ -321,7 +330,7 @@ def enumerate_pure_nash(
             reports[player] = o[choice]
         # left to right: builtin sum() compensates from Python 3.12 on
         welfare = 0.0
-        for x in utils[index, :n].tolist():
+        for x in utils[index].tolist():
             welfare += x
         equilibria.append((Profile(AGENTS, inst, tuple(reports)), welfare))
     return equilibria

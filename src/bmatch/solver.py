@@ -115,9 +115,13 @@ and ``run`` goes on from rank ``r``.
 
 The joint reports of an equilibrium enumeration or a coalition search
 are markets that share capacities, values and task order and differ
-only in their rows, all solved in id order (``_solve_rows``).  They walk
-the ranks together the same way, with positions equal to ids, and with
-two more steps.
+only in some players' rows, all solved in id order (``_solve_rows``).
+The pass reads them through ``_Markets``: one adjacency with the
+players' true lines cleared, and per player one bool mask per option,
+read in place of the line for each market.  So it holds one owner,
+``key`` and ``room`` row per market and never a (markets, m, n) array.
+They walk the ranks together the same way, with positions equal to
+ids, and with two more steps.
 
 A failed search may stay in the pass.  A search from task ``t`` fails
 exactly when the alternating closure of ``t`` (its agents, the tasks
@@ -155,8 +159,9 @@ from __future__ import annotations
 
 import bisect
 import enum
+import math
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -545,7 +550,7 @@ def _solve_orders(inst: Instance, orders: np.ndarray) -> np.ndarray:
     pos[np.arange(trials)[:, None], orders] = np.arange(n)
     key = pos.copy()
     room = np.tile(np.asarray(inst.capacities, dtype=np.intp), (trials, 1))
-    adjacent = _adjacency(inst).astype(float)
+    markets = _Markets(inst)
     # the trial of each row still in the pass, and the row's first cell
     live = np.arange(trials)
     base = live * n
@@ -560,7 +565,7 @@ def _solve_orders(inst: Instance, orders: np.ndarray) -> np.ndarray:
         stuck = best == n
         if stuck.any():
             left = _flip_depth_two(
-                inst, t, np.flatnonzero(stuck), pos, owner, key, room, adjacent
+                markets, t, np.flatnonzero(stuck), pos, owner, key, room
             )
             for row in left.tolist():
                 state = _State(inst, orders[row].tolist())
@@ -587,13 +592,132 @@ def _solve_orders(inst: Instance, orders: np.ndarray) -> np.ndarray:
     return result
 
 
-def _solve_rows(
-    inst: Instance, traversal: Traversal | None, adjacency: np.ndarray
-) -> np.ndarray:
-    """``solve_mvbm(market, traversal)`` (``solve_ap(market)`` for
-    ``None``) as row ``k`` of a (rows, m) owner array, for each market
-    that has ``inst``'s capacities, values and task order and whose task
-    ``t`` is adjacent to agent ``a`` where ``adjacency[k, t, a]``.
+class _Markets:
+    """Markets that share ``inst``'s capacities, values and task order
+    and differ only in some players' rows: the agents' tasks when
+    ``agents``, else the tasks' agents.  Player ``p`` is the entity
+    ``entities[p]`` with the option rows ``options[p]``, and market ``k``
+    takes the ``k``-th joint choice in product order.  With no players
+    there is one market, ``inst``.
+
+    A vector pass reads the markets' adjacencies through the methods
+    below, one line or one product per row, so no (markets, m, n) array
+    is built: a player's true line is cleared from the shared adjacency,
+    and each market's option row is read in its place.
+    """
+
+    __slots__ = (
+        "inst", "agents", "entities", "options", "masks", "sizes", "strides",
+        "count", "small", "rank", "adjacent", "_rows", "_picked",
+    )
+
+    def __init__(
+        self,
+        inst: Instance,
+        agents: bool = True,
+        entities: Sequence[int] = (),
+        options: Sequence[Sequence[tuple[int, ...]]] = (),
+    ):
+        self.inst, self.agents = inst, agents
+        self.entities, self.options = list(entities), list(options)
+        self.sizes = [len(rows) for rows in self.options]
+        # the last player's choice moves fastest
+        self.strides = [math.prod(self.sizes[p + 1:]) for p in range(len(self.sizes))]
+        self.count = math.prod(self.sizes)
+        # an integer type that holds -1 and every agent id up to n
+        self.small = np.min_scalar_type(-inst.n - 1)
+        self.rank = np.array(inst.task_rank, dtype=np.min_scalar_type(inst.m))
+        adjacent = _adjacency(inst)
+        self.masks = []
+        for e, rows in zip(self.entities, self.options):
+            masks = np.zeros((len(rows), inst.m if agents else inst.n), dtype=bool)
+            for i, row in enumerate(rows):
+                masks[i, row] = True
+            self.masks.append(masks)
+            if agents:
+                adjacent[:, e] = False
+            else:
+                adjacent[e] = False
+        self.adjacent = adjacent
+        self._rows = self._picked = None
+
+    def _picks(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Each player's option index in each of ``rows``; a pass asks
+        for the same rows at every rank, so the last answer is kept."""
+        if rows is not self._rows:
+            self._rows = rows
+            self._picked = [
+                rows // stride % size for stride, size in zip(self.strides, self.sizes)
+            ]
+        return self._picked
+
+    def task(self, rows: np.ndarray, t) -> np.ndarray:
+        """(rows, n) bool: the agents of task ``t``, one task or one per
+        row, in each of ``rows``."""
+        return self._line(rows, t, True)
+
+    def agent(self, rows: np.ndarray, a) -> np.ndarray:
+        """(rows, m) bool: the tasks of agent ``a``, one agent or one per
+        row, in each of ``rows``."""
+        return self._line(rows, a, False)
+
+    def _line(self, rows: np.ndarray, index, tasks: bool) -> np.ndarray:
+        table = self.adjacent if tasks else self.adjacent.T
+        if isinstance(index, np.ndarray):
+            got = table[index]
+        else:
+            got = table[index][None].repeat(rows.size, axis=0)
+        for e, masks, pick in zip(self.entities, self.masks, self._picks(rows)):
+            if tasks == self.agents:
+                # the players' lines cross this table's lines
+                got[:, e] = masks[pick, index]
+            elif isinstance(index, np.ndarray):
+                hit = index == e
+                got[hit] = masks[pick[hit]]
+            elif index == e:
+                got = masks[pick]
+        return got
+
+    def reach(self, rows: np.ndarray, tasks: np.ndarray) -> np.ndarray:
+        """(rows, n) bool: the agents adjacent to one of ``tasks``, a
+        (rows, m) bool row for each of ``rows``."""
+        # a product over float32 is exact for the test ``> 0``: a sum of
+        # ones is never 0
+        got = (tasks @ self.adjacent.astype(np.float32)) > 0
+        for e, masks, pick in zip(self.entities, self.masks, self._picks(rows)):
+            if self.agents:
+                got[:, e] = (tasks & masks[pick]).any(axis=1)
+            else:
+                got |= tasks[:, e, None] & masks[pick]
+        return got
+
+    def degrees(self, rows: np.ndarray) -> np.ndarray:
+        """(rows, m): the number of agents of each task in each of
+        ``rows``."""
+        got = self.adjacent.sum(axis=1, dtype=self.small)
+        got = got[None].repeat(rows.size, axis=0)
+        for e, masks, pick in zip(self.entities, self.masks, self._picks(rows)):
+            if self.agents:
+                got += masks[pick]
+            else:
+                got[:, e] = masks.sum(axis=1)[pick]
+        return got
+
+    def market(self, row: int) -> Instance:
+        """Market ``row`` as an ``Instance`` (``core._with_rows``)."""
+        inst = self.inst
+        rows = list(inst.agent_adj if self.agents else inst.task_adj)
+        for e, options, stride, size in zip(
+            self.entities, self.options, self.strides, self.sizes
+        ):
+            rows[e] = options[row // stride % size]
+        return _with_rows(inst, self.agents, rows)
+
+
+def _solve_rows(markets: _Markets, traversal: Traversal | None) -> np.ndarray:
+    """``solve_mvbm(markets.market(k), traversal)`` (``solve_ap`` for
+    ``None``) as row ``k`` of a (markets, m) owner array, for every
+    market.
 
     All markets walk the ranks together, in id order (see the module
     docstring).  Breadth-first search and the length-1 solve take the
@@ -604,50 +728,57 @@ def _solve_rows(
     alternating closure holds no unsaturated agent fails and changes
     nothing (``_reaches_free``).  Any other row leaves the pass and
     finishes on ``_State`` from its owner row.
+
+    The state is one owner row and one ``key`` and ``room`` row per
+    market, in the smallest integer types that hold them.
     """
-    count, m, n = adjacency.shape
-    owner = np.full((count, m), -1, dtype=np.intp)
-    ids = np.arange(n)
+    inst = markets.inst
+    count, n, small = markets.count, inst.n, markets.small
+    owner = np.full((count, inst.m), -1, dtype=small)
+    ids = np.arange(n, dtype=small)
     # an agent's id, and the same read as n once the agent is saturated
-    key = np.tile(ids, (count, 1))
-    room = np.tile(np.asarray(inst.capacities, dtype=np.intp), (count, 1))
-    pos = np.broadcast_to(ids, key.shape)
-    lines = np.arange(count)
-    # False for a row that has left the pass
-    live = np.ones(count, dtype=bool)
-    names = range(n)
+    key = ids[None].repeat(count, axis=0)
+    most = max(inst.capacities, default=0)
+    capacities = np.array(inst.capacities, dtype=np.min_scalar_type(-most - 1))
+    room = capacities[None].repeat(count, axis=0)
+    # the rows still in the pass
+    live = np.arange(count)
     dfs = traversal is Traversal.DEPTH_FIRST
     for r, t in enumerate(inst.task_order):
-        # a row that has left reads as a task without agents
-        here = adjacency[:, t] & live[:, None]
-        if not here.any():
+        if not live.size:
+            break
+        # every market's row of ``t`` is a subset of the true one
+        if not inst.task_adj[t]:
             continue
+        here = markets.task(live, t)
         if dfs:
             first = here.argmax(axis=1)
-            best = np.where(here[lines, first], key[lines, first], n)
+            best = np.where(here[np.arange(live.size), first], key[live, first], n)
         else:
-            best = np.where(here, key, n).min(axis=1)
-        stuck = (best == n) & here.any(axis=1)
-        if traversal is not None and stuck.any():
-            rows = np.flatnonzero(stuck)
-            if dfs:
-                left = _first_dive(
-                    inst, t, rows, first[rows], owner, key, room, adjacency[rows]
-                )
-            else:
-                left = _flip_depth_two(
-                    inst, t, rows, pos, owner, key, room, adjacency[rows]
-                )
-            left = left[_reaches_free(t, owner[left], room[left], adjacency[left])]
-            for row in left.tolist():
-                grid = adjacency[row].tolist()
-                agents = [tuple(compress(names, cells)) for cells in grid]
-                state = _State(_with_rows(inst, False, agents), None)
-                state.seed_matching(owner[row].tolist())
-                owner[row] = state.run(traversal, r)
-            live[left] = False
-        took = np.flatnonzero(best < n)
-        _take(took, t, best[took], owner, key, room)
+            best = np.where(here, key[live], n).min(axis=1)
+        took = best < n
+        stuck = ~took & here.any(axis=1)
+        _take(live[took], t, best[took], owner, key, room)
+        if traversal is None or not stuck.any():
+            continue
+        rows = live[stuck]
+        if dfs:
+            left = _first_dive(markets, t, rows, first[stuck], owner, key, room)
+        else:
+            # the positions are the ids, in a type that holds n * m
+            order = np.arange(n, dtype=np.min_scalar_type(n * inst.m))
+            pos = np.broadcast_to(order, key.shape)
+            left = _flip_depth_two(markets, t, rows, pos, owner, key, room)
+        if not left.size:
+            continue
+        left = left[_reaches_free(markets, t, left, owner[left], room[left])]
+        for row in left.tolist():
+            state = _State(markets.market(row), None)
+            state.seed_matching(owner[row].tolist())
+            owner[row] = state.run(traversal, r)
+        keep = np.ones(live.size, dtype=bool)
+        keep[np.searchsorted(live, left)] = False
+        live = live[keep]
     return owner
 
 
@@ -656,6 +787,8 @@ def _take(rows: np.ndarray, task, agents: np.ndarray, owner, key, room) -> None:
     ``rows[i]``, and read an agent that this saturates as ``n`` in
     ``key``.  ``key`` and ``room`` are C-contiguous, so their ``ravel``
     views write through."""
+    if not rows.size:
+        return
     owner[rows, task] = agents
     n = key.shape[1]
     cell = rows * n + agents
@@ -665,39 +798,35 @@ def _take(rows: np.ndarray, task, agents: np.ndarray, owner, key, room) -> None:
 
 
 def _flip_depth_two(
-    inst: Instance,
+    markets: _Markets,
     start: int,
     rows: np.ndarray,
     pos: np.ndarray,
     owner: np.ndarray,
     key: np.ndarray,
     room: np.ndarray,
-    adjacent: np.ndarray,
 ) -> np.ndarray:
     """The depth-2 level of ``search_bfs`` from ``start``, and the flip
-    of the path it finds, for those ``rows`` of a vector pass that have
-    a depth-2 terminal; ``start``'s agents are saturated in every row.
-    ``adjacent`` is nonzero where a task and an agent are adjacent: one
-    (m, n) array for all rows, or one per row of ``rows``.  Updates
-    ``owner``, ``key`` and ``room`` of these rows and returns the other
-    rows (see the module docstring).
+    of the path it finds, for those ``rows`` of a vector pass over
+    ``markets`` that have a depth-2 terminal; ``start``'s agents are
+    saturated in every row.  Updates ``owner``, ``key`` and ``room`` of
+    these rows and returns the other rows (see the module docstring).
     """
-    n, m = key.shape[1], inst.m
+    n, m = key.shape[1], markets.inst.m
     lines = np.arange(rows.size)
     held = owner[rows]
-    each = np.broadcast_to(adjacent, (rows.size, m, n))
     # the frontier: the tasks that the start task's agents own; owner -1
     # reads the last agent, and an unmatched task is not in it
-    frontier = (each[lines[:, None], start, held] > 0) & (held >= 0)
+    frontier = markets.task(rows, start)[lines[:, None], held] & (held >= 0)
     # the terminal: the unsaturated agent of lowest position that is
     # adjacent to a frontier task
-    reach = np.where((frontier[:, None] @ adjacent)[:, 0] > 0, key[rows], n)
+    reach = np.where(markets.reach(rows, frontier), key[rows], n)
     terminal = reach.argmin(axis=1)
     found = reach[lines, terminal] < n
     # its parent: the first frontier task adjacent to it, in the order
     # (owner's position, rank) that the frontier is built in
-    ahead = pos[rows[:, None], held] * m + np.asarray(inst.task_rank)
-    candidate = frontier & (each[lines, :, terminal] > 0)
+    ahead = pos[rows[:, None], held] * m + markets.rank
+    candidate = frontier & markets.agent(rows, terminal)
     parent = np.where(candidate, ahead, n * m).argmin(axis=1)
     left = rows[~found]
     rows, terminal, parent = rows[found], terminal[found], parent[found]
@@ -709,20 +838,18 @@ def _flip_depth_two(
 
 
 def _first_dive(
-    inst: Instance,
+    markets: _Markets,
     start: int,
     rows: np.ndarray,
     first: np.ndarray,
     owner: np.ndarray,
     key: np.ndarray,
     room: np.ndarray,
-    adjacent: np.ndarray,
 ) -> np.ndarray:
     """The first dive of ``search_dfs`` from ``start`` in id order, and
     the flip of the path it finds, for those ``rows`` of ``_solve_rows``'
     pass where it ends at depth 2; ``first[i]``, the first agent of
-    ``start`` in row ``rows[i]``, is saturated.  ``adjacent`` holds these
-    rows' (m, n) bool adjacencies.
+    ``start`` in row ``rows[i]``, is saturated.
 
     The dive goes through ``first``'s tasks by rank, and the first agent
     other than ``first`` that it meets is the terminal if it is
@@ -731,18 +858,18 @@ def _first_dive(
     ``room`` of these rows and returns the rows where the agent met is
     saturated or missing (see the module docstring).
     """
-    n = key.shape[1]
+    n, inst = key.shape[1], markets.inst
     lines = np.arange(rows.size)
-    others = adjacent & (np.arange(n) != first[:, None])[:, None]
-    # the tasks of ``first`` with another agent; the dive meets the
-    # first of them by rank, and there its agent of lowest id
-    meets = (owner[rows] == first[:, None]) & others.any(axis=2)
-    via = np.where(meets, np.asarray(inst.task_rank), inst.m).argmin(axis=1)
+    # the tasks of ``first`` with another agent; the dive meets the first
+    # of them by rank, and there its agent of lowest id
+    meets = (owner[rows] == first[:, None]) & (markets.degrees(rows) > 1)
+    via = np.where(meets, markets.rank, inst.m).argmin(axis=1)
     dive = meets[lines, via]
     # else the search backs up to ``start`` and meets its next agent
-    after = others[:, start]
-    terminal = np.where(dive, others[lines, via].argmax(axis=1), after.argmax(axis=1))
-    found = (dive | after.any(axis=1)) & (key[rows, terminal] < n)
+    met = markets.task(rows, np.where(dive, via, start))
+    met[lines, first] = False
+    terminal = met.argmax(axis=1)
+    found = met[lines, terminal] & (key[rows, terminal] < n)
     left = rows[~found]
     deep = found & dive
     back = found & ~dive
@@ -755,19 +882,24 @@ def _first_dive(
 
 
 def _reaches_free(
-    start: int, held: np.ndarray, room: np.ndarray, adjacent: np.ndarray
+    markets: _Markets,
+    start: int,
+    rows: np.ndarray,
+    held: np.ndarray,
+    room: np.ndarray,
 ) -> np.ndarray:
     """Whether the alternating closure from the unmatched task ``start``
-    holds an unsaturated agent, per row of the owner rows ``held``, the
-    agents' ``room`` and the (m, n) bool adjacencies ``adjacent``: the
-    agents of ``start``, the tasks they hold, the agents of those tasks,
-    and so on.  A search fails exactly when it does not."""
+    holds an unsaturated agent, in each of ``rows`` with the owner rows
+    ``held`` and the agents' ``room``: the agents of ``start``, the
+    tasks they hold, the agents of those tasks, and so on.  A search
+    fails exactly when it does not."""
+    lines = np.arange(rows.size)[:, None]
     matched = held >= 0
-    reach = adjacent[:, start]
+    reach = markets.task(rows, start)
     while True:
         # owner -1 reads the last agent, and an unmatched task is not held
-        tasks = np.take_along_axis(reach, held, axis=1) & matched
-        grown = (tasks[:, None] @ adjacent)[:, 0] | reach
+        tasks = reach[lines, held] & matched
+        grown = markets.reach(rows, tasks) | reach
         if np.array_equal(grown, reach):
             return (reach & (room > 0)).any(axis=1)
         reach = grown

@@ -1,23 +1,28 @@
 """``solver._solve_rows`` against one market solved at a time.
 
-Each grid market stacks the joint reports of a few players over a small
-base market, as the oracle's joint-report loop does: every player gets
-some random non-empty sub-rows of its true row, and the rows of the
-stack run through their product.  Every row of the pass must equal
-``solve_mvbm`` or ``solve_ap`` on the market ``core._with_rows`` builds
-from the same rows, and every branch of the pass must occur on the grid.
+Each grid market holds the joint reports of a few players over a small
+base market (``solver._Markets``), as the oracle's joint-report solve
+does: every player gets some random non-empty sub-rows of its true row,
+and the joint reports run through their product.  Every row of the pass
+must equal ``solve_mvbm`` or ``solve_ap`` on the market
+``core._with_rows`` builds from the same rows, and every branch of the
+pass must occur on the grid.  Every line the pass reads must equal the
+one of the joint market's own adjacency, and a large joint solve must
+hold no stacked adjacency.
 """
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from bmatch import solver
+from bmatch import oracle, solver
 from bmatch.core import Instance, _with_rows
-from bmatch.solver import Traversal, _solve_rows, solve_ap, solve_mvbm
+from bmatch.mechanisms import AGENTS, MechanismKind
+from bmatch.solver import Traversal, _Markets, _solve_rows, solve_ap, solve_mvbm
 
 TRAVERSALS = (Traversal.BREADTH_FIRST, Traversal.DEPTH_FIRST, None)
 
@@ -34,9 +39,9 @@ def _market(rnd, agents, tasks, density):
     return Instance(capacities, values, edges)
 
 
-def _stack(inst, agents, rnd):
+def _players(inst, agents, rnd):
     """Up to three players of one side with one to four random options
-    each, and the rows of every joint choice in product order."""
+    each."""
     true_rows = inst.agent_adj if agents else inst.task_adj
     eligible = [e for e, row in enumerate(true_rows) if row]
     players = rnd.sample(eligible, min(len(eligible), rnd.randint(1, 3)))
@@ -47,6 +52,12 @@ def _stack(inst, agents, rnd):
             tuple(p for p in row if rnd.random() < 0.6) or row[:1]
             for _ in range(rnd.randint(1, 4))
         ])
+    return players, options
+
+
+def _stacks(inst, agents, players, options):
+    """The rows of every joint choice, in product order."""
+    true_rows = inst.agent_adj if agents else inst.task_adj
     stacks = []
     for choice in itertools.product(*options):
         rows = list(true_rows)
@@ -65,6 +76,12 @@ def _adjacency(inst, agents, rows):
             else:
                 adjacent[e, p] = True
     return adjacent
+
+
+def _expected(market, traversal):
+    if traversal is None:
+        return solve_ap(market)
+    return solve_mvbm(market, traversal)
 
 
 class _Branches:
@@ -131,18 +148,15 @@ def test_row_pass_equals_one_market_at_a_time(monkeypatch):
         for _ in range(count):
             inst = _market(rnd, agents_range, tasks_range, density)
             agents = rnd.random() < 0.5
-            stacks = _stack(inst, agents, rnd)
-            adjacency = np.array([_adjacency(inst, agents, rows) for rows in stacks])
+            players, options = _players(inst, agents, rnd)
+            markets = _Markets(inst, agents, players, options)
+            stacks = _stacks(inst, agents, players, options)
             for traversal in TRAVERSALS:
                 branches.traversal = traversal
-                owners = _solve_rows(inst, traversal, adjacency)
+                owners = _solve_rows(markets, traversal)
                 assert owners.shape == (len(stacks), inst.m)
                 for rows, got in zip(stacks, owners.tolist()):
-                    market = _with_rows(inst, agents, rows)
-                    if traversal is None:
-                        expected = solve_ap(market)
-                    else:
-                        expected = solve_mvbm(market, traversal)
+                    expected = _expected(_with_rows(inst, agents, rows), traversal)
                     assert tuple(got) == expected, (inst, agents, rows, traversal)
                     compared += 1
     counts = branches.counts
@@ -160,18 +174,84 @@ def test_row_pass_equals_one_market_at_a_time(monkeypatch):
 
 @pytest.mark.parametrize("traversal", TRAVERSALS)
 def test_row_pass_on_degenerate_markets(traversal):
-    # no tasks, no agents, a task without agents and a withdrawn agent
+    # no tasks, no agents, a task without agents and withdrawn agents and
+    # tasks: each entity with edges reports its row or nothing
     for inst in (
         Instance([1, 2], [], []),
         Instance([], [1.0, 2.0], []),
         Instance([1, 2, 1], [3.0, 5.0, 2.0, 2.0], [(0, 0), (0, 2), (1, 0), (1, 3)]),
     ):
-        rows = [inst.task_adj, [()] * inst.m]
-        adjacency = np.array([_adjacency(inst, False, r) for r in rows]).reshape(
-            2, inst.m, inst.n)
-        owners = _solve_rows(inst, traversal, adjacency)
-        for r, got in zip(rows, owners.tolist()):
-            market = _with_rows(inst, False, r)
-            expected = solve_ap(market) if traversal is None else solve_mvbm(
-                market, traversal)
-            assert tuple(got) == expected
+        assert _solve_rows(_Markets(inst), traversal).tolist() == [
+            list(_expected(inst, traversal))]
+        for agents in (True, False):
+            true_rows = inst.agent_adj if agents else inst.task_adj
+            players = [e for e, row in enumerate(true_rows) if row]
+            options = [[true_rows[e], ()] for e in players]
+            owners = _solve_rows(_Markets(inst, agents, players, options), traversal)
+            stacks = _stacks(inst, agents, players, options)
+            assert len(owners) == len(stacks)
+            for rows, got in zip(stacks, owners.tolist()):
+                market = _with_rows(inst, agents, rows)
+                assert tuple(got) == _expected(market, traversal)
+
+
+def test_markets_read_each_rows_adjacency():
+    # every line, product and degree the pass reads equals the one read
+    # off the market's own (m, n) adjacency
+    rnd = random.Random(20261021)
+    for _ in range(60):
+        inst = _market(rnd, (1, 4), (1, 5), 0.6)
+        agents = rnd.random() < 0.5
+        players, options = _players(inst, agents, rnd)
+        markets = _Markets(inst, agents, players, options)
+        stacks = _stacks(inst, agents, players, options)
+        dense = np.array([_adjacency(inst, agents, rows) for rows in stacks])
+        rows = np.arange(len(stacks))
+        assert [markets.market(k) == _with_rows(inst, agents, s)
+                for k, s in enumerate(stacks)] == [True] * len(stacks)
+        for t in range(inst.m):
+            assert (markets.task(rows, t) == dense[:, t]).all()
+        for a in range(inst.n):
+            assert (markets.agent(rows, a) == dense[:, :, a]).all()
+        each_task = rows % inst.m
+        each_agent = rows % max(inst.n, 1)
+        assert (markets.task(rows, each_task) == dense[rows, each_task]).all()
+        if inst.n:
+            assert (markets.agent(rows, each_agent)
+                    == dense[rows, :, each_agent]).all()
+        tasks = np.array([[rnd.random() < 0.5 for _ in range(inst.m)]
+                          for _ in rows], dtype=bool).reshape(rows.size, inst.m)
+        assert (markets.reach(rows, tasks)
+                == (tasks[:, :, None] & dense).any(axis=1)).all()
+        assert (markets.degrees(rows) == dense.sum(axis=2)).all()
+
+
+@pytest.mark.parametrize("kind", [MechanismKind.MBFS, MechanismKind.MDFS,
+                                  MechanismKind.MAP])
+def test_joint_reports_hold_no_stacked_adjacency(kind):
+    # one agent of degree 10 on a 40 x 200 market: 1,023 joint reports,
+    # whose stacked (reports, m, n) bool adjacency alone would take 8,000
+    # bytes a report; the pass holds a few bytes a report per task and
+    # agent (owner, key and room rows and one row of temporaries)
+    rnd = random.Random(7)
+    n, m = 40, 200
+    edges = {(0, t) for t in rnd.sample(range(m), 10)}
+    edges |= {(a, t) for a in range(1, n) for t in range(m) if rnd.random() < 0.02}
+    inst = Instance([rnd.randint(3, 5) for _ in range(n)],
+                    [float(rnd.randint(1, 20)) for _ in range(m)], sorted(edges))
+    tracemalloc.start()
+    try:
+        _, owners = oracle._joint_outcomes(inst, kind, AGENTS, (0,), 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert owners.shape == (1023, m)
+    assert peak < 16 * len(owners) * (m + n)
+
+
+def test_coalition_search_checks_the_mechanism_without_entities():
+    # no entity has edges, so there is no coalition to solve
+    inst = Instance([1], [1.0], [])
+    with pytest.raises(ValueError, match="deterministic mechanisms"):
+        oracle.find_agent_coalition(inst, MechanismKind.MRBFS)
+    assert oracle.find_agent_coalition(inst, MechanismKind.MBFS) is None
