@@ -33,7 +33,12 @@ import numpy as np
 
 from .core import WEIGHT_TOL, _parse_finite, _parse_integral
 from .gen import GenConfig, generate_instance
-from .mechanisms import MechanismKind, randomized_utility_samples, truthful_profile
+from .mechanisms import (
+    MechanismKind,
+    _lottery_samples,
+    randomized_utility_samples,
+    truthful_profile,
+)
 from .seeds import derive_seed
 from .strategies import (
     KOrder,
@@ -358,26 +363,35 @@ def _randomized_rows(cfg, cell, samples) -> list[ResultRow]:
 def _lottery_manipulable(cfg, cell_index, instance_index, inst, specs) -> bool:
     """An instance counts as manipulable for the order-lottery mechanism
     when some agent's Monte Carlo mean deviant payoff exceeds its mean
-    truthful payoff by more than two standard errors of the difference."""
+    truthful payoff by more than two standard errors of the difference.
+
+    The truth runs on probe seed 0 and the agents' distinct reports on
+    seeds 1, 2, ... in agent and report order, all of one agent's probes
+    in one sampler call (``mechanisms._lottery_samples``).  The probes
+    are tested in that order, and the first manipulable one decides.
+    """
     truthful = truthful_profile(inst)
-    truth = randomized_utility_samples(
-        truthful, cfg.mc_trials, derive_seed(cfg.seed, cell_index, 1, instance_index, 0)
-    )
+    trials = cfg.mc_trials
+
+    def seed(probe: int) -> int:
+        return derive_seed(cfg.seed, cell_index, 1, instance_index, probe)
+
+    truth = randomized_utility_samples(truthful, trials, seed(0))
     probe = 0
     for a in range(inst.n):
         if not inst.agent_adj[a]:
             continue
+        reports = list(_family_reports(inst, a, specs))
+        if not reports:
+            continue
+        seeds = [seed(probe + 1 + i) for i in range(len(reports))]
+        probe += len(reports)
+        deviant = _lottery_samples(truthful, trials, seeds, a, reports)
         mean_truth = float(truth[:, a].mean())
         se_truth = _stderr(truth[:, a]) or 0.0
-        for report in _family_reports(inst, a, specs):
-            probe += 1
-            deviant = randomized_utility_samples(
-                truthful.with_report(a, report),
-                cfg.mc_trials,
-                derive_seed(cfg.seed, cell_index, 1, instance_index, probe),
-            )
-            mean_dev = float(deviant[:, a].mean())
-            se_dev = _stderr(deviant[:, a]) or 0.0
+        for samples in deviant.reshape(len(reports), trials):
+            mean_dev = float(samples.mean())
+            se_dev = _stderr(samples) or 0.0
             gain = mean_dev - mean_truth
             guard = 2.0 * math.sqrt(se_truth**2 + se_dev**2)
             if gain > guard and gain > WEIGHT_TOL:

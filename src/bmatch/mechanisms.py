@@ -11,15 +11,17 @@ market and solves it:
 * ``MRBFS``: a lottery orders the agents, then ``MBFS`` runs on the
   market as it is, reading each agent's priority from its position in
   that order; no permuted market is built.
-  A Monte Carlo probe (``randomized_utility_samples``) draws the
-  substreams and orders of all its trials at once; trial ``k``'s order
-  is still the one ``sample_agent_order`` draws from ``derive_rng(seed,
-  k)``, the definition of that trial's stream.  It then solves all the
-  orders at once (``solver._solve_orders``): one pass over the ranks
-  for every trial while its searches end at depth 1 or 2, and ``MBFS``
-  on the solver's state machine for each trial from its first search
-  that fails or goes deeper than two on.  Row ``k`` is the owner tuple
-  ``solve_mvbm`` gives for trial ``k``'s order.
+  One sampler (``_lottery_samples``) serves the Monte Carlo probes:
+  ``randomized_utility_samples`` on one profile, or every report of
+  one deviant agent in one call.  It draws the substreams and orders
+  of all trials at once; trial ``k``'s order is still the one
+  ``sample_agent_order`` draws from ``derive_rng(seed, k)``, the
+  definition of that trial's stream.  It then solves all the orders
+  at once (``solver._solve_orders``): one pass over the ranks for
+  every trial while its searches end at depth 1 or 2, and ``MBFS`` on
+  the solver's state machine for each trial from its first search that
+  fails or goes deeper than two on.  Each row is the owner tuple
+  ``solve_mvbm`` gives for its market and order.
 
 The first-come-first-served (FCFS) recursion gives each agent, in
 priority order, the best remaining tasks it is adjacent to, up to its
@@ -37,7 +39,7 @@ import numpy as np
 
 from .core import Instance, _parse_finite, _parse_integral, _with_reports
 from .seeds import derive_rng, substream_doubles
-from .solver import Traversal, _solve_orders, solve_ap, solve_mvbm
+from .solver import Traversal, _Markets, _solve_orders, solve_ap, solve_mvbm
 
 __all__ = [
     "AGENTS",
@@ -301,16 +303,17 @@ def lottery_weights(inst: Instance) -> list[float]:
     ``build_effective_instance``) are the *reported* ones.  Hiding a
     low-valued edge lowers the weight, so concealment is penalized in
     the order draw."""
-    values = inst.values
-    weights = []
-    for adj in inst.agent_adj:
-        # left to right: builtin sum() compensates its float additions
-        # since Python 3.12, which would change the draws by interpreter
-        weight = 0.0
-        for t in adj:
-            weight += 1.0 / (1.0 + values[t])
-        weights.append(weight)
-    return weights
+    return [_lottery_weight(inst.values, adj) for adj in inst.agent_adj]
+
+
+def _lottery_weight(values: Sequence[float], tasks: Sequence[int]) -> float:
+    """One agent's lottery weight over ``tasks``, its adjacent tasks."""
+    # left to right: builtin sum() compensates its float additions since
+    # Python 3.12, which would change the draws by interpreter
+    weight = 0.0
+    for t in tasks:
+        weight += 1.0 / (1.0 + values[t])
+    return weight
 
 
 def sample_agent_order(inst: Instance, rng: np.random.Generator) -> tuple[int, ...]:
@@ -327,37 +330,52 @@ def sample_agent_order(inst: Instance, rng: np.random.Generator) -> tuple[int, .
     return tuple(_draw_orders(weights, rng.random(rounds)[None])[0].tolist())
 
 
-def _draw_orders(weights: Sequence[float], doubles: np.ndarray) -> np.ndarray:
+def _draw_orders(weights, doubles: np.ndarray) -> np.ndarray:
     """The draw of ``sample_agent_order``, once per row of ``doubles``.
 
-    ``doubles`` has one row per order and one column per round, that is
-    per positive weight.  A round scans the remaining agents in id order:
-    with ``total`` their weight sum and ``x = u * total``, it picks the
-    first agent whose running sum ``acc`` exceeds ``x``, or the last
-    remaining agent when rounding leaves none.  All rows advance one
-    round at a time: drawn and zero-weight agents keep their column with
-    weight 0.0, and ``np.cumsum`` adds left to right, where adding 0.0
-    leaves a positive sum unchanged, so ``total`` and ``acc`` are those
-    of the scalar scan bit for bit and a weight-0.0 column is never the
-    first whose ``acc`` exceeds ``x``.
+    ``weights`` holds the agents' weights, one row for all orders or one
+    row per order.  ``doubles`` has one row per order and one column per
+    round, that is per positive weight, so every row has as many positive
+    weights.  A round scans the remaining agents in id order: with
+    ``total`` their weight sum and ``x = u * total``, it picks the first
+    agent whose running sum ``acc`` exceeds ``x``, or the last remaining
+    agent when rounding leaves none.
+
+    All orders advance one round at a time, agent by agent: the weights
+    are stored one line per agent, and each line of running sums is the
+    line before plus the agent's weights, one vector add across all
+    orders.  Drawn and zero-weight agents keep their line with weight
+    0.0, and adding 0.0 leaves a positive sum unchanged, so ``total`` and
+    ``acc`` are those of the scalar scan bit for bit, and a weight-0.0
+    line is never the first whose ``acc`` exceeds ``x``.  The running
+    sums never fall, so that first agent is the count of those that do
+    not exceed ``x``.
     """
-    live = np.tile(np.asarray(weights, dtype=np.float64), (len(doubles), 1))
-    rows, n = live.shape
-    rounds = doubles.shape[1]
-    orders = np.empty((rows, n), dtype=np.intp)
-    row = np.arange(rows)
+    rows, rounds = doubles.shape
+    weights = np.asarray(weights, dtype=np.float64)
+    n = weights.shape[-1]
+    live = np.array(np.broadcast_to(weights, (rows, n)).T, order="C")
+    zero = live <= 0.0
+    assert (zero.sum(axis=0) == n - rounds).all()
+    # the agent each order draws in each round, one line per round
+    drawn = np.empty((n, rows), dtype=np.intp)
+    order = np.arange(rows)
+    us = np.array(doubles.T, order="C")
+    acc = np.empty_like(live)
     for r in range(rounds):
-        acc = np.cumsum(live, axis=1)
-        hit = (doubles[:, r] * acc[:, -1])[:, None] < acc
-        col = hit.argmax(axis=1)
-        missed = ~hit[row, col]
+        acc[:1] = live[:1]
+        for a in range(1, n):
+            np.add(acc[a - 1], live[a], out=acc[a])
+        agent = (acc <= us[r] * acc[-1]).sum(axis=0)
+        missed = agent == n
         if missed.any():
-            # the last column still holding a positive weight
-            col[missed] = n - 1 - (live[missed, ::-1] > 0.0).argmax(axis=1)
-        orders[:, r] = col
-        live[row, col] = 0.0
-    orders[:, rounds:] = [a for a, w in enumerate(weights) if w <= 0.0]
-    return orders
+            # the last agent still holding a positive weight
+            agent[missed] = n - 1 - (live[::-1, missed] > 0.0).argmax(axis=0)
+        drawn[r] = agent
+        live[agent, order] = 0.0
+    # the zero-weight agents of each order, in id order
+    drawn[rounds:] = np.nonzero(zero.T)[1].reshape(rows, n - rounds).T
+    return np.ascontiguousarray(drawn.T)
 
 
 def randomized_utility_samples(
@@ -367,27 +385,71 @@ def randomized_utility_samples(
 
     Returns a (trials, n) array.  Trial ``k`` uses the substream
     ``(seed, k)``, so results are independent of execution order and
-    identical for identical seeds.  The doubles and orders of all trials
-    are drawn at once (``substream_doubles``, ``_draw_orders``) and
-    solved at once (``solver._solve_orders``); row ``k`` is the trial
+    identical for identical seeds.  Row ``k`` is the trial
     ``sample_agent_order(effective, derive_rng(seed, k))`` and
-    ``solve_mvbm`` would give.
+    ``solve_mvbm`` would give; ``_lottery_samples`` draws and solves
+    all trials at once.
+    """
+    return _lottery_samples(profile, trials, [seed])
+
+
+def _lottery_samples(
+    profile: Profile,
+    trials: int,
+    seeds: Sequence[int],
+    agent: int | None = None,
+    reports: Sequence[AgentReport] = (),
+) -> np.ndarray:
+    """The sampler of ``randomized_utility_samples``.
+
+    With no ``agent``, returns ``randomized_utility_samples(profile,
+    trials, seeds[0])``.  Else ``agent`` files each of ``reports`` in
+    turn in place of its report in ``profile``, and the probe of
+    ``reports[i]`` runs on the seed ``seeds[i]``; returns a
+    (len(reports) * trials, 1) array whose rows of probe ``i`` are
+    ``randomized_utility_samples(profile.with_report(agent, reports[i]),
+    trials, seeds[i])[:, agent]``, bit for bit.  A report must keep the
+    agent's capacity, and every report has at least one edge, so all
+    probes draw the same number of rounds.
+
+    The doubles of every trial of every probe come from one
+    ``substream_doubles`` call, their orders from one ``_draw_orders``
+    call, where only the agent's weight changes from probe to probe,
+    and all rows are solved in one ``solver._solve_orders`` pass over
+    the probes' markets.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     effective = build_effective_instance(profile)
-    n = effective.n
-    weights = lottery_weights(effective)
-    rounds = sum(1 for w in weights if w > 0.0)
-    orders = _draw_orders(weights, substream_doubles(seed, trials, rounds))
-    owner = _solve_orders(effective, orders)
+    weights = np.array([lottery_weights(effective)])
+    if agent is None:
+        markets = _Markets(effective)
+    else:
+        options = []
+        for report in reports:
+            edges, capacity = _bounded_report(profile.base, AGENTS, agent, report)
+            if capacity != effective.capacities[agent]:
+                raise ValueError(f"a probe of agent {agent} changes its capacity")
+            options.append(edges)
+        markets = _Markets(effective, True, [agent], [options])
+        own = [_lottery_weight(effective.values, edges) for edges in options]
+        weights = weights.repeat(len(options) * trials, axis=0)
+        weights[:, agent] = np.repeat(own, trials)
+    rounds = int((weights[0] > 0.0).sum())
+    orders = _draw_orders(weights, substream_doubles(seeds, trials, rounds))
+    owner = _solve_orders(markets, orders)
+    # each agent's sum runs left to right by task id
+    if agent is not None:
+        # adding 0.0 for another agent's task leaves the sum unchanged
+        values = np.asarray(effective.values, dtype=np.float64)
+        return np.where(owner == agent, values, 0.0).cumsum(axis=1)[:, -1:]
     # owner -1 indexes the extra last column, which collects the values
-    # of unmatched tasks; each agent's sum runs left to right by task id
-    samples = np.zeros((trials, n + 1), dtype=np.float64)
+    # of unmatched tasks
+    samples = np.zeros((trials, effective.n + 1), dtype=np.float64)
     rows = np.arange(trials)
     for t, value in enumerate(effective.values):
         samples[rows, owner[:, t]] += value
-    return samples[:, :n].copy()
+    return samples[:, : effective.n].copy()
 
 
 def run_randomized_bfs(profile: Profile, trials: int, seed: int) -> np.ndarray:

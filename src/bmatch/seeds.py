@@ -6,8 +6,9 @@ this way are reproducible bit-for-bit across runs and worker counts and
 never require generating earlier streams first.
 
 ``derive_rng(seed, k)`` defines the stream of trial ``k``.  The order
-lottery draws a whole probe at once: ``substream_doubles`` reaches the
-same PCG64 states as ``derive_rng`` for every trial key, by numpy's own
+lottery draws all probes of one agent at once, each probe from its own
+seed: ``substream_doubles`` reaches the same PCG64 states as
+``derive_rng`` for every seed and trial key, by numpy's own
 ``SeedSequence`` and PCG64 seeding arithmetic, without building a
 ``SeedSequence`` or a ``PCG64`` per key.  A reference test compares the
 two bit for bit, so a numpy that seeds differently fails that test
@@ -26,6 +27,8 @@ scaled by 2^-53.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -56,11 +59,10 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0] >> 1)
 
 
-def _hash_words(
-    words: np.ndarray, hash_const: int, mult: int
-) -> tuple[np.ndarray, int]:
+def _hash_words(words: np.ndarray, hash_const, mult: int):
     """SeedSequence's hash of ``words`` at the running constant
-    ``hash_const``; returns the hashed words and the next constant."""
+    ``hash_const``, an int or a uint32 array that broadcasts against
+    ``words``; returns the hashed words and the next constant."""
     words = words ^ np.uint32(hash_const)
     hash_const = hash_const * mult & _MASK32
     words *= np.uint32(hash_const)
@@ -68,32 +70,43 @@ def _hash_words(
     return words, hash_const
 
 
-def substream_doubles(seed: int, trials: int, count: int) -> np.ndarray:
+def substream_doubles(
+    seed: int | Sequence[int], trials: int, count: int
+) -> np.ndarray:
     """``count`` doubles of each substream ``(seed, k)``, ``k < trials``.
 
     Returns a ``(trials, count)`` float64 array whose row ``k`` equals
-    ``derive_rng(seed, k).random(count)`` bit for bit.  A negative seed
-    raises ``ValueError``, as ``SeedSequence`` does.
+    ``derive_rng(seed, k).random(count)`` bit for bit.  Given a sequence
+    of seeds, returns the rows of each seed in turn, stacked in seed
+    order: ``(len(seeds) * trials, count)``.  A negative seed raises
+    ``ValueError``, as ``SeedSequence`` does.
     """
     if trials > 1 << 32:
         raise ValueError("trial keys must fit one 32-bit word")
+    seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
     # The key is the last entropy word, so the seed's words mix into the
     # pool as they would without a key; a seed shorter than the pool is
     # padded with zero words, which hash as the pool's missing words do.
-    pool = [int(w) for w in np.random.SeedSequence(seed).pool]
-    # hashes so far: one per pool word, 12 for the cross mix, and one per
-    # pool word for each seed word beyond the pool
-    calls = 16 + 4 * max(0, (int(seed).bit_length() + 31) // 32 - 4)
-    hash_const = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
+    pools = np.array(
+        [np.random.SeedSequence(s).pool for s in seeds], dtype=np.uint32
+    ).reshape(len(seeds), 4)
+    # hashes so far, per seed: one per pool word, 12 for the cross mix,
+    # and one per pool word for each seed word beyond the pool
+    calls = [16 + 4 * max(0, (int(s).bit_length() + 31) // 32 - 4) for s in seeds]
+    hash_const = np.array(
+        [_INIT_A * pow(_MULT_A, c, 1 << 32) & _MASK32 for c in calls],
+        dtype=np.uint32,
+    )[:, None]
     key = np.arange(trials, dtype=np.uint32)
     mixed = []
-    for word in pool:
-        # mix(pool word, hash(key)) for each pool word in turn
+    for word in pools.T:
+        # mix(pool word, hash(key)) for each pool word in turn, one row
+        # per seed; uint32 arrays wrap, which is the mask to 32 bits
         hashed, hash_const = _hash_words(key, hash_const, _MULT_A)
-        result = np.uint32(_MIX_MULT_L * word & _MASK32)
+        result = word[:, None] * np.uint32(_MIX_MULT_L)
         result = result - np.uint32(_MIX_MULT_R) * hashed
         result ^= result >> 16
-        mixed.append(result)
+        mixed.append(result.ravel())
     # generate_state(4, uint64): eight words cycled from the pool, read
     # as four little-endian 64-bit words
     state = []

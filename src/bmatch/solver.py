@@ -78,21 +78,34 @@ changes the market at its own rank (``_solve_journaled``).  A report
 whose first change is there or later, ``m`` if it changes nothing,
 needs no solve.
 
-A probe of the order lottery solves one market under many agent orders
-(``_solve_orders``).  A breadth-first solve is given by its owner array
-alone until its first failed search.  Before that no agent is dead, a
-new epoch has visited no agent, and old parent pointers are never read;
-the loads are the counts of the owner array, and each agent's matched
-tasks in rank order are the ``agent_tasks`` of the solve.  So all orders
-walk the ranks together, one task at a time, while each search ends at
-depth 1 or 2.
+The order lottery solves every probe of one agent at once
+(``_solve_orders``): the markets where that agent files each of its
+reports, read through ``_Markets`` with the agent as the one player,
+each under its own agent orders, one row per market and order.  A
+breadth-first solve is given by its owner array alone until its first
+failed search.  Before that no agent is dead, a new epoch has visited
+no agent, and old parent pointers are never read; the loads are the
+counts of the owner array, and each agent's matched tasks in rank order
+are the ``agent_tasks`` of the solve.  So all rows walk the ranks
+together, one task at a time, while each search ends at depth 1 or 2.
 
 At depth 1, the loop of ``search_bfs`` returns the first unsaturated
 agent in the start task's priority list, which is the unsaturated
 adjacent agent of lowest position, and flipping that length-1 path only
 matches the start task.  Per task this is one minimum of the agents'
 positions, read as ``n`` for a saturated agent, and the order gives the
-agent at that position.
+agent at that position.  The pass takes this minimum over the true
+agents of the task ``t`` and reads a player whose option hides ``t`` as
+``n`` too.  That is the reported market's minimum: ``t``'s reported
+agents are its true agents less the players that hide it, and adding
+values of ``n`` to a set of values at most ``n`` leaves its minimum
+where it is, or gives ``n`` to an empty set.  So a result below ``n``
+is the position of the unsaturated reported agent that the reported
+market's search returns.  A result of ``n`` means either that ``t`` has
+reported agents, all of them saturated, which is the depth-2 case
+below, or that ``t`` has no reported agent, when ``run`` skips it; the
+second can only happen when every true agent of ``t`` is a player, and
+then only in a row whose options all hide ``t``.
 
 When the start task has agents, all of them saturated, the search
 reaches them all at depth 1 and goes on from them
@@ -105,9 +118,11 @@ adjacent to.  The terminal is the unsaturated agent of lowest position
 among all the agents it reaches, which excludes the start task's agents.
 The flip gives the parent task to the terminal and the start task to
 the parent's old owner, whose load stays the same: again a new owner
-array, with the terminal's load one higher.  So the pass goes on.
+array, with the terminal's load one higher.  So the pass goes on.  The
+step reads every adjacency of a row through ``_Markets``, given the
+row's market.
 
-An order whose search from the task of rank ``r`` reaches no unsaturated
+A row whose search from the task of rank ``r`` reaches no unsaturated
 agent at depth 2, because the search fails or needs depth 3 or more,
 leaves the pass.  ``seed_matching`` loads its owner array into a fresh
 ``_State``, which is then the state of the full solve before rank ``r``,
@@ -530,64 +545,88 @@ def solve_mvbm(
     return _State(inst, order).run(traversal)
 
 
-def _solve_orders(inst: Instance, orders: np.ndarray) -> np.ndarray:
-    """``solve_mvbm(inst, Traversal.BREADTH_FIRST, orders[k])`` as row
-    ``k`` of a (trials, m) owner array, for every row of ``orders``.
+def _solve_orders(markets: _Markets, orders: np.ndarray) -> np.ndarray:
+    """``solve_mvbm(markets.market(k // trials), Traversal.BREADTH_FIRST,
+    orders[k])`` as row ``k`` of a (rows, m) owner array, for every row
+    of ``orders``: each market takes ``trials`` rows in turn.  The
+    players of ``markets`` are agents.
 
-    All trials walk the ranks together while their searches end at depth
-    1 or 2: per task, the unsaturated adjacent agent of lowest position
-    takes it, and a trial whose task has agents, all of them saturated,
-    takes the depth-2 step (``_flip_depth_two``).  A trial leaves this
-    pass at its first search that fails or goes deeper, and finishes on
-    ``_State`` from its owner row (see the module docstring).
+    All rows walk the ranks together while their searches end at depth 1
+    or 2: per task, the unsaturated adjacent agent of lowest position
+    takes it, read from the task's true agents with a player whose
+    option hides the task read as saturated, and a row whose task has
+    agents, all of them saturated, takes the depth-2 step
+    (``_flip_depth_two``).  A row leaves this pass at its first search
+    that fails or goes deeper, and finishes on ``_State`` from its owner
+    row (see the module docstring).
     """
-    trials, n = orders.shape
-    result = np.empty((trials, inst.m), dtype=np.intp)
-    owner = np.full((trials, inst.m), -1, dtype=np.intp)
-    # an agent's position in the trial's order, and the same read as n
+    inst = markets.inst
+    rows, n = orders.shape
+    trials = rows // markets.count
+    assert markets.agents and trials * markets.count == rows
+    result = np.empty((rows, inst.m), dtype=np.intp)
+    owner = np.full((rows, inst.m), -1, dtype=np.intp)
+    # an agent's position in the row's order, and the same read as n
     # once the agent is saturated
-    pos = np.empty((trials, n), dtype=np.intp)
-    pos[np.arange(trials)[:, None], orders] = np.arange(n)
+    pos = np.empty((rows, n), dtype=np.intp)
+    pos[np.arange(rows)[:, None], orders] = np.arange(n)
     key = pos.copy()
-    room = np.tile(np.asarray(inst.capacities, dtype=np.intp), (trials, 1))
-    markets = _Markets(inst)
-    # the trial of each row still in the pass, and the row's first cell
-    live = np.arange(trials)
+    room = np.tile(np.asarray(inst.capacities, dtype=np.intp), (rows, 1))
+    players = {e: p for p, e in enumerate(markets.entities)}
+    # the row of each state row still in the pass, its market, and its
+    # first cell
+    live = np.arange(rows)
+    ids = live // trials
     base = live * n
     for r, t in enumerate(inst.task_order):
         if not live.size:
             break
-        if not inst.task_adj[t]:
+        agents = inst.task_adj[t]
+        if not agents:
             continue
-        best = key[:, inst.task_adj[t]].min(axis=1)
+        # the keys of ``t``'s true agents, with a player whose option
+        # hides ``t`` read as n: it is not ``t``'s agent in that market
+        near = key[:, agents]
+        shown = []
+        for j, a in enumerate(agents):
+            if a in players:
+                shown.append(markets.shows(ids, players[a], t))
+                near[~shown[-1], j] = n
+        best = near.min(axis=1)
         # the rows whose search ends at depth 1
         first = slice(None)
-        stuck = best == n
-        if stuck.any():
+        none = best == n
+        if none.any():
+            stuck = none
+            if len(shown) == len(agents):
+                # a row where every agent of ``t`` hides it has no search
+                stuck = none & np.logical_or.reduce(shown)
+            stuck = np.flatnonzero(stuck)
             left = _flip_depth_two(
-                markets, t, np.flatnonzero(stuck), pos, owner, key, room
+                markets, t, stuck, ids[stuck], pos, owner, key, room
             )
             for row in left.tolist():
-                state = _State(inst, orders[row].tolist())
+                state = _State(markets.market(int(ids[row])), orders[row].tolist())
                 state.seed_matching(owner[row].tolist())
                 result[live[row]] = state.run(Traversal.BREADTH_FIRST, r)
             if left.size:
                 keep = np.ones(live.size, dtype=bool)
                 keep[left] = False
-                owner, pos, key, room, orders, live, best, stuck = (
+                owner, pos, key, room, orders, live, ids, best, none = (
                     owner[keep], pos[keep], key[keep], room[keep],
-                    orders[keep], live[keep], best[keep], stuck[keep],
+                    orders[keep], live[keep], ids[keep], best[keep], none[keep],
                 )
                 base = np.arange(live.size) * n
-            first = ~stuck
+            first = ~none
         # the agent at position ``best`` takes the task; ``key`` and
         # ``room`` are C-contiguous, so their ``ravel`` views write through
         terminal = orders.ravel()[base[first] + best[first]]
         owner[first, t] = terminal
         cell = base[first] + terminal
         free = room.ravel()
-        free[cell] -= 1
-        key.ravel()[cell[free[cell] == 0]] = n
+        rest = free[cell] - 1
+        free[cell] = rest
+        key.ravel()[cell[rest == 0]] = n
     result[live] = owner
     return result
 
@@ -650,6 +689,11 @@ class _Markets:
                 rows // stride % size for stride, size in zip(self.strides, self.sizes)
             ]
         return self._picked
+
+    def shows(self, rows: np.ndarray, p: int, t: int) -> np.ndarray:
+        """(rows,) bool: whether player ``p``'s option lists ``t`` in each
+        of ``rows``."""
+        return self.masks[p][self._picks(rows)[p], t]
 
     def task(self, rows: np.ndarray, t) -> np.ndarray:
         """(rows, n) bool: the agents of task ``t``, one task or one per
@@ -768,7 +812,7 @@ def _solve_rows(markets: _Markets, traversal: Traversal | None) -> np.ndarray:
             # the positions are the ids, in a type that holds n * m
             order = np.arange(n, dtype=np.min_scalar_type(n * inst.m))
             pos = np.broadcast_to(order, key.shape)
-            left = _flip_depth_two(markets, t, rows, pos, owner, key, room)
+            left = _flip_depth_two(markets, t, rows, rows, pos, owner, key, room)
         if not left.size:
             continue
         left = left[_reaches_free(markets, t, left, owner[left], room[left])]
@@ -801,6 +845,7 @@ def _flip_depth_two(
     markets: _Markets,
     start: int,
     rows: np.ndarray,
+    ids: np.ndarray,
     pos: np.ndarray,
     owner: np.ndarray,
     key: np.ndarray,
@@ -808,25 +853,26 @@ def _flip_depth_two(
 ) -> np.ndarray:
     """The depth-2 level of ``search_bfs`` from ``start``, and the flip
     of the path it finds, for those ``rows`` of a vector pass over
-    ``markets`` that have a depth-2 terminal; ``start``'s agents are
-    saturated in every row.  Updates ``owner``, ``key`` and ``room`` of
-    these rows and returns the other rows (see the module docstring).
+    ``markets`` that have a depth-2 terminal; row ``rows[i]`` solves the
+    market ``ids[i]``, and ``start``'s agents are saturated in every
+    row.  Updates ``owner``, ``key`` and ``room`` of these rows and
+    returns the other rows (see the module docstring).
     """
     n, m = key.shape[1], markets.inst.m
     lines = np.arange(rows.size)
     held = owner[rows]
     # the frontier: the tasks that the start task's agents own; owner -1
     # reads the last agent, and an unmatched task is not in it
-    frontier = markets.task(rows, start)[lines[:, None], held] & (held >= 0)
+    frontier = markets.task(ids, start)[lines[:, None], held] & (held >= 0)
     # the terminal: the unsaturated agent of lowest position that is
     # adjacent to a frontier task
-    reach = np.where(markets.reach(rows, frontier), key[rows], n)
+    reach = np.where(markets.reach(ids, frontier), key[rows], n)
     terminal = reach.argmin(axis=1)
     found = reach[lines, terminal] < n
     # its parent: the first frontier task adjacent to it, in the order
     # (owner's position, rank) that the frontier is built in
     ahead = pos[rows[:, None], held] * m + markets.rank
-    candidate = frontier & markets.agent(rows, terminal)
+    candidate = frontier & markets.agent(ids, terminal)
     parent = np.where(candidate, ahead, n * m).argmin(axis=1)
     left = rows[~found]
     rows, terminal, parent = rows[found], terminal[found], parent[found]

@@ -1,0 +1,141 @@
+"""The per-agent lottery sampler against one probe at a time.
+
+``mechanisms._lottery_samples`` draws and solves all the reports of one
+agent in one call.  Each probe's rows must be the agent's column of
+``randomized_utility_samples`` on the reported profile, bit for bit, and
+so must the mean and the standard error the harness reads from them.
+The grids are c11's shape, small tight markets, and both with every task
+value tied.
+"""
+
+import numpy as np
+import pytest
+
+from bmatch import solver
+from bmatch.core import Instance
+from bmatch.gen import GenConfig, generate_instance
+from bmatch.harness import _stderr
+from bmatch.mechanisms import (
+    AgentReport,
+    _lottery_samples,
+    randomized_utility_samples,
+    truthful_profile,
+)
+from bmatch.solver import _State, _flip_depth_two
+from bmatch.strategies import KOrder, _family_reports
+
+# KOrder(k) for k >= an agent's degree falls back to its best edge
+SPECS = [KOrder(k) for k in range(5)]
+
+
+def _grid() -> list[Instance]:
+    shapes = [(GenConfig(20, 25, 0.2, 3, 3, seed=301), 2),
+              (GenConfig(6, 10, 0.5, 1, 2, seed=302), 4)]
+    markets = []
+    for sigma in (0.77, 0.0):
+        for cfg, count in shapes:
+            cfg = GenConfig(cfg.n, cfg.m, cfg.p, cfg.capacity_low,
+                            cfg.capacity_high, value_sigma=sigma, seed=cfg.seed)
+            markets += [generate_instance(cfg, i) for i in range(count)]
+    return markets
+
+
+class _Counts:
+    """The deviant of the probes being solved, and the rows where it
+    hides the start task that take the depth-2 flip or fall back."""
+
+    deviant = None
+    flips = 0
+    fallbacks = 0
+
+
+def _hides(inst, a, t, reported) -> bool:
+    return t in inst.agent_adj[a] and a not in reported
+
+
+def _counted_depth_two(markets, start, rows, ids, *arrays):
+    left = _flip_depth_two(markets, start, rows, ids, *arrays)
+    if markets.entities:
+        (a,) = markets.entities
+        moved = ~np.isin(rows, left)
+        for i in np.flatnonzero(moved).tolist():
+            reported = markets.market(int(ids[i])).task_adj[start]
+            _Counts.flips += _hides(markets.inst, a, start, reported)
+    return left
+
+
+class _CountedState(_State):
+    # within a probe call only the pass's fallback runs a state
+    def run(self, traversal, start=0, *args, **kwargs):
+        if _Counts.deviant is not None:
+            a, inst = _Counts.deviant
+            t = self.task_order[start]
+            _Counts.fallbacks += _hides(inst, a, t, self.task_agents[t])
+        return super().run(traversal, start, *args, **kwargs)
+
+
+def _probe(monkeypatch, inst, a, reports, trials, seeds):
+    monkeypatch.setattr(solver, "_State", _CountedState)
+    monkeypatch.setattr(solver, "_flip_depth_two", _counted_depth_two)
+    _Counts.deviant = (a, inst)
+    try:
+        got = _lottery_samples(truthful_profile(inst), trials, seeds, a, reports)
+    finally:
+        _Counts.deviant = None
+    assert got.shape == (len(reports) * trials, 1)
+    return got.reshape(len(reports), trials)
+
+
+@pytest.mark.parametrize("trials", [1, 10, 250])
+def test_each_probe_equals_its_own_sampler_call(monkeypatch, trials):
+    _Counts.flips = _Counts.fallbacks = 0
+    probes = single = 0
+    for index, inst in enumerate(_grid()):
+        truthful = truthful_profile(inst)
+        for a in range(inst.n):
+            if not inst.agent_adj[a]:
+                continue
+            reports = list(_family_reports(inst, a, SPECS))
+            if not reports:
+                continue
+            seeds = [1_000 * index + 10 * a + i for i in range(len(reports))]
+            got = _probe(monkeypatch, inst, a, reports, trials, seeds)
+            for samples, report, seed in zip(got, reports, seeds):
+                profile = truthful.with_report(a, report)
+                expected = randomized_utility_samples(profile, trials, seed)[:, a]
+                assert samples.tobytes() == expected.tobytes(), (index, a, report)
+                assert samples.mean().tobytes() == expected.mean().tobytes()
+                assert _stderr(samples) == _stderr(expected)
+                probes += 1
+                single += len(report.edges) == 1
+    assert probes > 100 and single > 0
+    if trials == 250:
+        assert _Counts.flips > 0 and _Counts.fallbacks > 0
+
+
+def test_a_task_only_the_deviant_hides_has_no_search(monkeypatch):
+    # task 1 has agent 0 alone, and KOrder(1) hides it: no row of the
+    # probe searches from it, so none falls back to the state machine
+    inst = Instance([1, 1], [3.0, 1.0], [(0, 0), (0, 1), (1, 0)])
+    reports = list(_family_reports(inst, 0, [KOrder(1)]))
+    assert reports == [AgentReport(edges=(0,))]
+    _Counts.fallbacks = 0
+    got = _probe(monkeypatch, inst, 0, reports, 50, [7])
+    profile = truthful_profile(inst).with_report(0, reports[0])
+    expected = randomized_utility_samples(profile, 50, 7)[:, 0]
+    assert got[0].tobytes() == expected.tobytes()
+    assert _Counts.fallbacks == 0
+
+
+def test_probes_keep_the_checks_of_a_reported_profile():
+    inst = generate_instance(GenConfig(6, 10, 0.5, 1, 2, seed=302), 0)
+    truthful = truthful_profile(inst)
+    a = next(a for a in range(inst.n) if inst.agent_adj[a] and inst.capacities[a] > 1)
+    best = AgentReport(inst.agent_adj[a][:1])
+    outside = next(t for t in range(inst.m) if t not in inst.agent_adj[a])
+    with pytest.raises(ValueError, match="non-existing edges"):
+        _lottery_samples(truthful, 5, [1], a, [AgentReport(edges=(outside,))])
+    with pytest.raises(ValueError, match="at least 1"):
+        _lottery_samples(truthful, 0, [1], a, [best])
+    with pytest.raises(ValueError, match="capacity"):
+        _lottery_samples(truthful, 5, [1], a, [AgentReport(best.edges, capacity=1)])

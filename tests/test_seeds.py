@@ -50,3 +50,22 @@ def test_trial_keys_must_fit_one_word():
     # a key of 2**32 or more has two words, which the batch does not mix
     with pytest.raises(ValueError):
         substream_doubles(0, 2**32 + 1, 1)
+
+
+def test_a_seed_vector_stacks_the_rows_of_each_seed():
+    # one and two pool words, and a seed of five words, which shifts the
+    # hash constant of its rows only
+    seeds = [0, 1, 2**63 - 1, 2**64 + 1, 2**130]
+    batch = substream_doubles(seeds, 40, 7)
+    assert batch.shape == (len(seeds) * 40, 7)
+    stacked = np.concatenate([substream_doubles(s, 40, 7) for s in seeds])
+    assert batch.tobytes() == stacked.tobytes()
+    assert batch[-40:].tobytes() == _reference(2**130, 40, 7).tobytes()
+    assert substream_doubles([], 4, 3).shape == (0, 3)
+
+
+def test_a_seed_vector_keeps_the_checks():
+    with pytest.raises(ValueError):
+        substream_doubles([3, -1], 3, 2)
+    with pytest.raises(ValueError):
+        substream_doubles([0, 1], 2**32 + 1, 1)

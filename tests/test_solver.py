@@ -22,6 +22,7 @@ from bmatch.solver import (
     _DEAD,
     AugmentingPath,
     Traversal,
+    _Markets,
     _State,
     _flip_depth_two,
     _resume,
@@ -563,8 +564,8 @@ class _SeededCount(_State):
         super().seed_matching(owner)
 
 
-def _counted_depth_two(inst, start, rows, *arrays):
-    left = _flip_depth_two(inst, start, rows, *arrays)
+def _counted_depth_two(markets, start, rows, *arrays):
+    left = _flip_depth_two(markets, start, rows, *arrays)
     _SeededCount.moved += rows.size - left.size
     return left
 
@@ -574,7 +575,7 @@ def _random_orders(rng, trials, n):
 
 
 def _assert_solves_each_order(inst, orders):
-    owners = _solve_orders(inst, orders)
+    owners = _solve_orders(_Markets(inst), orders)
     assert owners.shape == (len(orders), inst.m)
     for k, order in enumerate(orders.tolist()):
         expected = solve_mvbm(inst, Traversal.BREADTH_FIRST, order)
