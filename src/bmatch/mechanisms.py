@@ -17,10 +17,11 @@ market and solves it:
   of all trials at once; trial ``k``'s order is still the one
   ``sample_agent_order`` draws from ``derive_rng(seed, k)``, the
   definition of that trial's stream.  It then solves all the orders
-  at once (``solver._solve_orders``): one pass over the ranks for
-  every trial while its searches end at depth 1 or 2, and ``MBFS`` on
-  the solver's state machine for each trial from its first search that
-  fails or goes deeper than two on.  Each row is the owner tuple
+  at once in the solver's vector pass (``solver._solve_rows``), the
+  one that also solves the joint reports of the oracle: one pass over
+  the ranks for every trial while its searches end at depth 1 or 2 or
+  fail, and ``MBFS`` on the solver's state machine for each trial from
+  its first search that goes deeper on.  Each row is the owner tuple
   ``solve_mvbm`` gives for its market and order.
 
 The first-come-first-served (FCFS) recursion gives each agent, in
@@ -39,7 +40,7 @@ import numpy as np
 
 from .core import Instance, _parse_finite, _parse_integral, _with_reports
 from .seeds import derive_rng, substream_doubles
-from .solver import Traversal, _Markets, _solve_orders, solve_ap, solve_mvbm
+from .solver import Traversal, _Markets, _solve_rows, solve_ap, solve_mvbm
 
 __all__ = [
     "AGENTS",
@@ -415,8 +416,8 @@ def _lottery_samples(
     The doubles of every trial of every probe come from one
     ``substream_doubles`` call, their orders from one ``_draw_orders``
     call, where only the agent's weight changes from probe to probe,
-    and all rows are solved in one ``solver._solve_orders`` pass over
-    the probes' markets.
+    and all rows are solved in one ``solver._solve_rows`` pass over the
+    probes' markets, each under its trials' orders.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -437,7 +438,7 @@ def _lottery_samples(
         weights[:, agent] = np.repeat(own, trials)
     rounds = int((weights[0] > 0.0).sum())
     orders = _draw_orders(weights, substream_doubles(seeds, trials, rounds))
-    owner = _solve_orders(markets, orders)
+    owner = _solve_rows(markets, Traversal.BREADTH_FIRST, orders)
     # each agent's sum runs left to right by task id
     if agent is not None:
         # adding 0.0 for another agent's task leaves the sum unchanged

@@ -78,37 +78,46 @@ changes the market at its own rank (``_solve_journaled``).  A report
 whose first change is there or later, ``m`` if it changes nothing,
 needs no solve.
 
-The order lottery solves every probe of one agent at once
-(``_solve_orders``): the markets where that agent files each of its
-reports, read through ``_Markets`` with the agent as the one player,
-each under its own agent orders, one row per market and order.  A
-breadth-first solve is given by its owner array alone until its first
-failed search.  Before that no agent is dead, a new epoch has visited
-no agent, and old parent pointers are never read; the loads are the
-counts of the owner array, and each agent's matched tasks in rank order
-are the ``agent_tasks`` of the solve.  So all rows walk the ranks
-together, one task at a time, while each search ends at depth 1 or 2.
+One vector pass (``_solve_rows``) solves many markets at once: the
+joint reports of an equilibrium enumeration or a coalition search, and
+the reports of one agent in the order lottery, each market under many
+agent orders.  The markets share capacities, values and task order and
+differ only in some players' rows.  ``_Markets`` reads them through one
+adjacency with the players' true lines cleared, and per player one bool
+mask per option, read in place of the line for each market.  A row of
+the pass is one market under one order, or in id order without orders,
+and the pass holds one owner, ``key`` and ``room`` line per row still
+in it, never a (markets, m, n) array.  A solve is given by its owner
+array alone while no agent is dead: a new epoch has visited no agent,
+old parent pointers are never read, the loads are the counts of the
+owner array, and each agent's matched tasks in rank order are the
+``agent_tasks`` of the solve.  So all rows walk the ranks together, one
+task at a time, while each search ends at depth 1 or 2 or fails.
 
 At depth 1, the loop of ``search_bfs`` returns the first unsaturated
 agent in the start task's priority list, which is the unsaturated
 adjacent agent of lowest position, and flipping that length-1 path only
-matches the start task.  Per task this is one minimum of the agents'
-positions, read as ``n`` for a saturated agent, and the order gives the
-agent at that position.  The pass takes this minimum over the true
-agents of the task ``t`` and reads a player whose option hides ``t`` as
-``n`` too.  That is the reported market's minimum: ``t``'s reported
-agents are its true agents less the players that hide it, and adding
+matches the start task; ``search_dfs`` returns the first agent of the
+list if it is unsaturated.  ``key`` holds each agent's position, read
+as ``n`` once the agent is saturated, and the order gives the agent at
+a position.  The pass gathers the keys of the true agents of the task
+``t`` and reads an agent that a row's market does not list for ``t`` as
+``n`` too: a player whose option hides ``t``, or, when ``t`` is a
+player, an agent that its option leaves out.  ``t``'s agents in the
+market are its true agents less these, since an option row is a subset
+of the true row.  So the minimum is the market's minimum, as adding
 values of ``n`` to a set of values at most ``n`` leaves its minimum
-where it is, or gives ``n`` to an empty set.  So a result below ``n``
-is the position of the unsaturated reported agent that the reported
-market's search returns.  A result of ``n`` means either that ``t`` has
-reported agents, all of them saturated, which is the depth-2 case
-below, or that ``t`` has no reported agent, when ``run`` skips it; the
-second can only happen when every true agent of ``t`` is a player, and
-then only in a row whose options all hide ``t``.
+where it is, or gives ``n`` to an empty set, and the key of the first
+agent listed is the market's first agent's.  A result below ``n`` is
+then the position of the agent that the market's search returns.  A
+result of ``n`` means either that ``t`` has agents in the market and
+the search goes on (breadth-first, all of them are saturated; depth-first,
+the first one is), or that ``t`` has none, when ``run`` skips it; the
+second can only happen in a row whose options hide all of ``t``'s true
+agents.
 
-When the start task has agents, all of them saturated, the search
-reaches them all at depth 1 and goes on from them
+When the start task has agents, all of them saturated, breadth-first
+search reaches them all at depth 1 and goes on from them
 (``_flip_depth_two``).  The frontier is the tasks they own, listed agent
 by agent in priority order and each agent's tasks by rank, so in the
 order (owner's position, rank); the start task is unmatched and not
@@ -122,23 +131,21 @@ array, with the terminal's load one higher.  So the pass goes on.  The
 step reads every adjacency of a row through ``_Markets``, given the
 row's market.
 
-A row whose search from the task of rank ``r`` reaches no unsaturated
-agent at depth 2, because the search fails or needs depth 3 or more,
-leaves the pass.  ``seed_matching`` loads its owner array into a fresh
-``_State``, which is then the state of the full solve before rank ``r``,
-and ``run`` goes on from rank ``r``.
+Depth-first search, in id order, takes the first dive
+(``_first_dive``).  From ``t`` it visits ``t``'s first agent ``a1``;
+nothing else is visited yet.  If ``a1`` is unsaturated it is the
+terminal.  Otherwise the search goes through ``a1``'s tasks by rank
+(``t`` is unmatched, so not among them), and at each one tries its
+agents by id, skipping only ``a1``.  So the first agent ``b`` other than
+``a1`` in the order (rank of ``a1``'s task, agent id) decides:
+unsaturated, it is the terminal, and the flip gives that task to ``b``
+and ``t`` to ``a1``, whose load stays the same; saturated, the search
+dives deeper.  When ``a1``'s tasks have no other agent, every frame
+below ``a1`` runs out and the search backs up to ``t``, whose next agent
+``a2`` is the next one it visits: the terminal if unsaturated, else the
+search dives on.
 
-The joint reports of an equilibrium enumeration or a coalition search
-are markets that share capacities, values and task order and differ
-only in some players' rows, all solved in id order (``_solve_rows``).
-The pass reads them through ``_Markets``: one adjacency with the
-players' true lines cleared, and per player one bool mask per option,
-read in place of the line for each market.  So it holds one owner,
-``key`` and ``room`` row per market and never a (markets, m, n) array.
-They walk the ranks together the same way, with positions equal to
-ids, and with two more steps.
-
-A failed search may stay in the pass.  A search from task ``t`` fails
+A failed search stays in the pass.  A search from task ``t`` fails
 exactly when the alternating closure of ``t`` (its agents, the tasks
 they hold, the agents of those tasks, and so on) holds no unsaturated
 agent: both traversals reach every agent of the closure before they
@@ -146,28 +153,17 @@ give up, and the agents that dead marks hide lead only to other dead,
 saturated agents.  The failed search changes no assignment, so the owner
 array stays the state; only the dead marks are not kept.  Without them
 every later search is the unpruned one, which by the pruning argument
-above returns the same terminal and flips the same path; the vector
-steps read a dead agent as what it is, a saturated agent whose held
-tasks lead only to saturated agents.  So the pass checks the
-closure (``_reaches_free``) only for a row that no vector step moves,
-and a row whose closure holds an unsaturated agent leaves the pass on a
-fresh ``_State`` with no dead marks, which again runs unpruned searches.
-
-Depth-first search takes the first dive (``_first_dive``).  From ``t``
-it visits ``t``'s first agent ``a1``; nothing else is visited yet.  If
-``a1`` is unsaturated it is the terminal.  Otherwise the search goes
-through ``a1``'s tasks by rank (``t`` is unmatched, so not among them),
-and at each one tries its agents by id, skipping only ``a1``.  So the
-first agent ``b`` other than ``a1`` in the order (rank of ``a1``'s
-task, agent id) decides: unsaturated, it is the terminal, and the flip
-gives that task to ``b`` and ``t`` to ``a1``, whose load stays the same;
-saturated, the search dives deeper and the row leaves the pass.  When
-``a1``'s tasks have no other agent, every frame below ``a1`` runs out
-and the search backs up to ``t``, whose next agent ``a2`` is the next
-one it visits: the terminal if unsaturated, else the search dives on
-and the row leaves.  A dead ``a1`` is saturated and its tasks reach only
-saturated agents, so the row takes ``a2`` or leaves, as the pruned
-search, which skips ``a1``, would take ``a2`` or go on past it.
+above returns the same terminal and flips the same path, under any
+agent order; the vector steps read a dead agent as what it is, a
+saturated agent whose held tasks lead only to saturated agents.  A dead
+``a1`` is such an agent, so the row takes ``a2`` or goes on, as the
+pruned search, which skips ``a1``, would take ``a2`` or go on past it.
+So the pass checks the closure (``_reaches_free``) only for a row that
+no vector step moves.  A row whose closure holds an unsaturated agent,
+at the task of rank ``r``, needs a deeper search and leaves the pass:
+``seed_matching`` loads its owner array into a fresh ``_State`` with no
+dead marks, under the row's order, which is then the state of the
+unpruned solve before rank ``r``, and ``run`` goes on from rank ``r``.
 """
 
 from __future__ import annotations
@@ -545,92 +541,6 @@ def solve_mvbm(
     return _State(inst, order).run(traversal)
 
 
-def _solve_orders(markets: _Markets, orders: np.ndarray) -> np.ndarray:
-    """``solve_mvbm(markets.market(k // trials), Traversal.BREADTH_FIRST,
-    orders[k])`` as row ``k`` of a (rows, m) owner array, for every row
-    of ``orders``: each market takes ``trials`` rows in turn.  The
-    players of ``markets`` are agents.
-
-    All rows walk the ranks together while their searches end at depth 1
-    or 2: per task, the unsaturated adjacent agent of lowest position
-    takes it, read from the task's true agents with a player whose
-    option hides the task read as saturated, and a row whose task has
-    agents, all of them saturated, takes the depth-2 step
-    (``_flip_depth_two``).  A row leaves this pass at its first search
-    that fails or goes deeper, and finishes on ``_State`` from its owner
-    row (see the module docstring).
-    """
-    inst = markets.inst
-    rows, n = orders.shape
-    trials = rows // markets.count
-    assert markets.agents and trials * markets.count == rows
-    result = np.empty((rows, inst.m), dtype=np.intp)
-    owner = np.full((rows, inst.m), -1, dtype=np.intp)
-    # an agent's position in the row's order, and the same read as n
-    # once the agent is saturated
-    pos = np.empty((rows, n), dtype=np.intp)
-    pos[np.arange(rows)[:, None], orders] = np.arange(n)
-    key = pos.copy()
-    room = np.tile(np.asarray(inst.capacities, dtype=np.intp), (rows, 1))
-    players = {e: p for p, e in enumerate(markets.entities)}
-    # the row of each state row still in the pass, its market, and its
-    # first cell
-    live = np.arange(rows)
-    ids = live // trials
-    base = live * n
-    for r, t in enumerate(inst.task_order):
-        if not live.size:
-            break
-        agents = inst.task_adj[t]
-        if not agents:
-            continue
-        # the keys of ``t``'s true agents, with a player whose option
-        # hides ``t`` read as n: it is not ``t``'s agent in that market
-        near = key[:, agents]
-        shown = []
-        for j, a in enumerate(agents):
-            if a in players:
-                shown.append(markets.shows(ids, players[a], t))
-                near[~shown[-1], j] = n
-        best = near.min(axis=1)
-        # the rows whose search ends at depth 1
-        first = slice(None)
-        none = best == n
-        if none.any():
-            stuck = none
-            if len(shown) == len(agents):
-                # a row where every agent of ``t`` hides it has no search
-                stuck = none & np.logical_or.reduce(shown)
-            stuck = np.flatnonzero(stuck)
-            left = _flip_depth_two(
-                markets, t, stuck, ids[stuck], pos, owner, key, room
-            )
-            for row in left.tolist():
-                state = _State(markets.market(int(ids[row])), orders[row].tolist())
-                state.seed_matching(owner[row].tolist())
-                result[live[row]] = state.run(Traversal.BREADTH_FIRST, r)
-            if left.size:
-                keep = np.ones(live.size, dtype=bool)
-                keep[left] = False
-                owner, pos, key, room, orders, live, ids, best, none = (
-                    owner[keep], pos[keep], key[keep], room[keep],
-                    orders[keep], live[keep], ids[keep], best[keep], none[keep],
-                )
-                base = np.arange(live.size) * n
-            first = ~none
-        # the agent at position ``best`` takes the task; ``key`` and
-        # ``room`` are C-contiguous, so their ``ravel`` views write through
-        terminal = orders.ravel()[base[first] + best[first]]
-        owner[first, t] = terminal
-        cell = base[first] + terminal
-        free = room.ravel()
-        rest = free[cell] - 1
-        free[cell] = rest
-        key.ravel()[cell[rest == 0]] = n
-    result[live] = owner
-    return result
-
-
 class _Markets:
     """Markets that share ``inst``'s capacities, values and task order
     and differ only in some players' rows: the agents' tasks when
@@ -640,9 +550,11 @@ class _Markets:
     there is one market, ``inst``.
 
     A vector pass reads the markets' adjacencies through the methods
-    below, one line or one product per row, so no (markets, m, n) array
-    is built: a player's true line is cleared from the shared adjacency,
-    and each market's option row is read in its place.
+    below, one line or one product per row of the pass, given the market
+    of each row (rows under different orders may share a market), so no
+    (markets, m, n) array is built: a player's true line is cleared from
+    the shared adjacency, and each market's option row is read in its
+    place.
     """
 
     __slots__ = (
@@ -690,10 +602,22 @@ class _Markets:
             ]
         return self._picked
 
-    def shows(self, rows: np.ndarray, p: int, t: int) -> np.ndarray:
-        """(rows,) bool: whether player ``p``'s option lists ``t`` in each
-        of ``rows``."""
-        return self.masks[p][self._picks(rows)[p], t]
+    def shown(self, rows: np.ndarray, t: int) -> np.ndarray | None:
+        """(rows, deg) bool: which of the ``deg`` true agents of task ``t``
+        are its agents in each of ``rows``, or ``None`` when no player's
+        option touches ``t``, so that all of them are in every row."""
+        agents = self.inst.task_adj[t]
+        got = None
+        for p, e in enumerate(self.entities):
+            if not self.agents:
+                # a task's option row is a subset of its true row
+                if e == t:
+                    return self.masks[p][:, agents][self._picks(rows)[p]]
+            elif e in agents:
+                if got is None:
+                    got = np.ones((rows.size, len(agents)), dtype=bool)
+                got[:, agents.index(e)] = self.masks[p][self._picks(rows)[p], t]
+        return got
 
     def task(self, rows: np.ndarray, t) -> np.ndarray:
         """(rows, n) bool: the agents of task ``t``, one task or one per
@@ -758,87 +682,140 @@ class _Markets:
         return _with_rows(inst, self.agents, rows)
 
 
-def _solve_rows(markets: _Markets, traversal: Traversal | None) -> np.ndarray:
-    """``solve_mvbm(markets.market(k), traversal)`` (``solve_ap`` for
-    ``None``) as row ``k`` of a (markets, m) owner array, for every
-    market.
+def _solve_rows(
+    markets: _Markets, traversal: Traversal | None, orders: np.ndarray | None = None
+) -> np.ndarray:
+    """``solve_mvbm(markets.market(k // trials), traversal, orders[k])``
+    (``solve_ap`` for ``None``) as row ``k`` of a (rows, m) owner array,
+    for every row of ``orders``: each market takes ``trials`` rows in
+    turn.  Without ``orders``, row ``k`` solves market ``k`` in id
+    order.  ``orders`` needs breadth-first search.
 
-    All markets walk the ranks together, in id order (see the module
-    docstring).  Breadth-first search and the length-1 solve take the
-    unsaturated adjacent agent of lowest id, depth-first search only the
-    first adjacent agent, and only when it is unsaturated.  Otherwise
+    All rows walk the ranks together (see the module docstring).
+    Breadth-first search and the length-1 solve take the unsaturated
+    adjacent agent of lowest position, depth-first search only the first
+    adjacent agent, and only when it is unsaturated.  Otherwise
     breadth-first takes the depth-2 step (``_flip_depth_two``) and
     depth-first its first dive (``_first_dive``).  A search whose
     alternating closure holds no unsaturated agent fails and changes
     nothing (``_reaches_free``).  Any other row leaves the pass and
     finishes on ``_State`` from its owner row.
 
-    The state is one owner row and one ``key`` and ``room`` row per
-    market, in the smallest integer types that hold them.
+    The state is one owner, ``key`` and ``room`` line per row still in
+    the pass, in the smallest integer types that hold them; a row that
+    leaves is written to the result.
     """
     inst = markets.inst
-    count, n, small = markets.count, inst.n, markets.small
-    owner = np.full((count, inst.m), -1, dtype=small)
-    ids = np.arange(n, dtype=small)
-    # an agent's id, and the same read as n once the agent is saturated
-    key = ids[None].repeat(count, axis=0)
+    n, m, small = inst.n, inst.m, markets.small
+    rows = markets.count if orders is None else len(orders)
+    # the row of each state line, and its market
+    live = np.arange(rows)
+    # an agent's position, in a type that holds n * m, and in ``key`` the
+    # same read as n once the agent is saturated
+    wide = np.min_scalar_type(n * m)
+    if orders is None:
+        # the positions are the ids
+        ids, pos, base = live, None, None
+        key = np.arange(n, dtype=small)[None].repeat(rows, axis=0)
+    else:
+        trials = rows // markets.count
+        assert traversal is Traversal.BREADTH_FIRST and trials * markets.count == rows
+        ids = live // trials
+        pos = np.empty((rows, n), dtype=wide)
+        pos[live[:, None], orders] = np.arange(n)
+        key = pos.astype(small)
+        # each line's first cell in ``orders``
+        base = live * n
     most = max(inst.capacities, default=0)
     capacities = np.array(inst.capacities, dtype=np.min_scalar_type(-most - 1))
-    room = capacities[None].repeat(count, axis=0)
-    # the rows still in the pass
-    live = np.arange(count)
+    room = capacities[None].repeat(rows, axis=0)
+    # the result, and the owner line of each row in the pass: one array
+    # until a row leaves
+    result = owner = np.full((rows, m), -1, dtype=small)
     dfs = traversal is Traversal.DEPTH_FIRST
     for r, t in enumerate(inst.task_order):
         if not live.size:
             break
-        # every market's row of ``t`` is a subset of the true one
-        if not inst.task_adj[t]:
+        agents = inst.task_adj[t]
+        if not agents:
             continue
-        here = markets.task(live, t)
+        # the keys of ``t``'s true agents, with an agent that a row's
+        # market does not list for ``t`` read as n
+        near = key[:, agents]
+        shown = markets.shown(ids, t)
+        if shown is not None:
+            near[~shown] = n
         if dfs:
-            first = here.argmax(axis=1)
-            best = np.where(here[np.arange(live.size), first], key[live, first], n)
+            # the first agent listed
+            first = (np.zeros(live.size, dtype=np.intp) if shown is None
+                     else shown.argmax(axis=1))
+            best = near[np.arange(live.size), first]
         else:
-            best = np.where(here, key[live], n).min(axis=1)
-        took = best < n
-        stuck = ~took & here.any(axis=1)
-        _take(live[took], t, best[took], owner, key, room)
-        if traversal is None or not stuck.any():
+            best = near.min(axis=1)
+        if best.max() < n:
+            took, stuck = np.arange(live.size), None
+        else:
+            stuck = best == n
+            if shown is not None:
+                # a row where ``t`` has no agent has no search
+                stuck &= shown.any(axis=1)
+            took = (best < n).nonzero()[0]
+            best = best[took]
+        if orders is not None:
+            # the agent at each position
+            best = orders.ravel()[(base if stuck is None else base[took]) + best]
+        _take(took, t, best, owner, key, room)
+        if traversal is None or stuck is None or not stuck.any():
             continue
-        rows = live[stuck]
+        stuck = stuck.nonzero()[0]
         if dfs:
-            left = _first_dive(markets, t, rows, first[stuck], owner, key, room)
+            first = np.array(agents)[first[stuck]]
+            left = _first_dive(markets, t, stuck, ids[stuck], first, owner, key, room)
         else:
-            # the positions are the ids, in a type that holds n * m
-            order = np.arange(n, dtype=np.min_scalar_type(n * inst.m))
-            pos = np.broadcast_to(order, key.shape)
-            left = _flip_depth_two(markets, t, rows, rows, pos, owner, key, room)
+            if orders is None:
+                pos = np.broadcast_to(np.arange(n, dtype=wide), key.shape)
+            left = _flip_depth_two(markets, t, stuck, ids[stuck], pos, owner, key, room)
         if not left.size:
             continue
-        left = left[_reaches_free(markets, t, left, owner[left], room[left])]
-        for row in left.tolist():
-            state = _State(markets.market(row), None)
-            state.seed_matching(owner[row].tolist())
-            owner[row] = state.run(traversal, r)
+        left = left[_reaches_free(markets, t, ids[left], owner[left], room[left])]
+        if not left.size:
+            continue
+        for line in left.tolist():
+            order = None if orders is None else orders[line].tolist()
+            state = _State(markets.market(int(ids[line])), order)
+            state.seed_matching(owner[line].tolist())
+            result[live[line]] = state.run(traversal, r)
         keep = np.ones(live.size, dtype=bool)
-        keep[np.searchsorted(live, left)] = False
-        live = live[keep]
-    return owner
+        keep[left] = False
+        owner, key, room, live = owner[keep], key[keep], room[keep], live[keep]
+        if orders is None:
+            ids = live
+        else:
+            ids, pos, orders = ids[keep], pos[keep], orders[keep]
+            base = np.arange(live.size) * n
+    if owner is not result:
+        result[live] = owner
+    return result
 
 
 def _take(rows: np.ndarray, task, agents: np.ndarray, owner, key, room) -> None:
-    """Give ``task`` (one task, or one per row) to ``agents[i]`` in row
+    """Give ``task`` (one task, or one per row) to ``agents[i]`` in line
     ``rows[i]``, and read an agent that this saturates as ``n`` in
-    ``key``.  ``key`` and ``room`` are C-contiguous, so their ``ravel``
-    views write through."""
+    ``key``.  ``rows`` increase, so as many rows as lines are all lines.
+    ``key`` and ``room`` are C-contiguous, so their ``ravel`` views write
+    through."""
     if not rows.size:
         return
-    owner[rows, task] = agents
+    if rows.size == len(owner) and isinstance(task, int):
+        owner[:, task] = agents
+    else:
+        owner[rows, task] = agents
     n = key.shape[1]
     cell = rows * n + agents
     free = room.ravel()
-    free[cell] -= 1
-    key.ravel()[cell[free[cell] == 0]] = n
+    rest = free[cell] - 1
+    free[cell] = rest
+    key.ravel()[cell[rest == 0]] = n
 
 
 def _flip_depth_two(
@@ -852,11 +829,11 @@ def _flip_depth_two(
     room: np.ndarray,
 ) -> np.ndarray:
     """The depth-2 level of ``search_bfs`` from ``start``, and the flip
-    of the path it finds, for those ``rows`` of a vector pass over
-    ``markets`` that have a depth-2 terminal; row ``rows[i]`` solves the
+    of the path it finds, for those lines ``rows`` of a vector pass over
+    ``markets`` that have a depth-2 terminal; line ``rows[i]`` solves the
     market ``ids[i]``, and ``start``'s agents are saturated in every
-    row.  Updates ``owner``, ``key`` and ``room`` of these rows and
-    returns the other rows (see the module docstring).
+    line.  Updates ``owner``, ``key`` and ``room`` of these lines and
+    returns the other lines (see the module docstring).
     """
     n, m = key.shape[1], markets.inst.m
     lines = np.arange(rows.size)
@@ -887,32 +864,34 @@ def _first_dive(
     markets: _Markets,
     start: int,
     rows: np.ndarray,
+    ids: np.ndarray,
     first: np.ndarray,
     owner: np.ndarray,
     key: np.ndarray,
     room: np.ndarray,
 ) -> np.ndarray:
     """The first dive of ``search_dfs`` from ``start`` in id order, and
-    the flip of the path it finds, for those ``rows`` of ``_solve_rows``'
-    pass where it ends at depth 2; ``first[i]``, the first agent of
-    ``start`` in row ``rows[i]``, is saturated.
+    the flip of the path it finds, for those lines ``rows`` of
+    ``_solve_rows``' pass where it ends at depth 2; line ``rows[i]``
+    solves the market ``ids[i]``, and ``first[i]``, the first agent of
+    ``start`` there, is saturated.
 
     The dive goes through ``first``'s tasks by rank, and the first agent
     other than ``first`` that it meets is the terminal if it is
     unsaturated; when it meets none, the search backs up to ``start``,
     whose next agent is the one it meets.  Updates ``owner``, ``key`` and
-    ``room`` of these rows and returns the rows where the agent met is
+    ``room`` of these lines and returns the lines where the agent met is
     saturated or missing (see the module docstring).
     """
     n, inst = key.shape[1], markets.inst
     lines = np.arange(rows.size)
     # the tasks of ``first`` with another agent; the dive meets the first
     # of them by rank, and there its agent of lowest id
-    meets = (owner[rows] == first[:, None]) & (markets.degrees(rows) > 1)
+    meets = (owner[rows] == first[:, None]) & (markets.degrees(ids) > 1)
     via = np.where(meets, markets.rank, inst.m).argmin(axis=1)
     dive = meets[lines, via]
     # else the search backs up to ``start`` and meets its next agent
-    met = markets.task(rows, np.where(dive, via, start))
+    met = markets.task(ids, np.where(dive, via, start))
     met[lines, first] = False
     terminal = met.argmax(axis=1)
     found = met[lines, terminal] & (key[rows, terminal] < n)
@@ -930,22 +909,22 @@ def _first_dive(
 def _reaches_free(
     markets: _Markets,
     start: int,
-    rows: np.ndarray,
+    ids: np.ndarray,
     held: np.ndarray,
     room: np.ndarray,
 ) -> np.ndarray:
     """Whether the alternating closure from the unmatched task ``start``
-    holds an unsaturated agent, in each of ``rows`` with the owner rows
-    ``held`` and the agents' ``room``: the agents of ``start``, the
-    tasks they hold, the agents of those tasks, and so on.  A search
-    fails exactly when it does not."""
-    lines = np.arange(rows.size)[:, None]
+    holds an unsaturated agent, in each of the markets ``ids`` with the
+    owner rows ``held`` and the agents' ``room``: the agents of
+    ``start``, the tasks they hold, the agents of those tasks, and so on.
+    A search fails exactly when it does not."""
+    lines = np.arange(ids.size)[:, None]
     matched = held >= 0
-    reach = markets.task(rows, start)
+    reach = markets.task(ids, start)
     while True:
         # owner -1 reads the last agent, and an unmatched task is not held
         tasks = reach[lines, held] & matched
-        grown = markets.reach(rows, tasks) | reach
+        grown = markets.reach(ids, tasks) | reach
         if np.array_equal(grown, reach):
             return (reach & (room > 0)).any(axis=1)
         reach = grown

@@ -6,9 +6,11 @@ does: every player gets some random non-empty sub-rows of its true row,
 and the joint reports run through their product.  Every row of the pass
 must equal ``solve_mvbm`` or ``solve_ap`` on the market
 ``core._with_rows`` builds from the same rows, and every branch of the
-pass must occur on the grid.  Every line the pass reads must equal the
-one of the joint market's own adjacency, and a large joint solve must
-hold no stacked adjacency.
+pass must occur on the grid; under random agent orders, as the order
+lottery solves them, every row must equal ``solve_mvbm`` under its
+order.  Every line the pass reads must equal the one of the joint
+market's own adjacency, and a large joint solve must hold no stacked
+adjacency.
 """
 
 import itertools
@@ -108,9 +110,9 @@ class _Branches:
             branches.count("depth 2", rows.size - left.size)
             return left
 
-        def counting_dive(inst, start, rows, first, owner, *arrays):
+        def counting_dive(inst, start, rows, ids, first, owner, *arrays):
             branches.stepping = True
-            left = dive(inst, start, rows, first, owner, *arrays)
+            left = dive(inst, start, rows, ids, first, owner, *arrays)
             branches.stepping = False
             moved = np.setdiff1d(rows, left)
             # the dive gives the start task to the first agent; a search
@@ -170,6 +172,39 @@ def test_row_pass_equals_one_market_at_a_time(monkeypatch):
     # the length-1 solve never searches past depth 1
     assert not any(counts[None, branch] for branch in ("depth 2", "failed", "left"))
     assert compared > 1000
+
+
+def test_row_pass_solves_each_order_of_each_market(monkeypatch):
+    # three random agent orders per joint market, with agent and task
+    # players: row k solves market k // 3 under orders[k], and identity
+    # orders give the pass without orders, row by row
+    rnd = random.Random(20261022)
+    draw = np.random.default_rng(20261023)
+    bfs, trials = Traversal.BREADTH_FIRST, 3
+    branches = _Branches(monkeypatch)
+    branches.traversal = bfs
+    sides = Counter()
+    for count, agents_range, tasks_range, density in GRIDS:
+        for _ in range(count):
+            inst = _market(rnd, agents_range, tasks_range, density)
+            agents = rnd.random() < 0.5
+            players, options = _players(inst, agents, rnd)
+            markets = _Markets(inst, agents, players, options)
+            rows = markets.count * trials
+            orders = np.argsort(draw.random((rows, inst.n)), axis=1)
+            owners = _solve_rows(markets, bfs, orders)
+            assert owners.shape == (rows, inst.m)
+            for k, got in enumerate(owners.tolist()):
+                market = markets.market(k // trials)
+                expected = solve_mvbm(market, bfs, orders[k].tolist())
+                assert tuple(got) == expected, (inst, agents, k, orders[k])
+            identity = np.arange(inst.n)[None].repeat(rows, axis=0)
+            assert (_solve_rows(markets, bfs, identity)
+                    == _solve_rows(markets, bfs).repeat(trials, axis=0)).all()
+            sides[agents] += 1
+    assert sides[True] > 0 and sides[False] > 0
+    for branch in ("depth 1", "depth 2", "failed", "left"):
+        assert branches.counts[bfs, branch] > 0, branch
 
 
 @pytest.mark.parametrize("traversal", TRAVERSALS)

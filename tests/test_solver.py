@@ -27,7 +27,7 @@ from bmatch.solver import (
     _flip_depth_two,
     _resume,
     _solve_journaled,
-    _solve_orders,
+    _solve_rows,
     find_augmenting_path,
     solve_ap,
     solve_mvbm,
@@ -553,8 +553,8 @@ def test_a_resume_stops_after_the_watched_tasks_rank(traversal):
 
 
 class _SeededCount(_State):
-    """Counts the trials ``_solve_orders`` finishes on the state machine,
-    and the rows its depth-2 step moves."""
+    """Counts the lottery rows that ``_solve_rows`` finishes on the state
+    machine, and the rows its depth-2 step moves."""
 
     seeded = 0
     moved = 0
@@ -575,7 +575,7 @@ def _random_orders(rng, trials, n):
 
 
 def _assert_solves_each_order(inst, orders):
-    owners = _solve_orders(_Markets(inst), orders)
+    owners = _solve_rows(_Markets(inst), Traversal.BREADTH_FIRST, orders)
     assert owners.shape == (len(orders), inst.m)
     for k, order in enumerate(orders.tolist()):
         expected = solve_mvbm(inst, Traversal.BREADTH_FIRST, order)
@@ -645,16 +645,28 @@ def test_depth_two_step_follows_the_frontier_order(monkeypatch):
 
 
 def test_batched_orders_solve_as_one_by_one_on_tight_markets(monkeypatch):
-    # unit capacities: searches fail and retire agents after the resume
+    # unit capacities: searches fail and retire agents; in the pass
+    # ``_reaches_free`` settles a failed search, and the row stays
     cfg = GenConfig(20, 25, 0.4, 1, 1, seed=109)
     rng = np.random.default_rng(110)
+    reaches = solver._reaches_free
+    failed = 0
+
+    def counted_reaches(*args):
+        nonlocal failed
+        free = reaches(*args)
+        failed += int((~free).sum())
+        return free
+
+    monkeypatch.setattr(solver, "_reaches_free", counted_reaches)
     for i in range(8):
         inst = generate_instance(cfg, i)
         orders = _random_orders(rng, 40, cfg.n)
-        assert _solve_and_count_resumes(monkeypatch, inst, orders) > 0
+        _solve_and_count_resumes(monkeypatch, inst, orders)
         dead = _State(inst, orders[0].tolist())
         dead.run(Traversal.BREADTH_FIRST)
         assert _DEAD in dead.visit_a
+    assert failed > 0
 
 
 def test_batched_orders_on_degenerate_markets():
