@@ -218,30 +218,35 @@ def _with_reports(
     base: Instance,
     agents: bool,
     bounds: Iterable[int] | Iterable[float],
-    reported: dict[int, Iterable[int]],
+    reported: dict[int, tuple[int, ...]],
 ) -> Instance:
     """``base`` with the bounds of one side (the capacities when
     ``agents``, else the values) and each of that side's entities in
     ``reported`` cut down to the given peers, built without the
-    constructor's checks.
+    constructor's checks: the one builder of reported markets.
 
-    Every reported row must be a subset of the true row and every bound
-    must pass ``mechanisms._bounded_report``; such a market is valid
-    because ``base`` is.  Every adjacency tuple no report touches is
-    shared with ``base``, and so is the task order while the values are.
+    Every reported row must be a sorted subset of the true row and every
+    bound must pass ``mechanisms._bounded_report``; such a market is
+    valid because ``base`` is.  A reported row as long as the true row
+    is the true row and is skipped; any other is taken as given.  Each
+    peer column a report cuts is cut once, for all the entities that
+    hide it.  Every adjacency tuple no report cuts is shared with
+    ``base``, and so is the task order while the values are.
     """
     rows = list(base.agent_adj if agents else base.task_adj)
     cols = list(base.task_adj if agents else base.agent_adj)
     hidden_from: dict[int, set[int]] = {}
     for e, edges in reported.items():
-        keep = set(edges)
         row = rows[e]
-        rows[e] = tuple(p for p in row if p in keep)
+        if len(edges) == len(row):
+            continue
+        rows[e] = edges
+        keep = set(edges)
         for p in row:
             if p not in keep:
                 hidden_from.setdefault(p, set()).add(e)
     for p, entities in hidden_from.items():
-        cols[p] = tuple(e for e in cols[p] if e not in entities)
+        cols[p] = tuple([e for e in cols[p] if e not in entities])
     inst = object.__new__(Instance)
     if agents:
         inst.capacities, inst.values = tuple(bounds), base.values
@@ -253,32 +258,6 @@ def _with_reports(
         inst.task_order, inst.task_rank = base.task_order, base.task_rank
     else:
         inst.task_order, inst.task_rank = _process_order(inst.values)
-    return inst
-
-
-def _with_rows(
-    base: Instance, agents: bool, rows: Sequence[tuple[int, ...]]
-) -> Instance:
-    """``base`` with the rows of one side (the agents' tasks when
-    ``agents``, else the tasks' agents) replaced by ``rows``, built
-    without the constructor's checks.
-
-    Every row must be a sorted subset of the true row.  The other side's
-    rows are rebuilt in one pass over ``rows`` in id order, so they come
-    out sorted; capacities, values and the task order are shared with
-    ``base``.
-    """
-    cols: list[list[int]] = [[] for _ in range(base.m if agents else base.n)]
-    for e, row in enumerate(rows):
-        for p in row:
-            cols[p].append(e)
-    inst = object.__new__(Instance)
-    inst.capacities, inst.values = base.capacities, base.values
-    inst.task_order, inst.task_rank = base.task_order, base.task_rank
-    if agents:
-        inst.agent_adj, inst.task_adj = tuple(rows), tuple(map(tuple, cols))
-    else:
-        inst.agent_adj, inst.task_adj = tuple(map(tuple, cols)), tuple(rows)
     return inst
 
 

@@ -290,6 +290,8 @@ def first_agent_best_report(inst: Instance, agent_id: int = 0) -> tuple[int, ...
     For the first-processed agent this report is a dominant strategy
     under both exact mechanisms.
     """
+    if not 0 <= agent_id < inst.n:
+        raise ValueError(f"unknown agent id {agent_id}")
     adj = inst.agent_adj[agent_id]
     if not adj:
         raise ValueError(f"agent {agent_id} has no edges")
@@ -379,6 +381,26 @@ def _draw_orders(weights, doubles: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(drawn.T)
 
 
+def _utilities(
+    inst: Instance, side: str, owners: np.ndarray, entities: Sequence[int]
+) -> np.ndarray:
+    """Each of ``entities``' utility under each owner row, as a (rows,
+    entities) array.  An agent's values are added task by task in id
+    order, as ``agent_utility`` adds them, so every sum keeps its bits; a
+    task's utility is 1.0 when it is matched."""
+    if side == TASKS:
+        return (owners[:, list(entities)] >= 0).astype(float)
+    # each agent's column, and the spare last column for the others and
+    # for owner -1
+    column = np.full(inst.n + 1, len(entities))
+    column[list(entities)] = range(len(entities))
+    utils = np.zeros((len(owners), len(entities) + 1))
+    lines = np.arange(len(owners))
+    for t, value in enumerate(inst.values):
+        utils[lines, column[owners[:, t]]] += value
+    return utils[:, :-1]
+
+
 def randomized_utility_samples(
     profile: Profile, trials: int, seed: int
 ) -> np.ndarray:
@@ -441,16 +463,12 @@ def _lottery_samples(
     owner = _solve_rows(markets, Traversal.BREADTH_FIRST, orders)
     # each agent's sum runs left to right by task id
     if agent is not None:
-        # adding 0.0 for another agent's task leaves the sum unchanged
+        # adding 0.0 for another agent's task leaves the sum unchanged;
+        # one cumsum along the rows costs less than ``_utilities``' one
+        # scattered add per task over all probe rows
         values = np.asarray(effective.values, dtype=np.float64)
         return np.where(owner == agent, values, 0.0).cumsum(axis=1)[:, -1:]
-    # owner -1 indexes the extra last column, which collects the values
-    # of unmatched tasks
-    samples = np.zeros((trials, effective.n + 1), dtype=np.float64)
-    rows = np.arange(trials)
-    for t, value in enumerate(effective.values):
-        samples[rows, owner[:, t]] += value
-    return samples[:, : effective.n].copy()
+    return _utilities(effective, AGENTS, owner, range(effective.n))
 
 
 def run_randomized_bfs(profile: Profile, trials: int, seed: int) -> np.ndarray:

@@ -16,8 +16,8 @@ rows, and one vector pass (``solver._solve_rows``) solves them all in
 product order, reading each market's player rows from the option rows
 (``solver._Markets``); no joint adjacency is stacked, and no ``Profile``
 or market is built per joint report.  The owner array is scored with
-numpy (``_utilities``).  A ``Profile`` is made only for an equilibrium
-that is returned, and a coalition returns its reports.
+numpy (``mechanisms._utilities``).  A ``Profile`` is made only for an
+equilibrium that is returned, and a coalition returns its reports.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .mechanisms import (
     Profile,
     TASKS,
     _bounded_report,
+    _utilities,
     truthful_profile,
     worst_ne_profile,
 )
@@ -215,26 +216,6 @@ def _joint_outcomes(
     markets = _Markets(inst, side == AGENTS, entities, option_rows)
     traversal = _TRAVERSALS.get(kind)  # None: MAP's length-1 solve
     return options, _solve_rows(markets, traversal)
-
-
-def _utilities(
-    inst: Instance, side: str, owners: np.ndarray, entities: Sequence[int]
-) -> np.ndarray:
-    """Each of ``entities``' utility under each owner row, as a (rows,
-    entities) array.  An agent's values are added task by task in id
-    order, as ``agent_utility`` adds them, so every sum keeps its bits; a
-    task's utility is 1.0 when it is matched."""
-    if side == TASKS:
-        return (owners[:, list(entities)] >= 0).astype(float)
-    # each agent's column, and the spare last column for the others and
-    # for owner -1
-    column = np.full(inst.n + 1, len(entities))
-    column[list(entities)] = range(len(entities))
-    utils = np.zeros((len(owners), len(entities) + 1))
-    lines = np.arange(len(owners))
-    for t, value in enumerate(inst.values):
-        utils[lines, column[owners[:, t]]] += value
-    return utils[:, :-1]
 
 
 def _find_coalition(

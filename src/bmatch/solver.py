@@ -177,7 +177,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InfeasibleMatchingError, Instance, _with_rows, is_feasible_matching
+from .core import InfeasibleMatchingError, Instance, _with_reports, is_feasible_matching
 
 __all__ = [
     "Traversal",
@@ -672,14 +672,18 @@ class _Markets:
         return got
 
     def market(self, row: int) -> Instance:
-        """Market ``row`` as an ``Instance`` (``core._with_rows``)."""
-        inst = self.inst
-        rows = list(inst.agent_adj if self.agents else inst.task_adj)
-        for e, options, stride, size in zip(
-            self.entities, self.options, self.strides, self.sizes
-        ):
-            rows[e] = options[row // stride % size]
-        return _with_rows(inst, self.agents, rows)
+        """Market ``row`` as an ``Instance``: ``inst`` with each player's
+        option row as its report, through the patch of reported markets
+        (``core._with_reports``)."""
+        inst, agents = self.inst, self.agents
+        reported = {
+            e: options[row // stride % size]
+            for e, options, stride, size in zip(
+                self.entities, self.options, self.strides, self.sizes
+            )
+        }
+        bounds = inst.capacities if agents else inst.values
+        return _with_reports(inst, agents, bounds, reported)
 
 
 def _solve_rows(

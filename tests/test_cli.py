@@ -232,6 +232,13 @@ def _task_value_profile(value):
          "report 0 is not an object with an 'edges' list"),
         ({"side": "agents", "reports": [None, {"capacity": 1}]},
          "report 1 is not an object with an 'edges' list"),
+        # reports are bounded by the truth: the reported market is patched
+        # from the true one without the instance checks
+        ({"side": "agents", "reports": [{"edges": [0, 2]}, None]},
+         "agent 0 reports non-existing edges to tasks [2]"),
+        ({"side": "agents", "reports": [{"edges": [0], "capacity": 2}, None]},
+         "agent 0 reports capacity 2 outside [1, 1]"),
+        (_task_value_profile(2.0), "task 0 reports value 2.0 outside (0, 1.0]"),
     ],
 )
 def test_solve_rejects_malformed_profiles(tmp_path, instance_path, capsys,

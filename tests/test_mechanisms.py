@@ -257,6 +257,10 @@ def test_first_agent_best_report_examples():
     isolated = Instance([1, 1], [1.0], [(1, 0)])
     with pytest.raises(ValueError):
         first_agent_best_report(isolated)
+    # -1 would read the last agent's row, and n is past the end
+    for agent_id in (-1, cascade.n):
+        with pytest.raises(ValueError, match=f"unknown agent id {agent_id}"):
+            first_agent_best_report(cascade, agent_id)
 
 
 def test_lottery_weight_is_sum_of_inverse_shifted_values():

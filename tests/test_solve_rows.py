@@ -4,13 +4,14 @@ Each grid market holds the joint reports of a few players over a small
 base market (``solver._Markets``), as the oracle's joint-report solve
 does: every player gets some random non-empty sub-rows of its true row,
 and the joint reports run through their product.  Every row of the pass
-must equal ``solve_mvbm`` or ``solve_ap`` on the market
-``core._with_rows`` builds from the same rows, and every branch of the
-pass must occur on the grid; under random agent orders, as the order
+must equal ``solve_mvbm`` or ``solve_ap`` on the market the checked
+``Instance`` constructor builds from the same rows, and every branch of
+the pass must occur on the grid; under random agent orders, as the order
 lottery solves them, every row must equal ``solve_mvbm`` under its
-order.  Every line the pass reads must equal the one of the joint
-market's own adjacency, and a large joint solve must hold no stacked
-adjacency.
+order.  Every market ``_Markets.market`` patches must equal the checked
+one in all six fields and share every row and column it leaves as it
+is; every line the pass reads must equal the one of the joint market's
+own adjacency, and a large joint solve must hold no stacked adjacency.
 """
 
 import itertools
@@ -22,11 +23,12 @@ import numpy as np
 import pytest
 
 from bmatch import oracle, solver
-from bmatch.core import Instance, _with_rows
+from bmatch.core import Instance
 from bmatch.mechanisms import AGENTS, MechanismKind
 from bmatch.solver import Traversal, _Markets, _solve_rows, solve_ap, solve_mvbm
 
 TRAVERSALS = (Traversal.BREADTH_FIRST, Traversal.DEPTH_FIRST, None)
+FIELDS = ("capacities", "values", "agent_adj", "task_adj", "task_order", "task_rank")
 
 # (markets, agents, tasks, density), fixed before the first run:
 # capacities 1-3 and values in {1, 2, 3}, so the task order has ties
@@ -67,6 +69,13 @@ def _stacks(inst, agents, players, options):
             rows[e] = chosen
         stacks.append(rows)
     return stacks
+
+
+def _rebuilt(inst, agents, rows):
+    """The market of ``rows``, one per entity of the players' side, built
+    by the checked constructor from its edges."""
+    edges = [(e, p) if agents else (p, e) for e, row in enumerate(rows) for p in row]
+    return Instance(inst.capacities, inst.values, edges)
 
 
 def _adjacency(inst, agents, rows):
@@ -158,7 +167,7 @@ def test_row_pass_equals_one_market_at_a_time(monkeypatch):
                 owners = _solve_rows(markets, traversal)
                 assert owners.shape == (len(stacks), inst.m)
                 for rows, got in zip(stacks, owners.tolist()):
-                    expected = _expected(_with_rows(inst, agents, rows), traversal)
+                    expected = _expected(_rebuilt(inst, agents, rows), traversal)
                     assert tuple(got) == expected, (inst, agents, rows, traversal)
                     compared += 1
     counts = branches.counts
@@ -226,7 +235,7 @@ def test_row_pass_on_degenerate_markets(traversal):
             stacks = _stacks(inst, agents, players, options)
             assert len(owners) == len(stacks)
             for rows, got in zip(stacks, owners.tolist()):
-                market = _with_rows(inst, agents, rows)
+                market = _rebuilt(inst, agents, rows)
                 assert tuple(got) == _expected(market, traversal)
 
 
@@ -242,8 +251,25 @@ def test_markets_read_each_rows_adjacency():
         stacks = _stacks(inst, agents, players, options)
         dense = np.array([_adjacency(inst, agents, rows) for rows in stacks])
         rows = np.arange(len(stacks))
-        assert [markets.market(k) == _with_rows(inst, agents, s)
-                for k, s in enumerate(stacks)] == [True] * len(stacks)
+        true_rows = inst.agent_adj if agents else inst.task_adj
+        true_cols = inst.task_adj if agents else inst.agent_adj
+        for k, s in enumerate(stacks):
+            market, rebuilt = markets.market(k), _rebuilt(inst, agents, s)
+            for field in FIELDS:
+                assert getattr(market, field) == getattr(rebuilt, field), field
+            # what no player changes is shared with the base, not copied
+            for field in ("capacities", "values", "task_order", "task_rank"):
+                assert getattr(market, field) is getattr(inst, field), field
+            got_rows = market.agent_adj if agents else market.task_adj
+            got_cols = market.task_adj if agents else market.agent_adj
+            hidden = set()
+            for e, row in enumerate(s):
+                if row == true_rows[e]:
+                    assert got_rows[e] is true_rows[e]
+                hidden.update(set(true_rows[e]) - set(row))
+            for p, col in enumerate(true_cols):
+                if p not in hidden:
+                    assert got_cols[p] is col
         for t in range(inst.m):
             assert (markets.task(rows, t) == dense[:, t]).all()
         for a in range(inst.n):
