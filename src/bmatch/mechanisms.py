@@ -432,8 +432,8 @@ def _lottery_samples(
     (len(reports) * trials, 1) array whose rows of probe ``i`` are
     ``randomized_utility_samples(profile.with_report(agent, reports[i]),
     trials, seeds[i])[:, agent]``, bit for bit.  A report must keep the
-    agent's capacity, and every report has at least one edge, so all
-    probes draw the same number of rounds.
+    agent's true capacity, and every report has at least one edge, so
+    all probes draw the same number of rounds.
 
     The doubles of every trial of every probe come from one
     ``substream_doubles`` call, their orders from one ``_draw_orders``
@@ -443,7 +443,9 @@ def _lottery_samples(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    effective = build_effective_instance(profile)
+    # a probe's option row cuts the agent's true row; the other rows are the profile's
+    effective = build_effective_instance(
+        profile if agent is None else profile.with_report(agent, None))
     weights = np.array([lottery_weights(effective)])
     if agent is None:
         markets = _Markets(effective)

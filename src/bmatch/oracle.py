@@ -224,6 +224,8 @@ def _find_coalition(
     """The first coalition of ``side`` entities up to ``max_size``, by
     size and then lexicographically, with a joint edge-hiding report
     under which no member loses and one strictly gains."""
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     _require_deterministic(kind)
     adjacency = inst.agent_adj if side == AGENTS else inst.task_adj
     eligible = [e for e, adj in enumerate(adjacency) if adj]

@@ -36,15 +36,14 @@ The exact solve is the greedy algorithm on a transversal matroid
 of rank ``k`` touches only that task, the tasks matched before it (all
 of rank below ``k``) and their adjacent agents.  Two markets with the
 same capacities and the same task, with the same adjacent agents, at
-every rank below ``r`` therefore take the same first ``r`` steps: the
-same paths are flipped, and the same searches fail and retire the same
-agents.  ``_solve_journaled`` records each step of one solve, and
-``_resume`` replays the first ``r`` steps into the other market and
-continues there with the same loop.  The dead marks carry over: a dead
-agent is saturated and its matched tasks have rank below ``r``, so they
-have the same adjacent agents in both markets, and the reached set is
-closed in the second market too, by the argument above.  The length-1
-approximation shares its prefix the same way.
+every rank below ``r`` therefore take the same first ``r`` steps, in the
+length-1 approximation too: the same paths are flipped, and the same
+searches fail and retire the same agents.  ``_solve_journaled`` records
+the assignments of each step, and ``_resume`` loads those of the first
+``r`` steps as one owner array with no dead marks, as the vector pass
+loads a row that leaves it, and goes on in the other market.  A dead
+agent's tasks have rank below ``r``, so there too they lead only to
+saturated agents, and dropping the marks changes nothing (see the pass).
 
 A new report of one entity gives ``r`` (``_first_change``): for an
 agent, rank 0 for a new capacity, else the lowest rank of a task its
@@ -454,9 +453,9 @@ class _State:
         value and return the owner tuple; ``None`` keeps only length-1
         paths.
 
-        With a ``journal`` list, append one ``(path, retired)`` entry per
-        task: the flipped path as ``path_pairs`` gives it, and the agents
-        a failed search retired (both empty when they do not apply).
+        With a ``journal`` list, append one ``(assigned, retired)`` entry
+        per task: the path's even edges, which the flip assigns, and the
+        agents a failed search retired (both empty where they do not apply).
 
         With ``until_retired``, stop as soon as a failed search retires
         that agent.  The owner tuple is then partial; only that agent's
@@ -482,22 +481,18 @@ class _State:
                     break
                 continue
             if journal is not None:
-                journal.append((self.path_pairs(terminal), ()))
+                journal.append((self.path_pairs(terminal)[::2], ()))
             self.flip(terminal)
         return tuple(self.owner)
 
     def replay(self, journal: list, stop: int) -> None:
-        """Restore the state of the journaled solve before the task of
-        rank ``stop``: owner, loads, ``agent_tasks`` and the dead marks."""
-        from_task, visit_a = self.from_task, self.visit_a
-        for path, retired in islice(journal, stop):
-            if path:
-                # even positions are the (agent, from_task) steps
-                for a, t in path[::2]:
-                    from_task[a] = t
-                self.flip(path[-1][0])
-            for a in retired:
-                visit_a[a] = _DEAD
+        """Load the owner array of the journaled solve before the task of
+        rank ``stop``, with no dead marks (see the module docstring)."""
+        owner = [-1] * len(self.owner)
+        for assigned, _ in islice(journal, stop):
+            for a, t in assigned:
+                owner[t] = a
+        self.seed_matching(owner)
 
 
 def find_augmenting_path(
@@ -1001,9 +996,9 @@ def _resume(
     entity: int,
 ) -> tuple[int, ...]:
     """An owner tuple of ``inst`` whose entries for the watched agent
-    (``agents``) or task ``entity`` are those of a full solve, started
-    at ``rank`` from the journal of a solve of another market; a watched
-    task's run starts at its rank in ``inst`` if that is lower.
+    (``agents``) or task ``entity`` are those of a full solve, resumed at
+    ``rank`` (or the task's lower rank in ``inst``) from another market's
+    journal, with no dead marks, as a row that leaves the vector pass.
 
     That market must have the capacities of ``inst`` and the same task,
     with the same adjacent agents, at every rank below the start.  The

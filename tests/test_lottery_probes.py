@@ -139,3 +139,38 @@ def test_probes_keep_the_checks_of_a_reported_profile():
         _lottery_samples(truthful, 0, [1], a, [best])
     with pytest.raises(ValueError, match="capacity"):
         _lottery_samples(truthful, 5, [1], a, [AgentReport(best.edges, capacity=1)])
+
+
+def _assert_probes_on_a_misreported_profile(profile, a, reports, trials, seeds):
+    got = _lottery_samples(profile, trials, seeds, a, reports)
+    got = got.reshape(len(reports), trials)
+    for samples, report, seed in zip(got, reports, seeds):
+        expected = randomized_utility_samples(profile.with_report(a, report), trials, seed)
+        assert samples.tobytes() == expected[:, a].tobytes(), (a, report)
+    return got
+
+
+def test_a_probe_lists_a_task_the_profile_report_hides():
+    # agent 0 reports task 1 only; the probe lists task 0 again, and in
+    # the orders that put agent 0 first it takes task 0, worth 2.0
+    inst = Instance([1, 1], [2.0, 1.0], [(0, 0), (0, 1), (1, 0), (1, 1)])
+    profile = truthful_profile(inst).with_report(0, AgentReport(edges=(1,)))
+    got = _assert_probes_on_a_misreported_profile(
+        profile, 0, [AgentReport(edges=(0, 1))], 20, [7])
+    assert (got == 2.0).any()
+
+
+def test_probes_on_a_profile_where_every_agent_hides_its_first_task():
+    # c11's shape; each probe lists the first task of the agent's true
+    # row, which the agent's own profile report hides
+    inst = generate_instance(GenConfig(20, 25, 0.2, 3, 3, seed=11), 0)
+    deep = [a for a in range(inst.n) if len(inst.agent_adj[a]) > 1]
+    reports = [AgentReport(inst.agent_adj[a][1:]) if a in deep else None
+               for a in range(inst.n)]
+    profile = truthful_profile(inst)
+    for a, report in enumerate(reports):
+        profile = profile.with_report(a, report)
+    assert len(deep) > 10
+    for a in deep:
+        probes = [AgentReport(inst.agent_adj[a]), AgentReport(inst.agent_adj[a][:1])]
+        _assert_probes_on_a_misreported_profile(profile, a, probes, 20, [11 * a, 11 * a + 1])

@@ -193,6 +193,15 @@ def test_joint_report_cap_names_the_entities():
     assert find_agent_coalition(inst, MechanismKind.MBFS, max_size=2, joint_cap=9) is None
 
 
+@pytest.mark.parametrize("find", [find_agent_coalition, find_task_coalition])
+@pytest.mark.parametrize("max_size", [0, -1])
+def test_a_coalition_search_below_size_one_is_refused(find, max_size):
+    # a search over no coalition would return None, which reads as a
+    # certificate of group strategyproofness
+    with pytest.raises(ValueError, match=f"max_size must be at least 1, got {max_size}"):
+        find(task_collusion_instance(), MechanismKind.MBFS, max_size=max_size)
+
+
 def test_pure_nash_cap_is_checked_before_any_solve(monkeypatch):
     # 127 reports per agent, 127**3 joint reports: over the cap
     inst = Instance([1, 1, 1], [1.0] * 7, [(a, t) for a in range(3) for t in range(7)])

@@ -449,8 +449,7 @@ def test_agent_tasks_stay_in_process_order_when_seeded_and_greedy():
 
 
 def _state_snapshot(state):
-    dead = [a for a, stamp in enumerate(state.visit_a) if stamp == _DEAD]
-    return state.owner, state.load, state.agent_tasks, dead
+    return state.owner, state.load, state.agent_tasks
 
 
 _RESUME_SHAPES = [
@@ -478,14 +477,14 @@ def test_replay_restores_the_state_before_each_rank(n, m, p, low, high):
                 replayed = _State(inst, None)
                 replayed.replay(journal, rank)
                 assert _state_snapshot(replayed) == _state_snapshot(prefix), rank
+                assert _DEAD not in replayed.visit_a
 
 
 @pytest.mark.parametrize("n, m, p, low, high", _RESUME_SHAPES)
 def test_resume_ends_in_the_full_solve_state(n, m, p, low, high):
     # hide part of one agent's row from a random rank on; replaying the
     # truthful journal up to the first hidden rank and running on from
-    # there ends where a full solve does: owners, loads, agent_tasks and
-    # dead marks
+    # there ends where a full solve does: owners, loads and agent_tasks
     rng = np.random.default_rng(n * m)
     for i in range(2):
         inst = generate_instance(GenConfig(n, m, p, low, high, seed=104), i)
