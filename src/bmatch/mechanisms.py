@@ -16,13 +16,14 @@ market and solves it:
   one deviant agent in one call.  It draws the substreams and orders
   of all trials at once; trial ``k``'s order is still the one
   ``sample_agent_order`` draws from ``derive_rng(seed, k)``, the
-  definition of that trial's stream.  It then solves all the orders
-  at once in the solver's vector pass (``solver._solve_rows``), the
-  one that also solves the joint reports of the oracle: one pass over
-  the ranks for every trial while its searches end at depth 1 or 2 or
-  fail, and ``MBFS`` on the solver's state machine for each trial from
-  its first search that goes deeper on.  Each row is the owner tuple
-  ``solve_mvbm`` gives for its market and order.
+  definition of that trial's stream.  It then solves all the trials
+  at once, one market each, in the solver's vector pass
+  (``solver._solve_rows``), which also solves the oracle's joint
+  reports: one pass over the ranks for every trial while its searches
+  end at depth 1 or 2 or fail, and ``MBFS`` on the solver's state
+  machine for each trial from its first search that goes deeper on.
+  Each row is the owner tuple ``solve_mvbm`` gives for its market and
+  order.
 
 The first-come-first-served (FCFS) recursion gives each agent, in
 priority order, the best remaining tasks it is adjacent to, up to its
@@ -438,8 +439,9 @@ def _lottery_samples(
     The doubles of every trial of every probe come from one
     ``substream_doubles`` call, their orders from one ``_draw_orders``
     call, where only the agent's weight changes from probe to probe,
-    and all rows are solved in one ``solver._solve_rows`` pass over the
-    probes' markets, each under its trials' orders.
+    and all rows are solved in one ``solver._solve_rows`` pass, one
+    market per row: the option table repeats each probe's report, or
+    the truth, once per trial; the agent's weights are read through it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -448,7 +450,7 @@ def _lottery_samples(
         profile if agent is None else profile.with_report(agent, None))
     weights = np.array([lottery_weights(effective)])
     if agent is None:
-        markets = _Markets(effective)
+        markets = _Markets(effective, picks=np.zeros((trials, 0)))
     else:
         options = []
         for report in reports:
@@ -456,10 +458,11 @@ def _lottery_samples(
             if capacity != effective.capacities[agent]:
                 raise ValueError(f"a probe of agent {agent} changes its capacity")
             options.append(edges)
-        markets = _Markets(effective, True, [agent], [options])
+        markets = _Markets(effective, True, [agent], [options],
+                           np.arange(len(options)).repeat(trials)[:, None])
         own = [_lottery_weight(effective.values, edges) for edges in options]
-        weights = weights.repeat(len(options) * trials, axis=0)
-        weights[:, agent] = np.repeat(own, trials)
+        weights = weights.repeat(markets.count, axis=0)
+        weights[:, agent] = np.take(own, markets.picks[:, 0])
     rounds = int((weights[0] > 0.0).sum())
     orders = _draw_orders(weights, substream_doubles(seeds, trials, rounds))
     owner = _solve_rows(markets, Traversal.BREADTH_FIRST, orders)

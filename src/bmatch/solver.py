@@ -79,14 +79,14 @@ needs no solve.
 
 One vector pass (``_solve_rows``) solves many markets at once: the
 joint reports of an equilibrium enumeration or a coalition search, and
-the reports of one agent in the order lottery, each market under many
-agent orders.  The markets share capacities, values and task order and
-differ only in some players' rows.  ``_Markets`` reads them through one
-adjacency with the players' true lines cleared, and per player one bool
-mask per option, read in place of the line for each market.  A row of
-the pass is one market under one order, or in id order without orders,
-and the pass holds one owner, ``key`` and ``room`` line per row still
-in it, never a (markets, m, n) array.  A solve is given by its owner
+the reports of one agent in the order lottery, each once per trial.
+The markets share capacities, values and task order and differ only in
+some players' rows.  ``_Markets`` reads them through one adjacency with
+the players' true lines cleared, per player one bool mask per option,
+and a table of each market's option of each player, read in place of
+the line for each market.  A row of the pass is one market, under its
+own agent order or in id order, and the pass holds one owner, ``key``
+and ``room`` line per row still in it, never a (markets, m, n) array.  A solve is given by its owner
 array alone while no agent is dead: a new epoch has visited no agent,
 old parent pointers are never read, the loads are the counts of the
 owner array, and each agent's matched tasks in rank order are the
@@ -541,20 +541,20 @@ class _Markets:
     and differ only in some players' rows: the agents' tasks when
     ``agents``, else the tasks' agents.  Player ``p`` is the entity
     ``entities[p]`` with the option rows ``options[p]``, and market ``k``
-    takes the ``k``-th joint choice in product order.  With no players
-    there is one market, ``inst``.
+    takes the option ``picks[k, p]`` of each player ``p``.  ``picks``
+    defaults to every joint choice in product order, the last player's
+    moving fastest; with no players that is one market, ``inst``.
 
     A vector pass reads the markets' adjacencies through the methods
     below, one line or one product per row of the pass, given the market
-    of each row (rows under different orders may share a market), so no
-    (markets, m, n) array is built: a player's true line is cleared from
-    the shared adjacency, and each market's option row is read in its
-    place.
+    of each row, so no (markets, m, n) array is built: a player's true
+    line is cleared from the shared adjacency, and each market's option
+    row is read in its place.
     """
 
     __slots__ = (
-        "inst", "agents", "entities", "options", "masks", "sizes", "strides",
-        "count", "small", "rank", "adjacent", "_rows", "_picked",
+        "inst", "agents", "entities", "options", "masks", "picks", "count",
+        "small", "rank", "adjacent",
     )
 
     def __init__(
@@ -563,13 +563,17 @@ class _Markets:
         agents: bool = True,
         entities: Sequence[int] = (),
         options: Sequence[Sequence[tuple[int, ...]]] = (),
+        picks: np.ndarray | None = None,
     ):
         self.inst, self.agents = inst, agents
         self.entities, self.options = list(entities), list(options)
-        self.sizes = [len(rows) for rows in self.options]
-        # the last player's choice moves fastest
-        self.strides = [math.prod(self.sizes[p + 1:]) for p in range(len(self.sizes))]
-        self.count = math.prod(self.sizes)
+        sizes = [len(rows) for rows in self.options]
+        # the smallest unsigned type that holds every option index
+        index = np.min_scalar_type(max([0] + [size - 1 for size in sizes]))
+        if picks is None:
+            picks = np.indices(sizes, dtype=index).reshape(len(sizes), math.prod(sizes)).T
+        self.picks = np.ascontiguousarray(picks, dtype=index)
+        self.count = len(self.picks)
         # an integer type that holds -1 and every agent id up to n
         self.small = np.min_scalar_type(-inst.n - 1)
         self.rank = np.array(inst.task_rank, dtype=np.min_scalar_type(inst.m))
@@ -585,17 +589,11 @@ class _Markets:
             else:
                 adjacent[e] = False
         self.adjacent = adjacent
-        self._rows = self._picked = None
 
-    def _picks(self, rows: np.ndarray) -> list[np.ndarray]:
-        """Each player's option index in each of ``rows``; a pass asks
-        for the same rows at every rank, so the last answer is kept."""
-        if rows is not self._rows:
-            self._rows = rows
-            self._picked = [
-                rows // stride % size for stride, size in zip(self.strides, self.sizes)
-            ]
-        return self._picked
+    def _picks(self, rows: np.ndarray) -> np.ndarray:
+        """(players, rows): each player's option index in each of ``rows``."""
+        # ``take`` gathers whole rows faster than fancy indexing does
+        return np.take(self.picks, rows, axis=0).T
 
     def shown(self, rows: np.ndarray, t: int) -> np.ndarray | None:
         """(rows, deg) bool: which of the ``deg`` true agents of task ``t``
@@ -671,12 +669,8 @@ class _Markets:
         option row as its report, through the patch of reported markets
         (``core._with_reports``)."""
         inst, agents = self.inst, self.agents
-        reported = {
-            e: options[row // stride % size]
-            for e, options, stride, size in zip(
-                self.entities, self.options, self.strides, self.sizes
-            )
-        }
+        picks = self.picks[row].tolist()
+        reported = {e: rows[i] for e, rows, i in zip(self.entities, self.options, picks)}
         bounds = inst.capacities if agents else inst.values
         return _with_reports(inst, agents, bounds, reported)
 
@@ -684,11 +678,10 @@ class _Markets:
 def _solve_rows(
     markets: _Markets, traversal: Traversal | None, orders: np.ndarray | None = None
 ) -> np.ndarray:
-    """``solve_mvbm(markets.market(k // trials), traversal, orders[k])``
-    (``solve_ap`` for ``None``) as row ``k`` of a (rows, m) owner array,
-    for every row of ``orders``: each market takes ``trials`` rows in
-    turn.  Without ``orders``, row ``k`` solves market ``k`` in id
-    order.  ``orders`` needs breadth-first search.
+    """``solve_mvbm(markets.market(k), traversal, orders[k])``
+    (``solve_ap`` for ``None``) as row ``k`` of a (markets, m) owner
+    array, for every market; without ``orders``, in id order.
+    ``orders``, one row per market, needs breadth-first search.
 
     All rows walk the ranks together (see the module docstring).
     Breadth-first search and the length-1 solve take the unsaturated
@@ -706,20 +699,17 @@ def _solve_rows(
     """
     inst = markets.inst
     n, m, small = inst.n, inst.m, markets.small
-    rows = markets.count if orders is None else len(orders)
-    # the row of each state line, and its market
+    rows = markets.count
+    # the row, and so the market, of each state line
     live = np.arange(rows)
     # an agent's position, in a type that holds n * m, and in ``key`` the
     # same read as n once the agent is saturated
     wide = np.min_scalar_type(n * m)
     if orders is None:
         # the positions are the ids
-        ids, pos, base = live, None, None
         key = np.arange(n, dtype=small)[None].repeat(rows, axis=0)
     else:
-        trials = rows // markets.count
-        assert traversal is Traversal.BREADTH_FIRST and trials * markets.count == rows
-        ids = live // trials
+        assert traversal is Traversal.BREADTH_FIRST and len(orders) == rows
         pos = np.empty((rows, n), dtype=wide)
         pos[live[:, None], orders] = np.arange(n)
         key = pos.astype(small)
@@ -741,7 +731,7 @@ def _solve_rows(
         # the keys of ``t``'s true agents, with an agent that a row's
         # market does not list for ``t`` read as n
         near = key[:, agents]
-        shown = markets.shown(ids, t)
+        shown = markets.shown(live, t)
         if shown is not None:
             near[~shown] = n
         if dfs:
@@ -769,28 +759,26 @@ def _solve_rows(
         stuck = stuck.nonzero()[0]
         if dfs:
             first = np.array(agents)[first[stuck]]
-            left = _first_dive(markets, t, stuck, ids[stuck], first, owner, key, room)
+            left = _first_dive(markets, t, stuck, live[stuck], first, owner, key, room)
         else:
             if orders is None:
                 pos = np.broadcast_to(np.arange(n, dtype=wide), key.shape)
-            left = _flip_depth_two(markets, t, stuck, ids[stuck], pos, owner, key, room)
+            left = _flip_depth_two(markets, t, stuck, live[stuck], pos, owner, key, room)
         if not left.size:
             continue
-        left = left[_reaches_free(markets, t, ids[left], owner[left], room[left])]
+        left = left[_reaches_free(markets, t, live[left], owner[left], room[left])]
         if not left.size:
             continue
         for line in left.tolist():
             order = None if orders is None else orders[line].tolist()
-            state = _State(markets.market(int(ids[line])), order)
+            state = _State(markets.market(int(live[line])), order)
             state.seed_matching(owner[line].tolist())
             result[live[line]] = state.run(traversal, r)
         keep = np.ones(live.size, dtype=bool)
         keep[left] = False
         owner, key, room, live = owner[keep], key[keep], room[keep], live[keep]
-        if orders is None:
-            ids = live
-        else:
-            ids, pos, orders = ids[keep], pos[keep], orders[keep]
+        if orders is not None:
+            pos, orders = pos[keep], orders[keep]
             base = np.arange(live.size) * n
     if owner is not result:
         result[live] = owner

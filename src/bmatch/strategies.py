@@ -28,6 +28,7 @@ from .core import (
     Instance,
     SizeCapExceededError,
     WEIGHT_TOL,
+    _with_reports,
     agent_utility,
     task_utility,
 )
@@ -211,10 +212,11 @@ def unilateral_deviations(
     mechanism must be deterministic: ``ValueError`` otherwise.
 
     The profile's solve is journaled once, on the first request.  Each
-    report is checked as ``build_effective_instance`` checks it.  One
-    that changes nothing before the entity's outcome is final keeps the
-    baseline unbuilt and unsolved, so it never reads as a gain and still
-    competes in an argmax; any other resumes the journal (see the
+    report is checked once, as ``build_effective_instance`` checks it.
+    One that changes nothing before the entity's outcome is final keeps
+    the baseline unbuilt and unsolved, so it never reads as a gain and
+    still competes in an argmax; any other is patched into the profile's
+    market (``core._with_reports``) and resumes the journal (see the
     ``solver`` module docstring).
     """
     _require_deterministic(kind)
@@ -224,6 +226,9 @@ def unilateral_deviations(
     traversal = _TRAVERSALS.get(kind)  # None: MAP's length-1 solve
     effective = build_effective_instance(profile)
     mu, journal, final_at = _solve_journaled(effective, traversal, agents)
+    # the checked rows and bounds of the profile's market
+    rows = dict(enumerate(effective.agent_adj if agents else effective.task_adj))
+    bounds = effective.capacities if agents else effective.values
     if entities is None:
         entities = range(len(adjacency))
     for entity in entities:
@@ -236,7 +241,9 @@ def unilateral_deviations(
             if final_at[entity] <= rank:
                 deviant = baseline
             else:
-                reported = build_effective_instance(profile.with_report(entity, report))
+                reported = _with_reports(
+                    inst, agents, bounds[:entity] + (bound,) + bounds[entity + 1:],
+                    {**rows, entity: edges})
                 owner = _resume(reported, traversal, journal, rank, agents, entity)
                 deviant = utility(owner, entity)
             yield entity, report, baseline, deviant

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,13 @@ def test_a_killed_worker_is_replaced_by_a_fresh_pool(fresh_pool, tmp_path):
     broken = harness._pool[2]
     victim = next(iter(broken._processes))
     os.kill(victim, signal.SIGKILL)
+    # the pool manager marks the pool broken once it sees the worker's
+    # sentinel, which a survivor finishing every job could outrun: wait
+    # for the mark, so that the rerun meets a broken pool
+    deadline = time.monotonic() + 30
+    while not broken._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert broken._broken
     assert _csv(run_experiment(cfg, workers=2), tmp_path / "after.csv") == serial
     assert harness._pool[2] is not broken
 

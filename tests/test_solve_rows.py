@@ -185,8 +185,9 @@ def test_row_pass_equals_one_market_at_a_time(monkeypatch):
 
 def test_row_pass_solves_each_order_of_each_market(monkeypatch):
     # three random agent orders per joint market, with agent and task
-    # players: row k solves market k // 3 under orders[k], and identity
-    # orders give the pass without orders, row by row
+    # players: the table repeats each joint choice three times, row k
+    # solves its market under orders[k], and identity orders give the
+    # pass without orders, row by row
     rnd = random.Random(20261022)
     draw = np.random.default_rng(20261023)
     bfs, trials = Traversal.BREADTH_FIRST, 3
@@ -198,22 +199,87 @@ def test_row_pass_solves_each_order_of_each_market(monkeypatch):
             inst = _market(rnd, agents_range, tasks_range, density)
             agents = rnd.random() < 0.5
             players, options = _players(inst, agents, rnd)
-            markets = _Markets(inst, agents, players, options)
-            rows = markets.count * trials
+            product = _Markets(inst, agents, players, options)
+            picks = product.picks.repeat(trials, axis=0)
+            markets = _Markets(inst, agents, players, options, picks)
+            rows = markets.count
             orders = np.argsort(draw.random((rows, inst.n)), axis=1)
             owners = _solve_rows(markets, bfs, orders)
             assert owners.shape == (rows, inst.m)
             for k, got in enumerate(owners.tolist()):
-                market = markets.market(k // trials)
+                market = markets.market(k)
                 expected = solve_mvbm(market, bfs, orders[k].tolist())
                 assert tuple(got) == expected, (inst, agents, k, orders[k])
             identity = np.arange(inst.n)[None].repeat(rows, axis=0)
             assert (_solve_rows(markets, bfs, identity)
-                    == _solve_rows(markets, bfs).repeat(trials, axis=0)).all()
+                    == _solve_rows(product, bfs).repeat(trials, axis=0)).all()
             sides[agents] += 1
     assert sides[True] > 0 and sides[False] > 0
     for branch in ("depth 1", "depth 2", "failed", "left"):
         assert branches.counts[bfs, branch] > 0, branch
+
+
+def _coalition(options, members):
+    """The option table of the members' joint choices in product order,
+    every other player at its last option."""
+    ranges = [range(len(o)) if p in members else [len(o) - 1]
+              for p, o in enumerate(options)]
+    table = list(itertools.product(*ranges))
+    return np.array(table, dtype=np.intp).reshape(len(table), len(options))
+
+
+def test_row_pass_solves_any_table_of_markets():
+    # tables that are no product: the product's rows reversed, rows
+    # repeated, a slice of the product, and two coalitions' products one
+    # after the other, with each player's true row as its last option;
+    # row k solves market k, with and without agent orders
+    rnd = random.Random(20261024)
+    draw = np.random.default_rng(20261025)
+    bfs = Traversal.BREADTH_FIRST
+    for _ in range(60):
+        inst = _market(rnd, (1, 4), (1, 5), 0.6)
+        agents = rnd.random() < 0.5
+        players, options = _players(inst, agents, rnd)
+        true_rows = inst.agent_adj if agents else inst.task_adj
+        options = [o + [true_rows[e]] for e, o in zip(players, options)]
+        product = _Markets(inst, agents, players, options).picks
+        start, stop = sorted(rnd.sample(range(len(product) + 1), 2))
+        split = rnd.randint(0, len(players))
+        tables = (
+            product[::-1],
+            product[rnd.choices(range(len(product)), k=2 * len(product))],
+            product[start:stop],
+            np.concatenate([_coalition(options, range(split)),
+                            _coalition(options, range(split, len(players)))]),
+        )
+        for table in tables:
+            markets = _Markets(inst, agents, players, options, table)
+            assert markets.count == len(table)
+            assert markets.picks.dtype == np.uint8
+            for k, choice in enumerate(table.tolist()):
+                rows = list(true_rows)
+                for e, o, i in zip(players, options, choice):
+                    rows[e] = o[i]
+                market, rebuilt = markets.market(k), _rebuilt(inst, agents, rows)
+                for field in FIELDS:
+                    assert getattr(market, field) == getattr(rebuilt, field), field
+            for traversal in TRAVERSALS:
+                owners = _solve_rows(markets, traversal)
+                for k, got in enumerate(owners.tolist()):
+                    assert tuple(got) == _expected(markets.market(k), traversal)
+            orders = np.argsort(draw.random((len(table), inst.n)), axis=1)
+            for k, got in enumerate(_solve_rows(markets, bfs, orders).tolist()):
+                assert tuple(got) == solve_mvbm(markets.market(k), bfs, orders[k].tolist())
+
+
+def test_the_option_table_takes_the_smallest_unsigned_type():
+    inst = Instance([1], [1.0, 2.0], [(0, 0), (0, 1)])
+    for count, kind in ((1, np.uint8), (256, np.uint8), (257, np.uint16)):
+        markets = _Markets(inst, True, [0], [[(0,)] * count])
+        assert markets.picks.dtype == kind
+        assert markets.picks[:, 0].tolist() == list(range(count))
+    assert _Markets(inst).picks.shape == (1, 0)
+    assert _Markets(inst).picks.dtype == np.uint8
 
 
 @pytest.mark.parametrize("traversal", TRAVERSALS)

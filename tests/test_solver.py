@@ -574,10 +574,12 @@ def _random_orders(rng, trials, n):
 
 
 def _assert_solves_each_order(inst, orders):
-    owners = _solve_rows(_Markets(inst), Traversal.BREADTH_FIRST, orders)
+    # the one market of no players, once per order
+    markets = _Markets(inst, picks=_Markets(inst).picks.repeat(len(orders), axis=0))
+    owners = _solve_rows(markets, Traversal.BREADTH_FIRST, orders)
     assert owners.shape == (len(orders), inst.m)
     for k, order in enumerate(orders.tolist()):
-        expected = solve_mvbm(inst, Traversal.BREADTH_FIRST, order)
+        expected = solve_mvbm(markets.market(k), Traversal.BREADTH_FIRST, order)
         assert tuple(owners[k].tolist()) == expected, (k, order)
 
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmatch import solver
+from bmatch import mechanisms, solver, strategies
 from bmatch.core import Instance, SizeCapExceededError, agent_utility, task_utility
 from bmatch.gen import GenConfig, generate_instance
 from bmatch.fixtures import (
     complete_three_agent_instance,
     epsilon_gap_instance,
     geometric_cascade_instance,
+    two_class_instance,
 )
 from bmatch.mechanisms import (
     _TRAVERSALS,
@@ -579,6 +580,28 @@ def test_resumed_deviations_against_a_non_truthful_profile():
             _assert_resumed_deviations_are_full_resolves(
                 worst.with_report(a, None), candidates, (a,))
         _assert_resumed_deviations_are_full_resolves(worst, candidates)
+
+
+@pytest.mark.parametrize("make, checks", [
+    # 3 profile reports and 9 candidates; 5 profile reports and 27
+    (complete_three_agent_instance, 12),
+    (two_class_instance, 32),
+])
+def test_a_nash_check_checks_each_report_once(monkeypatch, make, checks):
+    # the profile's reports are checked once, for its market, and each
+    # candidate once, before it is patched into that market
+    checked = []
+    bounded = mechanisms._bounded_report
+
+    def counting_check(*args):
+        checked.append(args)
+        return bounded(*args)
+
+    for module in (mechanisms, strategies):
+        monkeypatch.setattr(module, "_bounded_report", counting_check)
+    worst, _ = worst_ne_profile(make())
+    assert verify_nash(worst, MechanismKind.MBFS) == (True, None)
+    assert len(checked) == checks
 
 
 def test_resumed_deviations_with_capacity_reports():
