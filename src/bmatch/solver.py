@@ -91,7 +91,8 @@ array alone while no agent is dead: a new epoch has visited no agent,
 old parent pointers are never read, the loads are the counts of the
 owner array, and each agent's matched tasks in rank order are the
 ``agent_tasks`` of the solve.  So all rows walk the ranks together, one
-task at a time, while each search ends at depth 1 or 2 or fails.
+task at a time: a depth-first row to the end, and a breadth-first row
+while each of its searches ends at depth 1 or 2 or fails.
 
 At depth 1, the loop of ``search_bfs`` returns the first unsaturated
 agent in the start task's priority list, which is the unsaturated
@@ -158,11 +159,27 @@ saturated agent whose held tasks lead only to saturated agents.  A dead
 ``a1`` is such an agent, so the row takes ``a2`` or goes on, as the
 pruned search, which skips ``a1``, would take ``a2`` or go on past it.
 So the pass checks the closure (``_reaches_free``) only for a row that
-no vector step moves.  A row whose closure holds an unsaturated agent,
-at the task of rank ``r``, needs a deeper search and leaves the pass:
-``seed_matching`` loads its owner array into a fresh ``_State`` with no
-dead marks, under the row's order, which is then the state of the
-unpruned solve before rank ``r``, and ``run`` goes on from rank ``r``.
+no vector step moves.
+
+A depth-first row whose closure holds an unsaturated agent finishes its
+search in the pass (``_dive``), from ``t`` in id order.  The owner array
+gives every step of the unpruned search: a task frame tries the market's
+agents of its task by id and an agent frame the tasks the agent holds in
+the owner row by rank, each skipping the nodes already visited, and the
+first visited agent with room is the terminal.  That is ``search_dfs``
+with no dead marks, which by the pruning argument returns the terminal
+and path of the pruned search.  Both traversals reach every agent of the
+closure before they give up, so the dive finds a terminal in every row
+it gets.  The stack of frames is then the path, and the flip gives each
+task on it to the agent after it and the last task to the terminal, so
+only the terminal's load grows: again a new owner array.
+
+A breadth-first row whose closure holds an unsaturated agent, at the
+task of rank ``r``, needs a search of depth 3 or more and leaves the
+pass: ``seed_matching`` loads its owner array into a fresh ``_State``
+with no dead marks, under the row's order, which is then the state of
+the unpruned solve before rank ``r``, and ``run`` goes on from rank
+``r``.
 """
 
 from __future__ import annotations
@@ -554,7 +571,7 @@ class _Markets:
 
     __slots__ = (
         "inst", "agents", "entities", "options", "masks", "picks", "count",
-        "small", "rank", "adjacent",
+        "small", "rank", "adjacent", "product", "degree",
     )
 
     def __init__(
@@ -589,6 +606,10 @@ class _Markets:
             else:
                 adjacent[e] = False
         self.adjacent = adjacent
+        # a product over float32 is exact for the test ``> 0``: a sum of
+        # ones is never 0
+        self.product = adjacent.astype(np.float32)
+        self.degree = adjacent.sum(axis=1, dtype=self.small)
 
     def _picks(self, rows: np.ndarray) -> np.ndarray:
         """(players, rows): each player's option index in each of ``rows``."""
@@ -642,9 +663,7 @@ class _Markets:
     def reach(self, rows: np.ndarray, tasks: np.ndarray) -> np.ndarray:
         """(rows, n) bool: the agents adjacent to one of ``tasks``, a
         (rows, m) bool row for each of ``rows``."""
-        # a product over float32 is exact for the test ``> 0``: a sum of
-        # ones is never 0
-        got = (tasks @ self.adjacent.astype(np.float32)) > 0
+        got = (tasks @ self.product) > 0
         for e, masks, pick in zip(self.entities, self.masks, self._picks(rows)):
             if self.agents:
                 got[:, e] = (tasks & masks[pick]).any(axis=1)
@@ -655,8 +674,7 @@ class _Markets:
     def degrees(self, rows: np.ndarray) -> np.ndarray:
         """(rows, m): the number of agents of each task in each of
         ``rows``."""
-        got = self.adjacent.sum(axis=1, dtype=self.small)
-        got = got[None].repeat(rows.size, axis=0)
+        got = self.degree[None].repeat(rows.size, axis=0)
         for e, masks, pick in zip(self.entities, self.masks, self._picks(rows)):
             if self.agents:
                 got += masks[pick]
@@ -690,8 +708,9 @@ def _solve_rows(
     breadth-first takes the depth-2 step (``_flip_depth_two``) and
     depth-first its first dive (``_first_dive``).  A search whose
     alternating closure holds no unsaturated agent fails and changes
-    nothing (``_reaches_free``).  Any other row leaves the pass and
-    finishes on ``_State`` from its owner row.
+    nothing (``_reaches_free``).  Any other depth-first row finishes its
+    search in the pass (``_dive``), and any other breadth-first row
+    leaves the pass and finishes on ``_State`` from its owner row.
 
     The state is one owner, ``key`` and ``room`` line per row still in
     the pass, in the smallest integer types that hold them; a row that
@@ -768,6 +787,9 @@ def _solve_rows(
             continue
         left = left[_reaches_free(markets, t, live[left], owner[left], room[left])]
         if not left.size:
+            continue
+        if dfs:
+            _dive(markets, t, left, live[left], owner, key, room)
             continue
         for line in left.tolist():
             order = None if orders is None else orders[line].tolist()
@@ -868,7 +890,8 @@ def _first_dive(
     unsaturated; when it meets none, the search backs up to ``start``,
     whose next agent is the one it meets.  Updates ``owner``, ``key`` and
     ``room`` of these lines and returns the lines where the agent met is
-    saturated or missing (see the module docstring).
+    saturated or missing (see the module docstring), which ``_dive``
+    finishes when their closure holds an unsaturated agent.
     """
     n, inst = key.shape[1], markets.inst
     lines = np.arange(rows.size)
@@ -891,6 +914,76 @@ def _first_dive(
     _take(rows[deep], via[deep], terminal[deep], owner, key, room)
     _take(rows[back], start, terminal[back], owner, key, room)
     return left
+
+
+def _dive(
+    markets: _Markets,
+    start: int,
+    rows: np.ndarray,
+    ids: np.ndarray,
+    owner: np.ndarray,
+    key: np.ndarray,
+    room: np.ndarray,
+) -> None:
+    """The whole of ``search_dfs`` from ``start`` in id order, and the
+    flip of the path it finds, for those lines ``rows`` of
+    ``_solve_rows``' pass that ``_first_dive`` leaves and whose closure
+    holds an unsaturated agent; line ``rows[i]`` solves the market
+    ``ids[i]``.  Updates ``owner``, ``key`` and ``room`` of these lines.
+
+    Each line keeps its own stack of frames, task and agent frames in
+    turn from ``start``'s.  A task frame goes on to the market's first
+    agent of its task, by id, that is not visited yet, and an agent frame
+    to the first task that the agent holds, by rank, that is not visited
+    yet; a frame with none left is popped.  The stack is then the path,
+    and every line finds one (see the module docstring).
+    """
+    inst = markets.inst
+    n, m = key.shape[1], inst.m
+    order = np.array(inst.task_order)
+    # each line's owners in rank order, which the search does not change
+    held = owner[rows][:, order]
+    seen_agents = np.zeros((rows.size, n), dtype=bool)
+    seen_ranks = np.zeros((rows.size, m), dtype=bool)
+    seen_ranks[:, inst.task_rank[start]] = True
+    # the frames' nodes: a task at even and an agent at odd depth; each
+    # agent frame holds a saturated agent, so there are at most 2n + 1
+    stack = np.zeros((rows.size, 2 * n + 1), dtype=np.intp)
+    stack[:, 0] = start
+    depth = np.ones(rows.size, dtype=np.intp)
+    terminal = np.full(rows.size, -1, dtype=np.intp)
+    # the lines still searching
+    on = np.arange(rows.size)
+    while on.size:
+        top = stack[on, depth[on] - 1]
+        tasks = depth[on] % 2 == 1
+        lines, node = on[tasks], top[tasks]
+        fresh = markets.task(ids[lines], node) & ~seen_agents[lines]
+        found = fresh.any(axis=1)
+        depth[lines[~found]] -= 1
+        lines, agent = lines[found], fresh[found].argmax(axis=1)
+        seen_agents[lines, agent] = True
+        free = room[rows[lines], agent] > 0
+        terminal[lines[free]] = agent[free]
+        lines, agent = lines[~free], agent[~free]
+        stack[lines, depth[lines]] = agent
+        depth[lines] += 1
+        lines, node = on[~tasks], top[~tasks]
+        fresh = (held[lines] == node[:, None]) & ~seen_ranks[lines]
+        found = fresh.any(axis=1)
+        depth[lines[~found]] -= 1
+        lines, rank = lines[found], fresh[found].argmax(axis=1)
+        seen_ranks[lines, rank] = True
+        stack[lines, depth[lines]] = order[rank]
+        depth[lines] += 1
+        assert depth.all(), "a line whose closure holds an unsaturated agent found none"
+        on = on[terminal[on] < 0]
+    # the flip: each task on the path to the agent after it, the last
+    # one to the terminal, whose load alone grows
+    frame = np.arange(stack.shape[1] - 1)
+    line, at = ((frame % 2 == 0) & (frame < depth[:, None] - 1)).nonzero()
+    owner[rows[line], stack[line, at]] = stack[line, at + 1]
+    _take(rows, stack[np.arange(rows.size), depth - 1], terminal, owner, key, room)
 
 
 def _reaches_free(

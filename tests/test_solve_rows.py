@@ -12,6 +12,10 @@ order.  Every market ``_Markets.market`` patches must equal the checked
 one in all six fields and share every row and column it leaves as it
 is; every line the pass reads must equal the one of the joint market's
 own adjacency, and a large joint solve must hold no stacked adjacency.
+On hand-built markets whose depth-first searches back up and go deep,
+every dive must equal one ``search_dfs`` and ``flip`` of ``_State``, and
+no depth-first pass over the audit workload's shapes may build a
+``_State``.
 """
 
 import itertools
@@ -22,9 +26,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bmatch import oracle, solver
+from bmatch import gen, oracle, solver
 from bmatch.core import Instance
-from bmatch.mechanisms import AGENTS, MechanismKind
+from bmatch.mechanisms import AGENTS, TASKS, MechanismKind
 from bmatch.solver import Traversal, _Markets, _solve_rows, solve_ap, solve_mvbm
 
 TRAVERSALS = (Traversal.BREADTH_FIRST, Traversal.DEPTH_FIRST, None)
@@ -104,6 +108,7 @@ class _Branches:
         self.stepping = False
         take, depth_two = solver._take, solver._flip_depth_two
         dive, reaches = solver._first_dive, solver._reaches_free
+        deeper = solver._dive
         branches = self
 
         def counting_take(rows, *args):
@@ -131,6 +136,12 @@ class _Branches:
             branches.count("backed up", int((~deep).sum()))
             return left
 
+        def counting_deeper(inst, start, rows, *arrays):
+            branches.stepping = True
+            deeper(inst, start, rows, *arrays)
+            branches.stepping = False
+            branches.count("dive", rows.size)
+
         def counting_reaches(*args):
             free = reaches(*args)
             branches.count("failed", int((~free).sum()))
@@ -144,6 +155,7 @@ class _Branches:
         patch.setattr(solver, "_take", counting_take)
         patch.setattr(solver, "_flip_depth_two", counting_depth_two)
         patch.setattr(solver, "_first_dive", counting_dive)
+        patch.setattr(solver, "_dive", counting_deeper)
         patch.setattr(solver, "_reaches_free", counting_reaches)
         patch.setattr(solver, "_State", SeededCount)
 
@@ -175,11 +187,16 @@ def test_row_pass_equals_one_market_at_a_time(monkeypatch):
     for traversal in TRAVERSALS:
         assert counts[traversal, "depth 1"] > 0, traversal
     for traversal in (bfs, dfs):
-        for branch in ("depth 2", "failed", "left"):
+        for branch in ("depth 2", "failed"):
             assert counts[traversal, branch] > 0, (traversal, branch)
     assert counts[dfs, "backed up"] > 0
+    # a depth-first row that the first dive leaves dives on in the pass;
+    # a breadth-first row that needs depth 3 leaves it
+    assert counts[dfs, "dive"] > 0 and counts[dfs, "left"] == 0
+    assert counts[bfs, "left"] > 0 and counts[bfs, "dive"] == 0
     # the length-1 solve never searches past depth 1
-    assert not any(counts[None, branch] for branch in ("depth 2", "failed", "left"))
+    assert not any(counts[None, branch]
+                   for branch in ("depth 2", "failed", "dive", "left"))
     assert compared > 1000
 
 
@@ -270,6 +287,105 @@ def test_row_pass_solves_any_table_of_markets():
             orders = np.argsort(draw.random((len(table), inst.n)), axis=1)
             for k, got in enumerate(_solve_rows(markets, bfs, orders).tolist()):
                 assert tuple(got) == solve_mvbm(markets.market(k), bfs, orders[k].tolist())
+
+
+# (market, agent players, task players), built by hand so that the
+# truthful market's last depth-first search backs up and dives through
+# two or more saturated agents
+DIVES = (
+    # agent 0 (capacity 2) holds tasks 0 and 1, agent 1 task 2 and agent
+    # 3 task 3; the search from task 4 meets agent 3 behind task 0, backs
+    # up, and reaches agent 2 through task 1 and agent 1
+    (Instance([2, 1, 1, 1], [9.0, 8.0, 7.0, 6.0, 5.0],
+              [(0, 0), (3, 0), (0, 1), (1, 1), (1, 2), (2, 2), (3, 3),
+               (0, 4), (1, 4), (2, 4)]),
+     (0, 1, 3), (0, 1, 4)),
+    # a ladder: agent i holds task i for i = 0..4, tasks 2 and 3 also
+    # list the dead end agent 0; the search from task 5 climbs from agent
+    # 1 to the free agent 5 through four saturated agents, backing up
+    # from agent 0 on the way
+    (Instance([1] * 6, [10.0, 9.0, 8.0, 7.0, 6.0, 5.0],
+              [(0, 0), (1, 1), (2, 1), (0, 2), (2, 2), (3, 2), (0, 3),
+               (3, 3), (4, 3), (4, 4), (5, 4), (1, 5), (5, 5)]),
+     (0, 2, 3), (2, 3, 5)),
+)
+
+
+def _subsets(row):
+    """Every non-empty subset of ``row``."""
+    return [c for size in range(1, len(row) + 1) for c in itertools.combinations(row, size)]
+
+
+def _checked_dives(patch):
+    """Wraps ``solver._dive``: each line it gets must end as ``search_dfs``
+    and ``flip`` leave a ``_State`` seeded with the line's owner row.
+    Returns a list that gets, per line, the saturated agents on the path
+    and whether the search backed up, which it did when it visited an
+    agent off the path."""
+    dive, seen = solver._dive, []
+
+    def checked(markets, start, rows, ids, owner, key, room):
+        before = owner[rows].tolist()
+        dive(markets, start, rows, ids, owner, key, room)
+        for k, held, after in zip(ids.tolist(), before, owner[rows].tolist()):
+            state = solver._State(markets.market(k), None)
+            state.seed_matching(held)
+            terminal = state.search_dfs(start)
+            path = state.path_pairs(terminal)
+            visited = state.visit_a.count(state.epoch)
+            state.flip(terminal)
+            assert after == state.owner, (k, start)
+            seen.append((len(path) // 2, visited > len(path) // 2 + 1))
+
+    patch.setattr(solver, "_dive", checked)
+    return seen
+
+
+@pytest.mark.parametrize("inst, agent_players, task_players", DIVES)
+@pytest.mark.parametrize("agents", (True, False))
+def test_the_dive_finishes_depth_first_rows_in_the_pass(
+    monkeypatch, inst, agent_players, task_players, agents
+):
+    # every non-empty sub-row of each player's true row, over all joint
+    # choices; each dive equals one search and flip on its owner row,
+    # and every row equals the depth-first solve of its market
+    dfs = Traversal.DEPTH_FIRST
+    seen = _checked_dives(monkeypatch)
+    players = agent_players if agents else task_players
+    true_rows = inst.agent_adj if agents else inst.task_adj
+    markets = _Markets(inst, agents, players, [_subsets(true_rows[e]) for e in players])
+    owners = _solve_rows(markets, dfs)
+    assert len(owners) >= 63
+    for k, got in enumerate(owners.tolist()):
+        assert tuple(got) == solve_mvbm(markets.market(k), dfs), k
+    assert any(saturated >= 2 and backed for saturated, backed in seen), seen
+
+
+def test_depth_first_passes_build_no_state(monkeypatch):
+    # every MDFS joint-report pass, of agents and of tasks, over four
+    # blocks of the audit workload's shapes (1-3 agents x 1-4 tasks,
+    # densities 0.3, 0.6 and 1.0, capacities 1-2) finishes in the pass
+    dives = Counter()
+    dive = solver._dive
+
+    def counted(markets, start, rows, *arrays):
+        dives["lines"] += rows.size
+        dive(markets, start, rows, *arrays)
+
+    class Unbuilt:
+        def __init__(self, *args):
+            raise AssertionError("a depth-first row left the pass")
+
+    monkeypatch.setattr(solver, "_dive", counted)
+    monkeypatch.setattr(solver, "_State", Unbuilt)
+    shapes = list(itertools.product((1, 2, 3), (1, 2, 3, 4), (0.3, 0.6, 1.0)))
+    for index in range(4 * len(shapes)):
+        n, m, p = shapes[index % len(shapes)]
+        inst = gen.generate_instance(gen.GenConfig(n, m, p, 1, 2, seed=27), index)
+        for side, rows in ((AGENTS, inst.agent_adj), (TASKS, inst.task_adj)):
+            players = [e for e, row in enumerate(rows) if row]
+            oracle._joint_outcomes(inst, MechanismKind.MDFS, side, players, 10**6)
+    assert dives["lines"] > 0
 
 
 def test_the_option_table_takes_the_smallest_unsigned_type():
