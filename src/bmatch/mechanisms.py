@@ -12,11 +12,12 @@ market and solves it:
   market as it is, reading each agent's priority from its position in
   that order; no permuted market is built.
   One sampler (``_lottery_samples``) serves the Monte Carlo probes:
-  ``randomized_utility_samples`` on one profile, or every report of
-  one deviant agent in one call.  It draws the substreams and orders
-  of all trials at once; trial ``k``'s order is still the one
-  ``sample_agent_order`` draws from ``derive_rng(seed, k)``, the
-  definition of that trial's stream.  It then solves all the trials
+  ``randomized_utility_samples`` on one profile, or a flat list of
+  probes, each one agent's report, of any agents in one call.  It
+  draws the substreams and orders of all trials of all probes at
+  once; trial ``k``'s order is still the one ``sample_agent_order``
+  draws from ``derive_rng(seed, k)``, the definition of that trial's
+  stream.  It then solves all the trials
   at once, one market each, in the solver's vector pass
   (``solver._solve_rows``), which also solves the oracle's joint
   reports: one pass over the ranks for every trial while its searches
@@ -421,59 +422,82 @@ def _lottery_samples(
     profile: Profile,
     trials: int,
     seeds: Sequence[int],
-    agent: int | None = None,
-    reports: Sequence[AgentReport] = (),
+    probes: Sequence[tuple[int, AgentReport]] = (),
 ) -> np.ndarray:
     """The sampler of ``randomized_utility_samples``.
 
-    With no ``agent``, returns ``randomized_utility_samples(profile,
-    trials, seeds[0])``.  Else ``agent`` files each of ``reports`` in
-    turn in place of its report in ``profile``, and the probe of
-    ``reports[i]`` runs on the seed ``seeds[i]``; returns a
-    (len(reports) * trials, 1) array whose rows of probe ``i`` are
-    ``randomized_utility_samples(profile.with_report(agent, reports[i]),
-    trials, seeds[i])[:, agent]``, bit for bit.  A report must keep the
-    agent's true capacity, and every report has at least one edge, so
-    all probes draw the same number of rounds.
+    With no ``probes``, returns ``randomized_utility_samples(profile,
+    trials, seeds[0])``.  Else each probe ``(a, report)`` files
+    ``report`` in place of agent ``a``'s report in ``profile`` and runs
+    on the seed ``seeds[i]``, probes of any agents in any order; returns
+    a (len(probes) * trials, 1) array whose rows of probe ``i`` are
+    ``randomized_utility_samples(profile.with_report(a, report), trials,
+    seeds[i])[:, a]``, bit for bit.  A probe, and the profile report of
+    a probing agent, must keep the agent's true capacity.  Every row
+    must draw as many rounds, so a probe or such a profile report may
+    list no task only if all of them list none.
 
     The doubles of every trial of every probe come from one
     ``substream_doubles`` call, their orders from one ``_draw_orders``
-    call, where only the agent's weight changes from probe to probe,
-    and all rows are solved in one ``solver._solve_rows`` pass, one
-    market per row: the option table repeats each probe's report, or
-    the truth, once per trial; the agent's weights are read through it.
+    call, and all rows are solved in one ``solver._solve_rows`` pass,
+    one market per row.  The pass's players are the probing agents:
+    option 0 of each is its row in the profile's market, and its probes
+    follow it.  A probe's rows, once per trial, take its option for its
+    agent and option 0 for every other player, and only its agent's
+    weight differs from the profile market's.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    # a probe's option row cuts the agent's true row; the other rows are the profile's
-    effective = build_effective_instance(
-        profile if agent is None else profile.with_report(agent, None))
-    weights = np.array([lottery_weights(effective)])
-    if agent is None:
-        markets = _Markets(effective, picks=np.zeros((trials, 0)))
-    else:
-        options = []
-        for report in reports:
-            edges, capacity = _bounded_report(profile.base, AGENTS, agent, report)
-            if capacity != effective.capacities[agent]:
-                raise ValueError(f"a probe of agent {agent} changes its capacity")
-            options.append(edges)
-        markets = _Markets(effective, True, [agent], [options],
-                           np.arange(len(options)).repeat(trials)[:, None])
-        own = [_lottery_weight(effective.values, edges) for edges in options]
-        weights = weights.repeat(markets.count, axis=0)
-        weights[:, agent] = np.take(own, markets.picks[:, 0])
-    rounds = int((weights[0] > 0.0).sum())
-    orders = _draw_orders(weights, substream_doubles(seeds, trials, rounds))
+    if len(seeds) != max(1, len(probes)):
+        raise ValueError("the sampler takes one seed per probe")
+    base = profile.base
+    # each probing agent in the order of its first probe
+    players = list(dict.fromkeys(a for a, _ in probes))
+    if players and profile.side != AGENTS:
+        raise ValueError("probes need an agent-side profile")
+    # the players' true rows stand in the shared market; an option row
+    # cuts one of them
+    reports = tuple(None if e in players else report
+                    for e, report in enumerate(profile.reports))
+    effective = build_effective_instance(Profile(profile.side, base, reports))
+
+    def edges(a, report, what):
+        edges, capacity = _bounded_report(base, AGENTS, a, report)
+        if capacity != base.capacities[a]:
+            raise ValueError(f"{what} of agent {a} changes its capacity")
+        return edges
+
+    column = {a: p for p, a in enumerate(players)}
+    options = [[edges(a, profile.reports[a], "the profile report")] for a in players]
+    # one line per probe, or one line with no probe: each player's option
+    # and each agent's weight
+    picks = np.zeros((max(1, len(probes)), len(players)), dtype=np.intp)
+    own = []
+    for i, (a, report) in enumerate(probes):
+        rows = options[column[a]]
+        picks[i, column[a]] = len(rows)
+        rows.append(edges(a, report, "a probe"))
+        own.append(_lottery_weight(effective.values, rows[-1]))
+    agents = np.array([a for a, _ in probes], dtype=np.intp)
+    weights = np.array([lottery_weights(effective)]).repeat(len(picks), axis=0)
+    weights[:, players] = [_lottery_weight(effective.values, rows[0]) for rows in options]
+    weights[np.arange(len(probes)), agents] = own
+    rounds = (weights > 0.0).sum(axis=1)
+    if (rounds != rounds[0]).any():
+        raise ValueError("the probes' rows draw different numbers of rounds")
+    # each line once per trial
+    markets = _Markets(effective, True, players, options, picks.repeat(trials, axis=0))
+    doubles = substream_doubles(seeds, trials, int(rounds[0]))
+    orders = _draw_orders(weights.repeat(trials, axis=0), doubles)
     owner = _solve_rows(markets, Traversal.BREADTH_FIRST, orders)
-    # each agent's sum runs left to right by task id
-    if agent is not None:
-        # adding 0.0 for another agent's task leaves the sum unchanged;
-        # one cumsum along the rows costs less than ``_utilities``' one
-        # scattered add per task over all probe rows
-        values = np.asarray(effective.values, dtype=np.float64)
-        return np.where(owner == agent, values, 0.0).cumsum(axis=1)[:, -1:]
-    return _utilities(effective, AGENTS, owner, range(effective.n))
+    if not probes:
+        return _utilities(effective, AGENTS, owner, range(effective.n))
+    # each agent's sum runs left to right by task id; adding 0.0 for
+    # another agent's task leaves it unchanged, and one cumsum along the
+    # rows costs less than ``_utilities``' one scattered add per task
+    values = np.asarray(effective.values, dtype=np.float64)
+    mine = owner == agents.repeat(trials)[:, None]
+    return np.where(mine, values, 0.0).cumsum(axis=1)[:, -1:]
 
 
 def run_randomized_bfs(profile: Profile, trials: int, seed: int) -> np.ndarray:

@@ -6,7 +6,7 @@ this way are reproducible bit-for-bit across runs and worker counts and
 never require generating earlier streams first.
 
 ``derive_rng(seed, k)`` defines the stream of trial ``k``.  The order
-lottery draws all probes of one agent at once, each probe from its own
+lottery draws a pass of probes at once, each probe from its own
 seed: ``substream_doubles`` reaches the same PCG64 states as
 ``derive_rng`` for every seed and trial key, by numpy's own
 ``SeedSequence`` and PCG64 seeding arithmetic, without building a
@@ -126,15 +126,28 @@ def substream_doubles(
     lo = inc_lo + s_lo
     hi = inc_hi + s_hi + (lo < s_lo)
     mult, total = _jump_table(range(2, count + 2))
-    a_hi, a_lo = _mul128(hi, lo, mult)
-    b_hi, b_lo = _mul128(inc_hi, inc_lo, total)
-    lo = a_lo + b_lo
-    hi = a_hi + b_hi + (lo < a_lo)
+    # five (rows, count) uint64 buffers hold every full-size product and
+    # sum: the limbs of both terms and one scratch array
+    shape = (len(hi), count)
+    a_hi, a_lo, b_hi, b_lo, tmp = (np.empty(shape, np.uint64) for _ in range(5))
+    _mul128(hi, lo, mult, a_hi, a_lo, tmp)
+    _mul128(inc_hi, inc_lo, total, b_hi, b_lo, tmp)
+    lo, hi = b_lo, a_hi
+    lo += a_lo
+    hi += b_hi
+    hi += lo < a_lo
     # XSL-RR output, then numpy's 53-bit double
-    rot = hi >> 58
-    word = hi ^ lo
-    word = word >> rot | word << (64 - rot & 63)
-    return (word >> 11).astype(np.float64) * 2.0**-53
+    rot = np.right_shift(hi, 58, out=tmp)
+    word = np.bitwise_xor(hi, lo, out=lo)
+    np.right_shift(word, rot, out=a_lo)
+    np.subtract(64, rot, out=rot)
+    rot &= 63
+    word <<= rot
+    word |= a_lo
+    word >>= 11
+    doubles = word.astype(np.float64)
+    doubles *= 2.0**-53
+    return doubles
 
 
 def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -161,21 +174,29 @@ def _jump_table(steps: range) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _mul128(
-    x_hi: np.ndarray, x_lo: np.ndarray, y: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``x * y mod 2^128`` on uint64 limbs, broadcast.  The high word of
+    x_hi: np.ndarray, x_lo: np.ndarray, y: tuple[np.ndarray, np.ndarray],
+    hi: np.ndarray, lo: np.ndarray, tmp: np.ndarray,
+) -> None:
+    """Writes ``x * y mod 2^128`` on uint64 limbs, broadcast, to ``hi``
+    and ``lo``; ``tmp`` is scratch of their shape.  The high word of
     ``x_lo * y_lo`` is summed from the products of 32-bit halves, and no
     partial sum exceeds 64 bits (Warren, Hacker's Delight, 8-2)."""
     y_hi, y_lo = y
     x0, x1 = x_lo & _MASK32, x_lo >> 32
     y0, y1 = y_lo & _MASK32, y_lo >> 32
-    mid = x1 * y0
-    mid += x0 * y0 >> 32
-    mid2 = x0 * y1
-    mid2 += mid & _MASK32
-    hi = x1 * y1
-    hi += mid >> 32
-    hi += mid2 >> 32
-    hi += x_hi * y_lo
-    hi += x_lo * y_hi
-    return hi, x_lo * y_lo
+    # lo holds mid = x1 y0 + (x0 y0 >> 32), hi holds mid2 = x0 y1 + (mid & M)
+    np.multiply(x1, y0, out=lo)
+    np.multiply(x0, y0, out=tmp)
+    tmp >>= 32
+    lo += tmp
+    np.multiply(x0, y1, out=hi)
+    np.bitwise_and(lo, _MASK32, out=tmp)
+    hi += tmp
+    # hi = x1 y1 + (mid >> 32) + (mid2 >> 32) + x_hi y_lo + x_lo y_hi
+    hi >>= 32
+    lo >>= 32
+    hi += lo
+    for u, v in ((x1, y1), (x_hi, y_lo), (x_lo, y_hi)):
+        np.multiply(u, v, out=tmp)
+        hi += tmp
+    np.multiply(x_lo, y_lo, out=lo)

@@ -79,7 +79,8 @@ needs no solve.
 
 One vector pass (``_solve_rows``) solves many markets at once: the
 joint reports of an equilibrium enumeration or a coalition search, and
-the reports of one agent in the order lottery, each once per trial.
+a pass of the order lottery's probes, of any agents, each once per
+trial.
 The markets share capacities, values and task order and differ only in
 some players' rows.  ``_Markets`` reads them through one adjacency with
 the players' true lines cleared, per player one bool mask per option,
@@ -626,11 +627,11 @@ class _Markets:
             if not self.agents:
                 # a task's option row is a subset of its true row
                 if e == t:
-                    return self.masks[p][:, agents][self._picks(rows)[p]]
+                    return self.masks[p][:, agents][self.picks[rows, p]]
             elif e in agents:
                 if got is None:
                     got = np.ones((rows.size, len(agents)), dtype=bool)
-                got[:, agents.index(e)] = self.masks[p][self._picks(rows)[p], t]
+                got[:, agents.index(e)] = self.masks[p][self.picks[rows, p], t]
         return got
 
     def task(self, rows: np.ndarray, t) -> np.ndarray:

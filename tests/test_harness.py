@@ -19,6 +19,8 @@ from bmatch.harness import (
     results_from_json_dict,
     run_experiment,
 )
+from bmatch.gen import generate_instance
+from bmatch.strategies import KOrder
 
 
 def tiny_config(kind: str, **overrides) -> ExperimentConfig:
@@ -385,3 +387,24 @@ def test_plot_rejects_wrong_kind_and_empty_tables(tmp_path):
     empty = ResultsTable("mpug-curve", 7, {}, ())
     with pytest.raises(ValueError):
         render_plot(empty, str(tmp_path / "y.svg"))
+
+
+def test_lottery_verdicts_do_not_depend_on_the_pass_size(monkeypatch):
+    # c11's shape at 50 trials, 45 probes a pass by default, so a
+    # non-manipulable instance's 50 or so probes span two passes; seed
+    # 52's instance 8 is manipulable under the lottery
+    cfg = ExperimentConfig(
+        kind="randomized-vs-deterministic", n_values=(20,), m_values=(25,),
+        p_values=(0.2,), capacity_ranges=((3, 3),), iterations=9,
+        orders=(2, 3, 4), mc_trials=50, seed=52)
+    gen = harness._cell_gen_config(cfg, 0, cfg.cells()[0])
+    specs = [KOrder(k) for k in cfg.orders]
+    markets = [generate_instance(gen, i) for i in range(cfg.iterations)]
+    verdicts = []
+    # one probe a pass, the default, and every probe in one pass
+    for rows in (1, harness._PASS_ROWS, 10**9):
+        monkeypatch.setattr(harness, "_PASS_ROWS", rows)
+        verdicts.append([harness._lottery_manipulable(cfg, 0, i, inst, specs)
+                         for i, inst in enumerate(markets)])
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert verdicts[0] == [False] * 8 + [True]

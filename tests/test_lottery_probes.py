@@ -1,9 +1,10 @@
-"""The per-agent lottery sampler against one probe at a time.
+"""The lottery sampler's probes against one probe at a time.
 
-``mechanisms._lottery_samples`` draws and solves all the reports of one
-agent in one call.  Each probe's rows must be the agent's column of
-``randomized_utility_samples`` on the reported profile, bit for bit, and
-so must the mean and the standard error the harness reads from them.
+``mechanisms._lottery_samples`` draws and solves any probes, of one
+agent or of many, in one call.  Each probe's rows must be its agent's
+column of ``randomized_utility_samples`` on the reported profile, bit
+for bit, and so must the mean and the standard error the harness reads
+from them.
 The grids are c11's shape, small tight markets, and both with every task
 value tied.
 """
@@ -16,7 +17,9 @@ from bmatch.core import Instance
 from bmatch.gen import GenConfig, generate_instance
 from bmatch.harness import _stderr
 from bmatch.mechanisms import (
+    AGENTS,
     AgentReport,
+    Profile,
     _lottery_samples,
     randomized_utility_samples,
     truthful_profile,
@@ -79,7 +82,8 @@ def _probe(monkeypatch, inst, a, reports, trials, seeds):
     monkeypatch.setattr(solver, "_flip_depth_two", _counted_depth_two)
     _Counts.deviant = (a, inst)
     try:
-        got = _lottery_samples(truthful_profile(inst), trials, seeds, a, reports)
+        got = _lottery_samples(truthful_profile(inst), trials, seeds,
+                               [(a, report) for report in reports])
     finally:
         _Counts.deviant = None
     assert got.shape == (len(reports) * trials, 1)
@@ -134,15 +138,15 @@ def test_probes_keep_the_checks_of_a_reported_profile():
     best = AgentReport(inst.agent_adj[a][:1])
     outside = next(t for t in range(inst.m) if t not in inst.agent_adj[a])
     with pytest.raises(ValueError, match="non-existing edges"):
-        _lottery_samples(truthful, 5, [1], a, [AgentReport(edges=(outside,))])
+        _lottery_samples(truthful, 5, [1], [(a, AgentReport(edges=(outside,)))])
     with pytest.raises(ValueError, match="at least 1"):
-        _lottery_samples(truthful, 0, [1], a, [best])
+        _lottery_samples(truthful, 0, [1], [(a, best)])
     with pytest.raises(ValueError, match="capacity"):
-        _lottery_samples(truthful, 5, [1], a, [AgentReport(best.edges, capacity=1)])
+        _lottery_samples(truthful, 5, [1], [(a, AgentReport(best.edges, capacity=1))])
 
 
 def _assert_probes_on_a_misreported_profile(profile, a, reports, trials, seeds):
-    got = _lottery_samples(profile, trials, seeds, a, reports)
+    got = _lottery_samples(profile, trials, seeds, [(a, report) for report in reports])
     got = got.reshape(len(reports), trials)
     for samples, report, seed in zip(got, reports, seeds):
         expected = randomized_utility_samples(profile.with_report(a, report), trials, seed)
@@ -174,3 +178,70 @@ def test_probes_on_a_profile_where_every_agent_hides_its_first_task():
     for a in deep:
         probes = [AgentReport(inst.agent_adj[a]), AgentReport(inst.agent_adj[a][:1])]
         _assert_probes_on_a_misreported_profile(profile, a, probes, 20, [11 * a, 11 * a + 1])
+
+
+def _hiding_profile(inst):
+    """Every agent with two or more tasks hides its first one."""
+    return Profile(AGENTS, inst, tuple(
+        AgentReport(adj[1:]) if len(adj) > 1 else None for adj in inst.agent_adj))
+
+
+@pytest.mark.parametrize("hide", [False, True])
+def test_probes_of_every_agent_equal_their_own_sampler_calls(hide):
+    # all probes of all agents, in passes of 1 probe, 4 probes and one
+    # pass over all of them
+    trials = 25
+    probes = checked = 0
+    for index, inst in enumerate(_grid()):
+        profile = _hiding_profile(inst) if hide else truthful_profile(inst)
+        flat = [(a, report) for a in range(inst.n) if inst.agent_adj[a]
+                for report in _family_reports(inst, a, SPECS)]
+        seeds = [1_000 * index + i for i in range(len(flat))]
+        expected = [
+            randomized_utility_samples(profile.with_report(a, report), trials, seed)[:, a]
+            for (a, report), seed in zip(flat, seeds)]
+        for cut in (1, 4, len(flat)):
+            for first in range(0, len(flat), cut):
+                batch = flat[first:first + cut]
+                got = _lottery_samples(profile, trials, seeds[first:first + cut], batch)
+                assert got.shape == (len(batch) * trials, 1)
+                for i, samples in enumerate(got.reshape(len(batch), trials)):
+                    want = expected[first + i]
+                    assert samples.tobytes() == want.tobytes(), (index, cut, batch[i])
+                    assert samples.mean().tobytes() == want.mean().tobytes()
+                    assert _stderr(samples) == _stderr(want)
+                    checked += 1
+        probes += len(flat)
+    assert probes > 400 and checked == 3 * probes
+
+
+def test_probes_and_probing_agents_keep_their_capacity():
+    inst = generate_instance(GenConfig(6, 10, 0.5, 1, 2, seed=302), 0)
+    a, b = [a for a in range(inst.n) if inst.agent_adj[a] and inst.capacities[a] > 1][:2]
+    probe = (a, AgentReport(inst.agent_adj[a]))
+    cut = AgentReport(inst.agent_adj[b], capacity=1)
+    with pytest.raises(ValueError, match="a probe of agent"):
+        _lottery_samples(truthful_profile(inst), 5, [1, 2],
+                         [probe, (b, AgentReport(inst.agent_adj[b], capacity=1))])
+    # a probing agent's profile report, whether it probes first or not
+    profile = truthful_profile(inst).with_report(b, cut)
+    for probes in ([probe, (b, AgentReport(inst.agent_adj[b]))],
+                   [(b, AgentReport(inst.agent_adj[b])), probe]):
+        with pytest.raises(ValueError, match="profile report of agent"):
+            _lottery_samples(profile, 5, [1, 2], probes)
+    # an agent that does not probe may report any capacity
+    got = _lottery_samples(profile, 5, [1], [probe])
+    expected = randomized_utility_samples(profile.with_report(*probe), 5, 1)[:, a]
+    assert got[:, 0].tobytes() == expected.tobytes()
+
+
+def test_every_row_of_a_pass_draws_as_many_rounds():
+    # agent 0 withdraws in the profile, so a probe of agent 1 draws one
+    # round fewer than a probe of agent 0
+    inst = Instance([1, 1], [2.0, 1.0], [(0, 0), (0, 1), (1, 0), (1, 1)])
+    profile = truthful_profile(inst).with_report(0, AgentReport(edges=()))
+    probes = [(0, AgentReport(edges=(0,))), (1, AgentReport(edges=(1,)))]
+    with pytest.raises(ValueError, match="rounds"):
+        _lottery_samples(profile, 5, [1, 2], probes)
+    for probe in probes:
+        _assert_probes_on_a_misreported_profile(profile, probe[0], [probe[1]], 5, [3])
