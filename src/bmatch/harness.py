@@ -221,7 +221,8 @@ class ResultsTable:
                     "b_high": r.b_high,
                     "iterations": r.iterations,
                     "metric": r.metric,
-                    "value": r.value,
+                    # standard JSON has no infinity; float() reads "inf" back
+                    "value": r.value if math.isfinite(r.value) else repr(r.value),
                     "stderr": r.stderr,
                 }
                 for r in self.rows
@@ -248,7 +249,9 @@ def results_from_json_dict(data: dict) -> ResultsTable:
 
 
 def _stderr(samples: np.ndarray) -> float | None:
-    if samples.size < 2:
+    """None for fewer than two samples, or for a non-finite one (an
+    infinite gain ratio), which has no spread."""
+    if samples.size < 2 or not np.isfinite(samples).all():
         return None
     return float(samples.std(ddof=1) / math.sqrt(samples.size))
 
@@ -338,13 +341,21 @@ def _pma_pmi_rows(cfg, cell, samples) -> list[ResultRow]:
     ]
 
 
-def _randomized_sample(cfg, cell_index, instance_index, inst) -> tuple[float, float]:
+def _randomized_sample(
+    cfg, cell_index, instance_index, inst, share=0, shares=1
+) -> tuple[float, float]:
+    """The instance's deterministic and lottery verdicts, 1.0 or 0.0, as
+    share ``share`` of ``shares`` sees them: the lottery verdict of the
+    share's probes, and the deterministic verdict in share 0 alone (0.0
+    in the others), so that the shares' samples OR into the instance's."""
     specs = [KOrder(k) for k in cfg.orders]
-    manipulable = any(
+    manipulable = share == 0 and any(
         after - before > WEIGHT_TOL
         for _, _, before, after in _family_deviations(inst, MechanismKind.MBFS, specs)
     )
-    lottery = _lottery_manipulable(cfg, cell_index, instance_index, inst, specs)
+    lottery = _lottery_manipulable(
+        cfg, cell_index, instance_index, inst, specs, share, shares
+    )
     return (1.0 if manipulable else 0.0, 1.0 if lottery else 0.0)
 
 
@@ -369,16 +380,23 @@ def _randomized_rows(cfg, cell, samples) -> list[ResultRow]:
 _PASS_ROWS = 2250
 
 
-def _lottery_manipulable(cfg, cell_index, instance_index, inst, specs) -> bool:
+def _lottery_manipulable(
+    cfg, cell_index, instance_index, inst, specs, share=0, shares=1
+) -> bool:
     """An instance counts as manipulable for the order-lottery mechanism
     when some agent's Monte Carlo mean deviant payoff exceeds its mean
     truthful payoff by more than two standard errors of the difference.
 
     The truth runs on probe seed 0 and the agents' distinct reports on
-    seeds 1, 2, ... in agent and report order.  The probes are solved in
-    that order, ``max(1, _PASS_ROWS // trials)`` probes of any agents in
-    one sampler call (``mechanisms._lottery_samples``), and tested in
-    that order too, so the first manipulable one decides.
+    seeds 1, 2, ... in agent and report order.  Share ``share`` of
+    ``shares`` takes the contiguous run of probes from ``len(probes) *
+    share // shares`` on, so the shares split the list into runs of equal
+    count, with the global probe numbering and seeds.  A share's probes
+    are solved in order, ``max(1, _PASS_ROWS // trials)`` probes of any
+    agents in one sampler call (``mechanisms._lottery_samples``), and
+    tested in that order too, so its first manipulable one decides.  The
+    instance is manipulable when any of its shares is; each share solves
+    the truth itself.
     """
     truthful = truthful_profile(inst)
     trials = cfg.mc_trials
@@ -386,15 +404,19 @@ def _lottery_manipulable(cfg, cell_index, instance_index, inst, specs) -> bool:
     def seed(probe: int) -> int:
         return derive_seed(cfg.seed, cell_index, 1, instance_index, probe)
 
-    truth = randomized_utility_samples(truthful, trials, seed(0))
     probes = [(a, report) for a in range(inst.n) if inst.agent_adj[a]
               for report in _family_reports(inst, a, specs)]
+    start = len(probes) * share // shares
+    stop = len(probes) * (share + 1) // shares
+    if start == stop:
+        return False
+    truth = randomized_utility_samples(truthful, trials, seed(0))
     # each probing agent's truthful mean and standard error
     truths = {a: (float(truth[:, a].mean()), _stderr(truth[:, a]) or 0.0)
-              for a in {a for a, _ in probes}}
+              for a in {a for a, _ in probes[start:stop]}}
     step = max(1, _PASS_ROWS // trials)
-    for first in range(0, len(probes), step):
-        batch = probes[first:first + step]
+    for first in range(start, stop, step):
+        batch = probes[first:min(first + step, stop)]
         seeds = [seed(first + 1 + i) for i in range(len(batch))]
         deviant = _lottery_samples(truthful, trials, seeds, batch)
         for (a, _), samples in zip(batch, deviant.reshape(len(batch), trials)):
@@ -418,10 +440,11 @@ _KINDS = {
 }
 
 def _run_instance(job: tuple):
-    """The sample of instance ``i`` of one cell."""
-    cfg, cell_index, cell, i = job
+    """The sample of instance ``i`` of one cell; a lottery job also names
+    its share of the instance's probes (``_randomized_sample``)."""
+    cfg, cell_index, cell, i, *share = job
     inst = generate_instance(_cell_gen_config(cfg, cell_index, cell), i)
-    return _KINDS[cfg.kind][0](cfg, cell_index, i, inst)
+    return _KINDS[cfg.kind][0](cfg, cell_index, i, inst, *share)
 
 
 def _worker_count(explicit: int | None) -> int:
@@ -488,10 +511,14 @@ def run_experiment(
     """Run every grid cell and merge the rows in cell order.
 
     A job is one instance, listed in cell and instance order and handed
-    out one at a time.  Each cell reduces its contiguous slice of the
-    samples once, so results are identical for any worker count.
-    ``workers`` (or the environment variable) asks for a process count,
-    which is capped at the number of jobs and of CPUs.
+    out one at a time.  A ``randomized-vs-deterministic`` run with fewer
+    instances than workers cuts each instance's lottery probes into
+    ``ceil(workers / instances)`` shares, one job each, whose verdicts
+    are ORed back into the instance's sample (``_randomized_sample``).
+    Each cell reduces its contiguous slice of the samples once, so
+    results are identical for any worker count.  ``workers`` (or the
+    environment variable) asks for a process count, which is capped at
+    the number of jobs and of CPUs.
 
     The process pool lives as long as the process: it is started at the
     first call that runs more than one worker, reused by every later call
@@ -503,7 +530,15 @@ def run_experiment(
     cells = cfg.cells()
     per_cell = cfg.iterations
     jobs = [(cfg, k, cell, i) for k, cell in enumerate(cells) for i in range(per_cell)]
+    shares = 1
+    if cfg.kind == "randomized-vs-deterministic":
+        shares = math.ceil(count / len(jobs))
+        jobs = [job + (s, shares) for job in jobs for s in range(shares)]
     samples = _run_jobs(jobs, min(count, len(jobs)))
+    if shares > 1:
+        # an instance's shares OR their verdicts into its sample
+        samples = [tuple(map(max, *samples[j:j + shares]))
+                   for j in range(0, len(samples), shares)]
     reduce = _KINDS[cfg.kind][1]
     rows = tuple(
         row
@@ -518,7 +553,9 @@ def export_results(table: ResultsTable, fmt: str, path: str) -> None:
 
     The CSV column order is fixed (n, m, p, b_low, b_high, iterations,
     metric, value, stderr, then the seed); metric values use six decimal
-    places, and a missing standard error is an empty field.
+    places, and a missing standard error is an empty field.  The JSON is
+    standard JSON: a non-finite value is the string ``"inf"`` or
+    ``"-inf"``, and a non-finite sample leaves no standard error.
     """
     if fmt == "csv":
         lines = ["n,m,p,b_low,b_high,iterations,metric,value,stderr,seed"]
@@ -534,7 +571,8 @@ def export_results(table: ResultsTable, fmt: str, path: str) -> None:
         return
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(table.to_json_dict(), fh, indent=2, sort_keys=True)
+            json.dump(table.to_json_dict(), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
         return
     raise ValueError(f"unknown export format {fmt!r}")

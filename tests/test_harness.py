@@ -1,14 +1,17 @@
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
 import time
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from bmatch import harness
+from bmatch import harness, mechanisms
 from bmatch.harness import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
@@ -20,7 +23,8 @@ from bmatch.harness import (
     run_experiment,
 )
 from bmatch.gen import generate_instance
-from bmatch.strategies import KOrder
+from bmatch.strategies import KOrder, _family_reports
+from test_reference_experiments import _reference_csv
 
 
 def tiny_config(kind: str, **overrides) -> ExperimentConfig:
@@ -171,6 +175,30 @@ def test_json_export_round_trips(tmp_path):
     export_results(table, "json", str(path))
     restored = results_from_json_dict(json.loads(path.read_text()))
     assert restored == table
+
+
+def test_an_infinite_gain_exports_standard_json(tmp_path):
+    # instance 150 has an agent that gains from a truthful utility of 0,
+    # so its gain ratio, and the cell's mean, is infinite
+    cfg = tiny_config("mpug-curve", n_values=(2,), m_values=(3,),
+                      p_values=(0.8,), thresholds=(1.5, 2.0, 2.5, 3.0),
+                      iterations=151, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        table = run_experiment(cfg, workers=1)
+    (row,) = table.rows
+    assert row.value == math.inf and row.stderr is None
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    export_results(table, "csv", str(csv_path))
+    assert csv_path.read_text().splitlines()[1] == "2,3,0.8,1,2,151,mpug_mean,inf,,0"
+    export_results(table, "json", str(json_path))
+
+    def no_constant(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = json.loads(json_path.read_text(), parse_constant=no_constant)
+    assert data["rows"][0]["value"] == "inf"
+    assert results_from_json_dict(data) == table
 
 
 def test_export_rejects_unknown_format(tmp_path):
@@ -408,3 +436,89 @@ def test_lottery_verdicts_do_not_depend_on_the_pass_size(monkeypatch):
                          for i, inst in enumerate(markets)])
     assert verdicts[0] == verdicts[1] == verdicts[2]
     assert verdicts[0] == [False] * 8 + [True]
+
+
+def _lottery_config(seed, n, m, trials, **overrides) -> ExperimentConfig:
+    base = dict(kind="randomized-vs-deterministic", n_values=(n,),
+                m_values=(m,), p_values=(0.5,), capacity_ranges=((1, 2),),
+                iterations=1, orders=(1, 2), mc_trials=trials, seed=seed)
+    return ExperimentConfig(**{**base, **overrides})
+
+
+def _instance(cfg):
+    return generate_instance(harness._cell_gen_config(cfg, 0, cfg.cells()[0]), 0)
+
+
+# One-instance lottery configs as (seed, n, m, trials): at two workers
+# each is cut into two shares.  Seeds 21 and 17 have one manipulable
+# probe (of 8 and of 6), in the second share, and no deterministic gain;
+# seed 2's gains lie in the first share, seed 0's in both and seed 1 has
+# none.
+_SHARED_LOTTERIES = [(21, 5, 8, 250), (17, 4, 6, 3), (2, 4, 6, 60),
+                     (0, 6, 10, 12), (1, 5, 8, 250)]
+
+
+@pytest.mark.parametrize("seed, n, m, trials", _SHARED_LOTTERIES)
+def test_lottery_shares_give_the_serial_table(seed, n, m, trials, fresh_pool,
+                                              monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = _lottery_config(seed, n, m, trials)
+    if seed in (21, 17):
+        shares = [harness._randomized_sample(cfg, 0, 0, _instance(cfg), s, 2)
+                  for s in range(2)]
+        assert shares == [(0.0, 0.0), (0.0, 1.0)]
+    expected = _reference_csv(cfg)
+    assert _csv(run_experiment(cfg, workers=1), tmp_path / "one.csv") == expected
+    assert _csv(run_experiment(cfg, workers=2), tmp_path / "two.csv") == expected
+    assert harness._pool[:2] == (os.getpid(), 2)
+
+
+def test_a_lottery_job_does_the_serial_work(fresh_pool, monkeypatch, tmp_path):
+    # c11's shape and seed: instance 0 has 40 probes, 9 a pass at 250
+    # trials, and no manipulable one, so no share stops early
+    cfg = _lottery_config(20240811, 20, 25, 250, p_values=(0.2,),
+                          capacity_ranges=((3, 3),), orders=(2, 3, 4))
+    inst = _instance(cfg)
+    specs = [KOrder(k) for k in cfg.orders]
+    probes = sum(1 for a in range(inst.n) if inst.agent_adj[a]
+                 for _ in _family_reports(inst, a, specs))
+    step = harness._PASS_ROWS // cfg.mc_trials
+    assert (probes, step) == (40, 9)
+    calls, jobs = Counter(), []
+    sampler, run_instance = mechanisms._lottery_samples, harness._run_instance
+
+    def counting_sampler(*args):
+        calls["sampler"] += 1
+        return sampler(*args)
+
+    def counting_job(job):
+        jobs.append(job)
+        return run_instance(job)
+
+    class InProcessPool:
+        """A stand-in executor that runs the jobs in this process."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+        def shutdown(self):
+            pass
+
+    # the truth goes through mechanisms' name, the passes through harness'
+    monkeypatch.setattr(mechanisms, "_lottery_samples", counting_sampler)
+    monkeypatch.setattr(harness, "_lottery_samples", counting_sampler)
+    monkeypatch.setattr(harness, "_run_instance", counting_job)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = _csv(run_experiment(cfg, workers=1), tmp_path / "one.csv")
+    # one job: the truth and ceil(40 / 9) passes, as in one process before
+    assert len(jobs) == 1 and calls["sampler"] == 1 + math.ceil(probes / step)
+    jobs.clear()
+    calls.clear()
+    assert _csv(run_experiment(cfg, workers=2), tmp_path / "two.csv") == serial
+    # two shares of 20 probes, each with its own truth and 3 passes
+    assert [job[4:] for job in jobs] == [(0, 2), (1, 2)]
+    assert calls["sampler"] == 2 * (1 + 3)
