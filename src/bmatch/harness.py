@@ -372,11 +372,12 @@ def _randomized_rows(cfg, cell, samples) -> list[ResultRow]:
 
 
 # The lottery's probes are solved about this many rows (probes x trials)
-# at a time.  Per c11 instance (20x25, 250 trials), the best of 5 runs
-# over 30 instances in one process on a 2-CPU host: one sampler call per
-# agent 69.9 ms; passes of one probe 109 ms, of 750 rows 61 ms, of
-# 1,500-3,000 rows 49.4-50.8 ms, of 5,000 rows 51.7 ms, and one pass over
-# all probes of an instance 65.5 ms.
+# at a time.  Per c11 instance (20x25, 250 trials), 30 instances in one
+# process on a 2-CPU host, each size timed once per round in turn, the
+# median over 8 rounds against 2,250 rows: 750 rows 1.39x, 1,000 1.22x,
+# 1,500 1.07x, 2,000-4,500 0.99-1.05x, and as two share jobs per
+# instance 1.23x, 1.09x, 1.01x and 0.95-1.00x.  One pass over all probes
+# of an instance also solves the probes after the first manipulable one.
 _PASS_ROWS = 2250
 
 
@@ -592,8 +593,10 @@ def render_plot(table: ResultsTable, path: str) -> None:
     """Emit the gain-curve family as a standalone SVG.
 
     One polyline per agent count, task count on the x axis, mean maximum
-    utility gain on the y axis.  The output bytes depend only on the
-    table contents.
+    utility gain on the y axis.  The y axis spans the finite means; an
+    infinite mean (an agent that gains from a truthful utility of 0) is
+    drawn at the top of the axis with a triangle marker labelled ``inf``.
+    The output bytes depend only on the table contents.
     """
     if table.kind != "mpug-curve":
         raise ValueError("plots are defined for mpug-curve tables")
@@ -602,6 +605,8 @@ def render_plot(table: ResultsTable, path: str) -> None:
         raise ValueError("table has no gain rows to plot")
     series: dict[int, list[tuple[int, float]]] = {}
     for r in rows:
+        if not (math.isfinite(r.value) or r.value == math.inf):
+            raise ValueError(f"cannot plot the gain mean {r.value}")
         series.setdefault(r.n, []).append((r.m, r.value))
     for points in series.values():
         points.sort()
@@ -609,7 +614,8 @@ def render_plot(table: ResultsTable, path: str) -> None:
     x_min, x_max = float(xs[0]), float(xs[-1])
     if x_max <= x_min:
         x_max = x_min + 1.0
-    y_max = max(v for pts in series.values() for _, v in pts)
+    y_max = max((v for pts in series.values() for _, v in pts if v != math.inf),
+                default=0.0)
     if y_max <= 0.0:
         y_max = 1.0
     plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
@@ -619,7 +625,7 @@ def render_plot(table: ResultsTable, path: str) -> None:
         return _MARGIN_LEFT + (m - x_min) / (x_max - x_min) * plot_w
 
     def sy(v: float) -> float:
-        return _MARGIN_TOP + plot_h - v / y_max * plot_h
+        return _MARGIN_TOP + plot_h - min(v, y_max) / y_max * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH:.0f}" '
@@ -661,6 +667,17 @@ def render_plot(table: ResultsTable, path: str) -> None:
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
         )
+        for m, v in series[n]:
+            if v == math.inf:
+                x, y = sx(m), sy(v)
+                parts.append(
+                    f'<polygon points="{x - 4:.2f},{y + 3:.2f} {x + 4:.2f},{y + 3:.2f} '
+                    f'{x:.2f},{y - 4:.2f}" fill="{color}"/>'
+                )
+                parts.append(
+                    f'<text x="{x:.1f}" y="{y - 8:.1f}" font-size="11" '
+                    f'text-anchor="middle" fill="{color}">inf</text>'
+                )
         legend_y = _MARGIN_TOP + 14 + 18 * idx
         parts.append(
             f'<line x1="{_MARGIN_LEFT + plot_w + 12:.1f}" y1="{legend_y:.1f}" '

@@ -328,7 +328,8 @@ def sample_agent_order(inst: Instance, rng: np.random.Generator) -> tuple[int, .
     proportional to its lottery weight.  Agents whose weight is zero
     (no reported edges) are appended after all positive-weight agents,
     in id order.  One ``rng.random(k)`` call supplies the doubles of all
-    ``k`` rounds; they are the values ``k`` scalar calls would give.
+    ``k`` rounds; they are the values ``k`` scalar calls would give, and
+    the generator advances as far, although the last round reads none.
     """
     weights = lottery_weights(inst)
     rounds = sum(1 for w in weights if w > 0.0)
@@ -338,13 +339,17 @@ def sample_agent_order(inst: Instance, rng: np.random.Generator) -> tuple[int, .
 def _draw_orders(weights, doubles: np.ndarray) -> np.ndarray:
     """The draw of ``sample_agent_order``, once per row of ``doubles``.
 
-    ``weights`` holds the agents' weights, one row for all orders or one
-    row per order.  ``doubles`` has one row per order and one column per
+    ``weights`` holds the agents' weights, one row for all orders or
+    (lines, n): each line serves ``len(doubles) // lines`` consecutive
+    orders, such as one probe's trials, or one order.  ``doubles`` has
+    one row per order and one column per
     round, that is per positive weight, so every row has as many positive
-    weights.  A round scans the remaining agents in id order: with
-    ``total`` their weight sum and ``x = u * total``, it picks the first
-    agent whose running sum ``acc`` exceeds ``x``, or the last remaining
-    agent when rounding leaves none.
+    weights; the last round's column may be left out.  A round scans the
+    remaining agents in id order: with ``total`` their weight sum and
+    ``x = u * total``, it picks the first agent whose running sum ``acc``
+    exceeds ``x``, or the last remaining agent when rounding leaves none.
+    The last round has one agent left, which either rule picks whatever
+    its double, so that double is never read.
 
     All orders advance one round at a time, agent by agent: the weights
     are stored one line per agent, and each line of running sums is the
@@ -354,32 +359,48 @@ def _draw_orders(weights, doubles: np.ndarray) -> np.ndarray:
     ``acc`` are those of the scalar scan bit for bit, and a weight-0.0
     line is never the first whose ``acc`` exceeds ``x``.  The running
     sums never fall, so that first agent is the count of those that do
-    not exceed ``x``.
+    not exceed ``x``: one reduce over the agents of a bool table read as
+    bytes, summed in ``np.min_scalar_type(n)``, the smallest unsigned type
+    that holds ``n``.  The last round takes the one agent whose id the
+    earlier rounds left in each order's sum of its positive ids.
     """
-    rows, rounds = doubles.shape
-    weights = np.asarray(weights, dtype=np.float64)
-    n = weights.shape[-1]
-    live = np.array(np.broadcast_to(weights, (rows, n)).T, order="C")
-    zero = live <= 0.0
-    assert (zero.sum(axis=0) == n - rounds).all()
+    rows = len(doubles)
+    weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+    lines, n = weights.shape
+    positive = weights > 0.0
+    rounds = int(positive[0].sum())
+    assert (positive.sum(axis=1) == rounds).all() and rows % lines == 0
+    assert doubles.shape[1] >= rounds - 1
+    per_line = rows // lines
+    # one line per agent, each weight repeated for the orders of its line
+    live = weights.T.repeat(per_line, axis=1)
     # the agent each order draws in each round, one line per round
     drawn = np.empty((n, rows), dtype=np.intp)
+    left = (positive @ np.arange(n)).repeat(per_line)
+    cells = live.reshape(-1)
     order = np.arange(rows)
-    us = np.array(doubles.T, order="C")
     acc = np.empty_like(live)
-    for r in range(rounds):
-        acc[:1] = live[:1]
+    below = np.empty(live.shape, dtype=bool)
+    count = np.min_scalar_type(n)
+    for r in range(rounds - 1):
+        acc[0] = live[0]
         for a in range(1, n):
             np.add(acc[a - 1], live[a], out=acc[a])
-        agent = (acc <= us[r] * acc[-1]).sum(axis=0)
+        np.less_equal(acc, doubles[:, r] * acc[-1], out=below)
+        agent = np.add.reduce(below.view(np.uint8), axis=0, dtype=count)
         missed = agent == n
         if missed.any():
             # the last agent still holding a positive weight
             agent[missed] = n - 1 - (live[::-1, missed] > 0.0).argmax(axis=0)
         drawn[r] = agent
-        live[agent, order] = 0.0
+        left -= drawn[r]
+        # each order's drawn cell, by its flat index in the agent lines
+        cells[drawn[r] * rows + order] = 0.0
+    if rounds:
+        drawn[rounds - 1] = left
     # the zero-weight agents of each order, in id order
-    drawn[rounds:] = np.nonzero(zero.T)[1].reshape(rows, n - rounds).T
+    zero = np.nonzero(~positive)[1].reshape(lines, n - rounds)
+    drawn[rounds:] = zero.T.repeat(per_line, axis=1)
     return np.ascontiguousarray(drawn.T)
 
 
@@ -487,17 +508,23 @@ def _lottery_samples(
         raise ValueError("the probes' rows draw different numbers of rounds")
     # each line once per trial
     markets = _Markets(effective, True, players, options, picks.repeat(trials, axis=0))
-    doubles = substream_doubles(seeds, trials, int(rounds[0]))
-    orders = _draw_orders(weights.repeat(trials, axis=0), doubles)
+    # the last round reads no double
+    doubles = substream_doubles(seeds, trials, max(0, int(rounds[0]) - 1))
+    orders = _draw_orders(weights, doubles)
     owner = _solve_rows(markets, Traversal.BREADTH_FIRST, orders)
     if not probes:
         return _utilities(effective, AGENTS, owner, range(effective.n))
     # each agent's sum runs left to right by task id; adding 0.0 for
-    # another agent's task leaves it unchanged, and one cumsum along the
-    # rows costs less than ``_utilities``' one scattered add per task
+    # another agent's task leaves it unchanged, and one add per task
+    # column costs less than ``_utilities``' scattered adds or a cumsum
+    # along each row
     values = np.asarray(effective.values, dtype=np.float64)
     mine = owner == agents.repeat(trials)[:, None]
-    return np.where(mine, values, 0.0).cumsum(axis=1)[:, -1:]
+    gains = np.where(mine, values, 0.0)
+    total = gains[:, :1].copy()
+    for column in gains.T[1:]:
+        total[:, 0] += column
+    return total
 
 
 def run_randomized_bfs(profile: Profile, trials: int, seed: int) -> np.ndarray:

@@ -24,6 +24,17 @@ seeding step's state by this formula, on uint64 limbs, and reads the
 double as ``Generator.random`` does: the XSL-RR output
 ``rotr(hi ^ lo, hi >> 58)`` of the state, shifted right by 11 and
 scaled by 2^-53.
+
+The limbs are laid out round-major, one line per round and one column
+per trial: each trial's seeded state is a (1, rows) line and each
+round's jump constants a (rounds, 1) column.  numpy runs a broadcast
+operation as one inner loop per line of its output, so this layout
+runs one loop over all trials per round, where a trial-major table runs
+one loop per trial over its ~20 rounds: one uint64 multiply of 2,250
+trials by 20 rounds takes 43 us against 59-63 us (one 2-CPU host,
+numpy 2.4).  The caller gets the transposed view, (rows, rounds), whose
+columns, one round of every trial, are contiguous: the order draw reads
+one round at a time.
 """
 
 from __future__ import annotations
@@ -114,8 +125,10 @@ def substream_doubles(
     for i in range(8):
         hashed, hash_const = _hash_words(mixed[i % 4], hash_const, _MULT_B)
         state.append(hashed.astype(np.uint64))
+    # one column per row of the result, one row per round: see the
+    # module docstring
     s_hi, s_lo, i_hi, i_lo = (
-        (state[j] | state[j + 1] << 32)[:, None] for j in (0, 2, 4, 6)
+        (state[j] | state[j + 1] << 32)[None] for j in (0, 2, 4, 6)
     )
     # PCG64 seeding: inc = (initseq << 1) | 1, one LCG step from 0 to inc,
     # then initstate is added; the double of round c is the output of the
@@ -126,9 +139,9 @@ def substream_doubles(
     lo = inc_lo + s_lo
     hi = inc_hi + s_hi + (lo < s_lo)
     mult, total = _jump_table(range(2, count + 2))
-    # five (rows, count) uint64 buffers hold every full-size product and
+    # five (count, rows) uint64 buffers hold every full-size product and
     # sum: the limbs of both terms and one scratch array
-    shape = (len(hi), count)
+    shape = (count, hi.shape[1])
     a_hi, a_lo, b_hi, b_lo, tmp = (np.empty(shape, np.uint64) for _ in range(5))
     _mul128(hi, lo, mult, a_hi, a_lo, tmp)
     _mul128(inc_hi, inc_lo, total, b_hi, b_lo, tmp)
@@ -147,14 +160,14 @@ def substream_doubles(
     word >>= 11
     doubles = word.astype(np.float64)
     doubles *= 2.0**-53
-    return doubles
+    return doubles.T
 
 
 def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit ints as their high and low uint64 limbs."""
+    """128-bit ints as their high and low uint64 limbs, one row each."""
     return (
-        np.array([v >> 64 for v in values], dtype=np.uint64),
-        np.array([v & _MASK64 for v in values], dtype=np.uint64),
+        np.array([v >> 64 for v in values], dtype=np.uint64)[:, None],
+        np.array([v & _MASK64 for v in values], dtype=np.uint64)[:, None],
     )
 
 

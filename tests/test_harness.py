@@ -199,6 +199,9 @@ def test_an_infinite_gain_exports_standard_json(tmp_path):
     data = json.loads(json_path.read_text(), parse_constant=no_constant)
     assert data["rows"][0]["value"] == "inf"
     assert results_from_json_dict(data) == table
+    svg_path = tmp_path / "out.svg"
+    render_plot(table, str(svg_path))
+    assert "nan" not in svg_path.read_text() and ">inf</text>" in svg_path.read_text()
 
 
 def test_export_rejects_unknown_format(tmp_path):
@@ -406,6 +409,30 @@ def test_plot_is_byte_deterministic(tmp_path):
     render_plot(table, str(p1))
     render_plot(table, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_plot_scales_over_finite_means_and_marks_infinite_ones(tmp_path):
+    finite = _mpug_table({10: [(100, 0.5), (200, 0.25)], 20: [(150, 0.2)]})
+    mixed = _mpug_table({10: [(100, 0.5), (150, math.inf), (200, 0.25)],
+                         20: [(150, 0.2)]})
+    render_plot(finite, str(tmp_path / "finite.svg"))
+    render_plot(mixed, str(tmp_path / "mixed.svg"))
+    finite_text = (tmp_path / "finite.svg").read_text()
+    text = (tmp_path / "mixed.svg").read_text()
+    assert "nan" not in text and "inf" not in finite_text
+    # the axis and the finite points are those of the finite means alone
+    assert '<text x="62.0" y="34.0" font-size="11" text-anchor="end">0.500</text>' in text
+    added = [line for line in text.splitlines() if line not in finite_text.splitlines()]
+    assert added == [
+        '<polyline points="70.00,30.00 280.00,30.00 490.00,207.50" fill="none" '
+        'stroke="#1f77b4" stroke-width="1.5"/>',
+        '<polygon points="276.00,33.00 284.00,33.00 280.00,26.00" fill="#1f77b4"/>',
+        '<text x="280.0" y="22.0" font-size="11" text-anchor="middle" '
+        'fill="#1f77b4">inf</text>',
+    ]
+    for value in (-math.inf, math.nan):
+        with pytest.raises(ValueError):
+            render_plot(_mpug_table({10: [(100, value)]}), str(tmp_path / "x.svg"))
 
 
 def test_plot_rejects_wrong_kind_and_empty_tables(tmp_path):

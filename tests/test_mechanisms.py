@@ -32,7 +32,7 @@ from bmatch.mechanisms import (
     worst_ne_profile,
     _draw_orders,
 )
-from bmatch.seeds import derive_rng
+from bmatch.seeds import derive_rng, substream_doubles
 from bmatch.solver import Traversal, solve_ap, solve_mvbm
 from conftest import rebuilt_effective_instance, small_instances
 
@@ -363,6 +363,57 @@ def test_draw_falls_back_to_the_last_remaining_agent():
     assert _draw_orders(weights, np.array(rows)).tolist() == [
         list(_scalar_draw_order(weights, _FixedRng(row))) for row in rows
     ]
+
+
+def test_draw_counts_past_255_agents():
+    # 300 agents: the count of running sums that do not exceed x reaches
+    # 256 and more, which a uint8 count would wrap
+    rng = np.random.default_rng(50)
+    weights = rng.random(300)
+    weights[rng.random(300) < 0.2] = 0.0
+    _assert_rows_match_the_scalar_draw(weights.tolist(), 51, range(6))
+    # 260 one-ulp weights among zero-weight agents: 0.999 * total rounds
+    # up to total while fewer than 500 remain, so those rows take the
+    # fallback in every round; the other rows draw from the stream
+    tiny = [0.0 if a % 7 == 3 else 5e-324 for a in range(303)]
+    rounds = sum(1 for w in tiny if w > 0.0)
+    assert rounds == 260 and 0.999 * rounds * 5e-324 == rounds * 5e-324
+    rows = [[0.999] * rounds, derive_rng(52, 0).random(rounds),
+            [0.999] * 130 + derive_rng(52, 1).random(130).tolist()]
+    assert _draw_orders(tiny, np.array(rows)).tolist() == [
+        list(_scalar_draw_order(tiny, _FixedRng(row))) for row in rows
+    ]
+    assert _draw_orders(tiny, np.array(rows))[0, :rounds].tolist() == [
+        a for a in reversed(range(303)) if tiny[a] > 0.0
+    ]
+
+
+def test_draw_reads_the_doubles_view_and_no_last_double():
+    # three weight lines at c11's shape, 40 orders each: a market's
+    # weights and two probes that each lower one agent's weight, as the
+    # sampler's lines do; the doubles are the sampler's column-major view
+    # of its round-major table
+    inst = generate_instance(GenConfig(20, 25, 0.2, 3, 3, seed=53), 0)
+    weights = [lottery_weights(inst) for _ in range(3)]
+    assert 0.0 in weights[0]
+    positive = [a for a in range(inst.n) if weights[0][a] > 0.0]
+    weights[1][positive[0]] *= 0.5
+    weights[2][positive[-1]] *= 0.25
+    rounds = len(positive)
+    doubles = substream_doubles([54, 55, 56], 40, rounds)
+    assert doubles.flags.f_contiguous and not doubles.flags.c_contiguous
+    expected = [list(_scalar_draw_order(weights[i // 40], derive_rng(54 + i // 40, i % 40)))
+                for i in range(120)]
+    assert _draw_orders(weights, doubles).tolist() == expected
+    assert _draw_orders(np.repeat(weights, 40, axis=0), doubles).tolist() == expected
+    copy = np.ascontiguousarray(doubles)
+    assert _draw_orders(weights, copy).tolist() == expected
+    for last in (0.0, 1.0 - 2.0**-53):
+        copy[:, -1] = last
+        assert _draw_orders(weights, copy).tolist() == expected
+    assert _draw_orders(weights, doubles[:, :-1]).tolist() == expected
+    shorter = substream_doubles([54, 55, 56], 40, rounds - 1)
+    assert _draw_orders(weights, shorter).tolist() == expected
 
 
 def test_sampler_rows_equal_single_order_draws():

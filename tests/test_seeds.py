@@ -73,6 +73,17 @@ def test_a_seed_vector_keeps_the_checks():
         substream_doubles([0, 1], 2**32 + 1, 1)
 
 
+def test_a_lottery_pass_of_doubles_equals_derive_rng():
+    # 20 seeds x 250 trials x 20 rounds, as a pass of the order lottery
+    # calls it: the round-major table's transposed view, row by row
+    seeds = list(range(200, 220))
+    batch = substream_doubles(seeds, 250, 20)
+    assert batch.shape == (5000, 20) and batch.flags.f_contiguous
+    for i, seed in enumerate(seeds):
+        rows = batch[250 * i : 250 * (i + 1)]
+        assert rows.tobytes() == _reference(seed, 250, 20).tobytes(), seed
+
+
 def test_a_lottery_pass_of_doubles_stays_small():
     # 9 seeds x 250 trials x 20 rounds, one pass of the order lottery:
     # 360 kB of doubles.  The limbs are computed in five preallocated
