@@ -23,7 +23,8 @@ import os
 import sys
 
 from .core import (
-    agent_utility,
+    _agent_utilities,
+    _load_json,
     dump_instance,
     load_instance,
     matched_pairs,
@@ -113,8 +114,7 @@ def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     kind = _MECH_BY_NAME[args.mech]
     if args.profile:
-        with open(args.profile, "r", encoding="utf-8") as fh:
-            profile = profile_from_json_dict(json.load(fh), inst)
+        profile = profile_from_json_dict(_load_json(args.profile), inst)
     else:
         profile = truthful_profile(inst)
     if kind is MechanismKind.MRBFS and args.seed is None:
@@ -127,7 +127,7 @@ def _cmd_solve(args) -> int:
         "mechanism": args.mech,
         "pairs": matched_pairs(mu),
         "weight": matching_weight(inst, mu),
-        "agent_utilities": [agent_utility(inst, mu, a) for a in range(inst.n)],
+        "agent_utilities": _agent_utilities(inst, mu),
     }
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     print()
@@ -220,8 +220,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(args.config)
     if args.kind and isinstance(data, dict):
         data["kind"] = args.kind
     cfg = ExperimentConfig.from_json_dict(data)

@@ -61,10 +61,11 @@ class Instance:
 
     The constructor is the one place where a market is checked: it
     raises ``InvalidInstanceError`` listing every non-integral (boolean
-    included) or non-positive capacity, negative or NaN value,
-    out-of-range endpoint and duplicate edge, so every ``Instance`` is
-    valid and no later layer checks it again.  The adjacency per agent
-    and per task is kept sorted and deduplicated.
+    included) or non-positive capacity, negative or NaN value, capacity
+    or value too large for a float, out-of-range endpoint and duplicate
+    edge, so every ``Instance`` is valid and no later layer checks it
+    again.  The adjacency per agent and per task is kept sorted and
+    deduplicated.
 
     Tasks are processed in decreasing value, ties broken by increasing
     task id.  Agent priority is the list index: agent 0 goes first.
@@ -85,15 +86,20 @@ class Instance:
         values: Iterable[float],
         edges: Iterable[tuple[int, int]],
     ):
-        capacities = tuple(capacities)
-        self.values: tuple[float, ...] = tuple(map(float, values))
-        n, m = len(capacities), len(self.values)
+        capacities, values = tuple(capacities), tuple(values)
+        n, m = len(capacities), len(values)
         violations = []
         for i, capacity in enumerate(capacities):
-            if isinstance(capacity, bool) or not float(capacity).is_integer():
+            try:
+                integral = not isinstance(capacity, bool) and float(capacity).is_integer()
+            except OverflowError:
+                violations.append(f"capacity of agent {i} too large for a float")
+                continue
+            if not integral:
                 violations.append(f"non-integral capacity {capacity!r} on agent {i}")
             elif capacity < 1:
                 violations.append(f"non-positive capacity {int(capacity)} on agent {i}")
+        self.values: tuple[float, ...] = _floats(values, violations)
         violations += [
             f"negative or NaN value {value} on task {j}"
             for j, value in enumerate(self.values)
@@ -202,6 +208,23 @@ class Instance:
         return cls(capacities, values, edges)
 
 
+def _floats(values: tuple, violations: list[str]) -> tuple[float, ...]:
+    """The task values as floats; a value too large for one is added to
+    ``violations`` and read as 0.0."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        pass
+    floats = []
+    for j, value in enumerate(values):
+        try:
+            floats.append(float(value))
+        except OverflowError:
+            violations.append(f"value of task {j} too large for a float")
+            floats.append(0.0)
+    return tuple(floats)
+
+
 def _process_order(
     values: tuple[float, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -262,10 +285,13 @@ def _with_reports(
 
 
 def _parse_number(raw, what: str) -> float:
-    """``raw`` as a float; a JSON boolean is not a number."""
+    """``raw`` as a float; a JSON boolean is not a number, and an integer
+    too large for a float is rejected."""
     if not isinstance(raw, bool):
         try:
             return float(raw)
+        except OverflowError:
+            raise ValueError(f"{what} too large for a float") from None
         except (TypeError, ValueError):
             pass
     raise ValueError(f"non-numeric {what}: {raw!r}")
@@ -317,6 +343,17 @@ def agent_utility(inst: Instance, owner: Sequence[int], agent_id: int) -> float:
     return total
 
 
+def _agent_utilities(inst: Instance, owner: Sequence[int]) -> list[float]:
+    """Every agent's ``agent_utility`` in one pass over ``owner``: each
+    agent's values summed in increasing task id, so the sums are the
+    same."""
+    totals = [0.0] * inst.n
+    for value, a in zip(inst.values, owner):
+        if a != -1:
+            totals[a] += value
+    return totals
+
+
 def matching_weight(inst: Instance, owner: Sequence[int]) -> float:
     """Total value of the matched tasks.
 
@@ -326,8 +363,8 @@ def matching_weight(inst: Instance, owner: Sequence[int]) -> float:
     if not is_feasible_matching(inst, owner):
         raise InfeasibleMatchingError(f"owner array {list(owner)} is infeasible")
     total = 0.0
-    for a in range(inst.n):
-        total += agent_utility(inst, owner, a)
+    for utility in _agent_utilities(inst, owner):
+        total += utility
     return total
 
 
@@ -343,13 +380,23 @@ def matched_pairs(owner: Sequence[int]) -> list[tuple[int, int]]:
     return sorted((a, t) for t, a in enumerate(owner) if a != -1)
 
 
-def load_instance(path: str) -> Instance:
+def _load_json(path: str):
+    """The JSON document in the file ``path``.  One nested too deeply
+    for the parser raises ``ValueError``, as other malformed JSON does."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return Instance.from_json_dict(data)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to read") from None
+
+
+def load_instance(path: str) -> Instance:
+    return Instance.from_json_dict(_load_json(path))
 
 
 def dump_instance(inst: Instance, path: str) -> None:
+    """Write ``inst`` as standard JSON: a non-finite value raises
+    ``ValueError``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(inst.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(inst.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -18,6 +18,7 @@ instance is fixed: capacities, then values, then edges row by row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ class GenConfig:
             raise ValueError("connection probability must be in [0, 1]")
         if not 1 <= self.capacity_low <= self.capacity_high:
             raise ValueError("capacity bounds must satisfy 1 <= low <= high")
+        if not (math.isfinite(self.value_mean) and math.isfinite(self.value_sigma)):
+            raise ValueError("value mean and spread must be finite")
         if self.value_sigma < 0:
             raise ValueError("value spread must be non-negative")
         if self.seed < 0:

@@ -47,9 +47,11 @@ saturated agents, and dropping the marks changes nothing (see the pass).
 
 A new report of one entity gives ``r`` (``_first_change``): for an
 agent, rank 0 for a new capacity, else the lowest rank of a task its
-row gains or loses; for a task, the lower of its ranks in the two
-markets, since a new value moves only that task in the order.
-``_resume`` reads the second rank from the reported market.
+row gains or loses, looked for only among the tasks ranked below the
+step from which the agent's outcome is final (below); for a task, the
+lower of its ranks in the two markets, since a new value moves only
+that task in the order.  ``_resume`` reads the second rank from the
+reported market.
 
 An agent that a failed search retires keeps its tasks to the end of the
 solve, since no later path reaches it.  The set the search closed was
@@ -75,7 +77,11 @@ So an entity's outcome is final against any report of its own from
 the step that retires an agent, or from ``m`` for a task, whose report
 changes the market at its own rank (``_solve_journaled``).  A report
 whose first change is there or later, ``m`` if it changes nothing,
-needs no solve.
+needs no solve.  So an agent's rank is capped at that step ``f``: the
+row and the report each give the set of their tasks ranked below
+``f``; when the two are equal the report needs no solve, and otherwise
+every change below ``f`` lies in their symmetric difference, whose
+lowest rank is the first change.
 
 One vector pass (``_solve_rows``) solves many markets at once: the
 joint reports of an equilibrium enumeration or a coalition search, and
@@ -437,13 +443,17 @@ class _State:
             a = prev
         return tuple(reversed(rev))
 
-    def flip(self, terminal: int) -> None:
-        """Apply the symmetric difference with the found path."""
+    def flip(self, terminal: int) -> tuple[tuple[int, int], ...]:
+        """Apply the symmetric difference with the found path and return
+        the (agent, task) pairs it assigns, in path order: the path's
+        even edges."""
         a = terminal
         self.load[a] += 1
         t = self.from_task[a]
         rank = self.rank
+        assigned = []
         while True:
+            assigned.append((a, t))
             prev = self.owner[t]
             self.owner[t] = a
             tasks = self.agent_tasks[a]
@@ -458,6 +468,7 @@ class _State:
             self.agent_tasks[prev].remove(t)
             a = prev
             t = self.from_task[a]
+        return tuple(reversed(assigned))
 
     def run(
         self,
@@ -498,9 +509,9 @@ class _State:
                 if until_retired is not None and visit_a[until_retired] == _DEAD:
                     break
                 continue
+            assigned = self.flip(terminal)
             if journal is not None:
-                journal.append((self.path_pairs(terminal)[::2], ()))
-            self.flip(terminal)
+                journal.append((assigned, ()))
         return tuple(self.owner)
 
     def replay(self, journal: list, stop: int) -> None:
@@ -1051,22 +1062,33 @@ def _solve_journaled(
     return owner, journal, final_at
 
 
-def _first_change(
-    before: Instance, agents: bool, entity: int, edges: tuple[int, ...], bound
-) -> int:
-    """The rank from which a re-solve of ``before`` with agent
-    (``agents``) or task ``entity`` reporting ``edges`` and ``bound``
-    must run, or ``m`` when the report changes nothing: an agent's first
-    changed rank, or a task's own rank, which ``_resume`` lowers to the
-    task's rank in the reported market (see the module docstring)."""
-    if agents:
-        if bound != before.capacities[entity]:
+def _first_change(before: Instance, agents: bool, entity: int, final: int):
+    """The function of ``edges`` and ``bound`` that gives the rank from
+    which a re-solve of ``before``, with agent (``agents``) or task
+    ``entity`` reporting them, must run, where ``final`` is the step from
+    which the entity's outcome is final.  For an agent, rank 0 for a new
+    capacity, else the lowest rank below ``final`` of a task its row
+    gains or loses; for a task, its own rank, which ``_resume`` lowers to
+    the task's rank in the reported market.  ``m`` means the report
+    changes nothing before ``final`` (see the module docstring)."""
+    m = before.m
+    if not agents:
+        value, column = before.values[entity], before.task_adj[entity]
+        own = before.task_rank[entity]
+        return lambda edges, bound: own if bound != value or column != edges else m
+    capacity, rank = before.capacities[entity], before.task_rank
+    # the row's tasks ranked below ``final``, in id order as ``edges`` are
+    early = tuple([t for t in before.agent_adj[entity] if rank[t] < final])
+
+    def first(edges, bound):
+        if bound != capacity:
             return 0
-        changed = set(before.agent_adj[entity]).symmetric_difference(edges)
-        return min(map(before.task_rank.__getitem__, changed), default=before.m)
-    if bound != before.values[entity] or before.task_adj[entity] != edges:
-        return before.task_rank[entity]
-    return before.m
+        mine = tuple([t for t in edges if rank[t] < final])
+        if mine == early:
+            return m
+        return min(map(rank.__getitem__, set(mine).symmetric_difference(early)))
+
+    return first
 
 
 def _resume(

@@ -20,6 +20,7 @@ maximum).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf
 from typing import Callable, Iterable, Iterator
@@ -28,6 +29,7 @@ from .core import (
     Instance,
     SizeCapExceededError,
     WEIGHT_TOL,
+    _agent_utilities,
     _with_reports,
     agent_utility,
     task_utility,
@@ -125,7 +127,10 @@ def apply_manipulation(
     If a family would drop every edge, the single highest-valued edge is
     kept instead, since a report cannot be empty.
     """
-    return _manipulated(inst, agent_id, _ordered_row(inst, agent_id), spec)
+    ordered = _ordered_row(inst, agent_id)
+    if isinstance(spec, ExplicitReport):
+        return spec.report
+    return AgentReport(edges=tuple(ordered[:_kept(inst, agent_id, ordered, spec)]))
 
 
 def _ordered_row(inst: Instance, agent_id: int) -> list[int]:
@@ -138,26 +143,26 @@ def _ordered_row(inst: Instance, agent_id: int) -> list[int]:
     return sorted(adj, key=inst.task_rank.__getitem__)
 
 
-def _manipulated(
+def _kept(
     inst: Instance, agent_id: int, ordered: list[int], spec: ManipulationSpec
-) -> AgentReport:
-    """The report of ``apply_manipulation`` from the agent's
-    ``_ordered_row``."""
-    if isinstance(spec, ExplicitReport):
-        return spec.report
+) -> int:
+    """How many tasks of the ``_ordered_row`` a ``TLevel``, ``KOrder`` or
+    ``TopB`` report keeps, from the first: at least one."""
     if isinstance(spec, TLevel):
-        keep = [t for t in ordered if inst.values[t] >= spec.threshold]
+        # the values never increase along the row; ``not v >= nan`` holds
+        # for every value, so a NaN threshold keeps none
+        threshold, values = spec.threshold, inst.values
+        keep = (bisect_right(ordered, -threshold, key=lambda t: -values[t])
+                if threshold == threshold else 0)
     elif isinstance(spec, KOrder):
         if spec.k < 0:
             raise ValueError("k must be non-negative")
-        keep = ordered[: len(ordered) - spec.k] if spec.k < len(ordered) else []
+        keep = len(ordered) - spec.k
     elif isinstance(spec, TopB):
-        keep = ordered[: inst.capacities[agent_id]]
+        keep = min(inst.capacities[agent_id], len(ordered))
     else:
         raise TypeError(f"unknown manipulation spec {spec!r}")
-    if not keep:
-        keep = ordered[:1]
-    return AgentReport(edges=tuple(keep))
+    return max(keep, 1)
 
 
 def _gain_ratio(before: float, after: float) -> float:
@@ -217,7 +222,9 @@ def unilateral_deviations(
     the baseline unbuilt and unsolved, so it never reads as a gain and
     still competes in an argmax; any other is patched into the profile's
     market (``core._with_reports``) and resumes the journal (see the
-    ``solver`` module docstring).
+    ``solver`` module docstring).  An agent report that keeps the
+    capacity is compared with the profile's row only at the ranks below
+    the step from which the agent's outcome is final.
     """
     _require_deterministic(kind)
     inst, side = profile.base, profile.side
@@ -226,19 +233,25 @@ def unilateral_deviations(
     traversal = _TRAVERSALS.get(kind)  # None: MAP's length-1 solve
     effective = build_effective_instance(profile)
     mu, journal, final_at = _solve_journaled(effective, traversal, agents)
+    # every entity's utility under the profile, from one pass over ``mu``
+    baselines = _agent_utilities(inst, mu) if agents else [float(a != -1) for a in mu]
     # the checked rows and bounds of the profile's market
     rows = dict(enumerate(effective.agent_adj if agents else effective.task_adj))
     bounds = effective.capacities if agents else effective.values
     if entities is None:
         entities = range(len(adjacency))
     for entity in entities:
+        if not 0 <= entity < len(adjacency):
+            raise ValueError(f"unknown {'agent' if agents else 'task'} id {entity}")
         if not adjacency[entity]:
             continue
-        baseline = utility(mu, entity)
+        baseline = baselines[entity]
+        final = final_at[entity]
+        first_change = _first_change(effective, agents, entity, final)
         for report in candidates(entity, baseline):
             edges, bound = _bounded_report(inst, side, entity, report)
-            rank = _first_change(effective, agents, entity, edges, bound)
-            if final_at[entity] <= rank:
+            rank = first_change(edges, bound)
+            if final <= rank:
                 deviant = baseline
             else:
                 reported = _with_reports(
@@ -253,11 +266,22 @@ def _family_reports(
     inst: Instance, agent_id: int, specs: Iterable[ManipulationSpec]
 ) -> Iterator[AgentReport]:
     """The distinct reports the specs build for one agent, in spec order,
-    without the truthful one."""
-    seen = {inst.agent_adj[agent_id]}
+    without the truthful one: those of ``apply_manipulation``, deduped
+    by edges.  A ``TLevel``, ``KOrder`` or ``TopB`` report is a prefix of
+    the ``_ordered_row``, so it is told by its length and built once."""
     ordered = _ordered_row(inst, agent_id)
+    seen = {inst.agent_adj[agent_id]}
+    # the prefix lengths told already; the whole row is the truth
+    told = {len(ordered)}
     for spec in specs:
-        report = _manipulated(inst, agent_id, ordered, spec)
+        if isinstance(spec, ExplicitReport):
+            report = spec.report
+        else:
+            keep = _kept(inst, agent_id, ordered, spec)
+            if keep in told:
+                continue
+            told.add(keep)
+            report = AgentReport(edges=tuple(ordered[:keep]))
         if report.edges not in seen:
             seen.add(report.edges)
             yield report

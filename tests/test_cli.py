@@ -186,11 +186,18 @@ def test_solve_rejects_malformed_instances(tmp_path, capsys, payload, message):
          "error: negative or NaN value -1.0 on task 0"),
         (dict(_ONE_EDGE, edges=[[0, 7]]),
          "error: out-of-range task id 7 in edge (0, 7)"),
+        # integers too large for a float
+        (dict(_ONE_EDGE, agents=[{"capacity": 10**400}]),
+         "error: capacity of agent 0 too large for a float"),
+        (dict(_ONE_EDGE, tasks=[{"value": 10**400}]),
+         "error: value of task 0 too large for a float"),
+        # JSON nested deeper than the parser goes
+        ("[" * 100_000 + "]" * 100_000, "error: JSON nested too deeply to read"),
     ],
 )
 def test_solve_and_audit_reject_invalid_instances(tmp_path, capsys, payload, line):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     # audit names the file, since it takes many
     audit_line = line.replace("error: ", f"error: {path}: ", 1)
     for command, expected in ((["solve", str(path)], line),
@@ -350,6 +357,30 @@ def test_gen_rejects_negative_count_and_seed(tmp_path, capsys, flags, message):
                  "--out", str(out_dir)])
     assert code == 2
     _assert_one_error_line(capsys, message)
+    assert not out_dir.exists()
+
+
+def test_gen_rejects_non_finite_value_parameters(tmp_path, capsys):
+    # a non-finite mean or spread would write ``Infinity`` or ``NaN``
+    out_dir = tmp_path / "batch"
+    for flag, value in (("--value-sigma", "inf"), ("--value-mean", "-inf"),
+                        ("--value-mean", "nan")):
+        code = main(["gen", "--n", "2", "--m", "3", "--p", "0.5", f"{flag}={value}",
+                     "--out", str(out_dir)])
+        assert code == 2
+        _assert_one_error_line(capsys, "error: value mean and spread must be finite")
+    assert not out_dir.exists()
+
+
+def test_deeply_nested_profile_and_config_are_input_errors(tmp_path, instance_path,
+                                                           capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    out_dir = tmp_path / "results"
+    for command in (["solve", instance_path, "--profile", str(deep)],
+                    ["experiment", "--config", str(deep), "--out-dir", str(out_dir)]):
+        assert main(command) == 2
+        _assert_one_error_line(capsys, "error: JSON nested too deeply to read")
     assert not out_dir.exists()
 
 

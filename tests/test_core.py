@@ -8,6 +8,7 @@ from bmatch.core import (
     Instance,
     InfeasibleMatchingError,
     InvalidInstanceError,
+    _agent_utilities,
     agent_utility,
     dump_instance,
     is_feasible_matching,
@@ -103,6 +104,20 @@ def test_invalid_instance_lists_every_violation_in_order():
     ]
     assert info.value.violations == expected
     assert str(info.value) == "; ".join(expected)
+
+
+def test_capacities_and_values_too_large_for_a_float_are_violations():
+    # ``float`` raises on such an integer; each is listed like any other
+    # violation, with the rest of the market still checked
+    huge = 10**400
+    assert _violations([huge, 0], [1.0, huge, -1.0], [(0, 0)]) == [
+        "capacity of agent 0 too large for a float",
+        "non-positive capacity 0 on agent 1",
+        "value of task 1 too large for a float",
+        "negative or NaN value -1.0 on task 2",
+    ]
+    # one that fits a float is not a violation
+    assert Instance([1], [10**300], [(0, 0)]).values == (1e300,)
 
 
 @st.composite
@@ -215,6 +230,15 @@ def test_agent_utilities_partition_weight_exactly(index, data):
     assert total == matching_weight(inst, mu)
 
 
+@pytest.mark.parametrize("index", range(3))
+def test_one_pass_utilities_keep_every_bit(index):
+    # 200 tasks held by 20 agents: each sum runs over many values, in
+    # increasing task id as ``agent_utility`` adds them
+    inst = generate_instance(GenConfig(20, 200, 0.2, 3, 7, seed=5), index)
+    mu = solve_mvbm(inst, Traversal.BREADTH_FIRST)
+    assert _agent_utilities(inst, mu) == [agent_utility(inst, mu, a) for a in range(inst.n)]
+
+
 @settings(derandomize=True, max_examples=60)
 @given(index=st.integers(0, 10_000), data=st.data())
 def test_feasibility_is_monotone_under_edge_removal(index, data):
@@ -263,6 +287,31 @@ def test_json_load_rejects_non_instance_payloads(tmp_path):
     path.write_text(json.dumps({"seed": 3, "files": []}))
     with pytest.raises(ValueError, match="not an instance"):
         load_instance(str(path))
+
+
+def test_json_load_rejects_deep_nesting_and_huge_numbers(tmp_path):
+    # neither escapes as anything but a one-line ValueError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="^JSON nested too deeply to read$"):
+        load_instance(str(path))
+    huge = 10**400
+    for data, message in [
+        ({"agents": [{"capacity": huge}], "tasks": [{"value": 1.0}], "edges": [[0, 0]]},
+         "^capacity of agent 0 too large for a float$"),
+        ({"agents": [{"capacity": 1}], "tasks": [{"value": huge}], "edges": [[0, 0]]},
+         "^value of task 0 too large for a float$"),
+    ]:
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=message):
+            load_instance(str(path))
+
+
+def test_json_dump_writes_standard_json_only(tmp_path):
+    path = tmp_path / "inst.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_instance(Instance([1], [math.inf], [(0, 0)]), str(path))
+    assert "Infinity" not in path.read_text()
 
 
 def test_instance_stores_plain_tuples():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,17 @@ def test_config_validation():
         GenConfig(n=2, m=2, p=0.5, capacity_low=0, capacity_high=2)
     with pytest.raises(ValueError):
         GenConfig(n=2, m=2, p=0.5, capacity_low=3, capacity_high=2)
+
+
+@pytest.mark.parametrize("mean, sigma", [
+    (math.inf, 0.77), (-math.inf, 0.77), (math.nan, 0.77),
+    (3.0, math.inf), (3.0, math.nan),
+])
+def test_config_rejects_non_finite_value_parameters(mean, sigma):
+    # an infinite draw would be written as the non-standard ``Infinity``
+    with pytest.raises(ValueError, match="value mean and spread must be finite"):
+        GenConfig(n=2, m=2, p=0.5, capacity_low=1, capacity_high=2,
+                  value_mean=mean, value_sigma=sigma)
 
 
 @pytest.mark.slow

@@ -1,4 +1,6 @@
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -351,6 +353,15 @@ def test_gain_ratio_and_nash_check_name_bad_inputs():
             utility_gain_ratio(inst, MechanismKind.MBFS, agent, TopB())
 
 
+def test_deviations_name_an_unknown_entity():
+    inst = epsilon_gap_instance(0.5)
+    for side, noun, count in ((AGENTS, "agent", inst.n), (TASKS, "task", inst.m)):
+        for entity in (-1, count):
+            with pytest.raises(ValueError, match=f"unknown {noun} id {entity}"):
+                next(unilateral_deviations(MechanismKind.MBFS, truthful_profile(inst, side),
+                                           lambda e, _: [None], (entity,)))
+
+
 def _counting_runs(monkeypatch):
     calls = []
     run = solver._State.run
@@ -612,3 +623,157 @@ def test_resumed_deviations_with_capacity_reports():
         _assert_resumed_deviations_are_full_resolves(
             truthful_profile(inst),
             lambda a, _: _report_candidates(inst, AGENTS, a, "ecms"))
+
+
+def _reference_first_change(before, entity, edges, bound):
+    """The agent branch of the first-change rule before it was capped at
+    the step from which the agent's outcome is final: rank 0 for a new
+    capacity, else the lowest rank in the symmetric difference of the
+    profile's row and ``edges``, or ``m`` when they are equal."""
+    if bound != before.capacities[entity]:
+        return 0
+    changed = set(before.agent_adj[entity]).symmetric_difference(edges)
+    return min(map(before.task_rank.__getitem__, changed), default=before.m)
+
+
+@st.composite
+def _tied_markets(draw):
+    """Small markets whose task values repeat, with a profile in which
+    some agents hide tasks or lower their capacity."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    capacities = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    values = draw(st.lists(st.sampled_from([1.0, 2.0, 2.0, 3.0, 0.0]),
+                           min_size=m, max_size=m))
+    edges = [(a, t) for a in range(n) for t in range(m) if draw(st.booleans())]
+    inst = Instance(capacities, values, edges)
+    profile = truthful_profile(inst)
+    for a in range(n):
+        row = inst.agent_adj[a]
+        if row and draw(st.booleans()):
+            kept = tuple(t for t in row if draw(st.booleans()))
+            capacity = draw(st.one_of(st.none(), st.integers(1, capacities[a])))
+            profile = profile.with_report(a, AgentReport(kept, capacity))
+    return profile
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(profile=_tied_markets(),
+       kind=st.sampled_from([MechanismKind.MBFS, MechanismKind.MDFS, MechanismKind.MAP]))
+def test_capped_first_change_resumes_where_the_uncapped_rule_did(profile, kind):
+    # every deviant equals a full re-solve, and a report resumes the
+    # journal exactly when the uncapped rank is below the agent's final
+    # step, starting at that rank
+    inst = profile.base
+    effective = mechanisms.build_effective_instance(profile)
+    _, _, final_at = solver._solve_journaled(effective, _TRAVERSALS.get(kind), True)
+    starts = []
+    run = solver._State.run
+
+    def recording(state, traversal, start=0, journal=None, **kwargs):
+        if journal is None:
+            starts.append(start)
+        return run(state, traversal, start, journal, **kwargs)
+
+    with mock.patch.object(solver._State, "run", recording):
+        got = list(unilateral_deviations(
+            kind, profile, lambda a, _: _all_reports(inst, AGENTS, a)))
+    expected_starts = []
+    for agent, report, baseline, deviant in got:
+        assert baseline == _full_resolve(kind, profile, agent)
+        assert deviant == _full_resolve(kind, profile.with_report(agent, report), agent)
+        bound = inst.capacities[agent] if report.capacity is None else report.capacity
+        rank = _reference_first_change(effective, agent, report.edges, bound)
+        if rank < final_at[agent]:
+            expected_starts.append(rank)
+        else:
+            assert deviant == baseline
+    assert starts == expected_starts
+
+
+def _reference_family_reports(inst, agent, specs):
+    """``_family_reports`` as the families define it: each spec's report,
+    built by filtering the row, deduped by edges, the truthful one
+    dropped, in spec order."""
+    seen = {inst.agent_adj[agent]}
+    ordered = sorted(inst.agent_adj[agent], key=lambda t: (-inst.values[t], t))
+    for spec in specs:
+        if isinstance(spec, ExplicitReport):
+            report = spec.report
+        else:
+            if isinstance(spec, TLevel):
+                keep = [t for t in ordered if inst.values[t] >= spec.threshold]
+            elif isinstance(spec, KOrder):
+                keep = ordered[:len(ordered) - spec.k] if spec.k < len(ordered) else []
+            else:
+                keep = ordered[:inst.capacities[agent]]
+            report = AgentReport(tuple(keep or ordered[:1]))
+        if report.edges not in seen:
+            seen.add(report.edges)
+            yield report
+
+
+@st.composite
+def _family_cases(draw):
+    """A market with repeated values, one agent with edges, and a spec
+    list mixing every family: thresholds at, between and beyond the
+    values (NaN and both infinities included), orders up to past the
+    degree, top-b, and explicit reports of prefixes, the truth and other
+    subsets, some with a capacity."""
+    m = draw(st.integers(1, 7))
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.5]),
+                           min_size=m, max_size=m))
+    row = [t for t in range(m) if draw(st.booleans())] or [0]
+    inst = Instance([draw(st.integers(1, 4))], values, [(0, t) for t in row])
+    ordered = strategies._ordered_row(inst, 0)
+    spec = st.one_of(
+        st.builds(TLevel, st.one_of(st.sampled_from(values + [math.nan, math.inf, -math.inf]),
+                                    st.floats(-1.0, 4.0))),
+        st.builds(KOrder, st.integers(0, len(row) + 2)),
+        st.just(TopB()),
+        st.builds(lambda k, c: ExplicitReport(AgentReport(tuple(ordered[:k]), c)),
+                  st.integers(1, len(row)), st.one_of(st.none(), st.integers(1, 4))),
+        st.builds(lambda kept: ExplicitReport(AgentReport(tuple(kept))),
+                  st.lists(st.sampled_from(row), min_size=1, unique=True)),
+    )
+    return inst, draw(st.lists(spec, max_size=8))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_family_cases())
+def test_family_reports_equal_the_filtered_reference(case):
+    inst, specs = case
+    assert (list(strategies._family_reports(inst, 0, specs))
+            == list(_reference_family_reports(inst, 0, specs)))
+
+
+def _family(inst, *specs):
+    return [r.edges for r in strategies._family_reports(inst, 0, specs)]
+
+
+def test_family_reports_at_the_edges_of_each_family():
+    # values by task: 3.0, 1.0, 2.0, 1.0, 0.5; ordered row 0, 2, 1, 3, 4
+    inst = Instance([2], [3.0, 1.0, 2.0, 1.0, 0.5], [(0, t) for t in range(5)])
+    # a NaN threshold keeps no task, as ``not v >= nan``: the best one alone
+    assert _family(inst, TLevel(math.nan)) == [(0,)]
+    assert _family(inst, TLevel(math.inf)) == [(0,)]
+    # minus infinity keeps every task: the truth, dropped
+    assert _family(inst, TLevel(-math.inf)) == []
+    # a threshold equal to a value keeps the tied tasks too
+    assert _family(inst, TLevel(1.0)) == [(0, 1, 2, 3)]
+    assert _family(inst, TLevel(2.0)) == [(0, 2)]
+    assert _family(inst, TLevel(0.5)) == []
+    # dropping none is the truth; dropping the degree or more keeps one
+    assert _family(inst, KOrder(0)) == []
+    assert _family(inst, KOrder(5), KOrder(7), TLevel(3.0)) == [(0,)]
+    assert _family(inst, KOrder(2), TLevel(1.0)) == [(0, 1, 2), (0, 1, 2, 3)]
+    assert _family(inst, TopB(), TLevel(2.0)) == [(0, 2)]
+    assert _family(Instance([9], [1.0], [(0, 0)]), TopB()) == []
+    # an explicit report is deduped against the prefixes and the truth,
+    # by edges only
+    explicit = ExplicitReport(AgentReport((2, 0)))
+    assert _family(inst, TopB(), explicit) == [(0, 2)]
+    assert _family(inst, explicit, TopB()) == [(0, 2)]
+    truth = ExplicitReport(AgentReport(tuple(range(5)), 1))
+    assert _family(inst, truth, KOrder(1)) == [(0, 1, 2, 3)]
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        _family(inst, KOrder(-1))
